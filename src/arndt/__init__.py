@@ -22,8 +22,7 @@ from .compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
                            is_reduced_ap_representative)
 from .counting import (BRUTE_FORCE_CAP, BruteForceCapExceeded, CountTriangle,
                        compositions_of, count_by_last, count_by_parts,
-                       last_triangle, parts_triangle, reduced_antipalindromic,
-                       total_last, total_parts)
+                       reduced_antipalindromic, total_last, total_parts)
 from .formulas import (fibonacci, fibonacci_from_alternating_sum,
                        fibonacci_from_positive_sum, gen_binomial, last_count,
                        last_count_at_least, last_count_at_most, lucas,
@@ -49,9 +48,9 @@ __all__ = [
     "gf_reduced_ap", "gf_total_last", "gf_total_parts", "is_antipalindromic",
     "is_arndt", "is_k_arndt", "is_k_block_arndt",
     "is_reduced_ap_representative", "last_count", "last_count_asymptotic",
-    "last_count_at_least", "last_count_at_most", "last_triangle", "lucas",
+    "last_count_at_least", "last_count_at_most", "lucas",
     "parts_count_alternating", "parts_count_asymptotic",
-    "parts_count_positive", "parts_triangle", "parts_triangle_by_recurrence",
+    "parts_count_positive", "parts_triangle_by_recurrence",
     "reduced_antipalindromic", "reduced_ap_to_arndt", "run_checks",
     "total_last", "total_last_closed", "total_parts", "total_parts_closed",
     "wz_residual",

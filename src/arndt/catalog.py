@@ -9,6 +9,9 @@ verification suite, which is the authority if the two ever disagree.
 
 from __future__ import annotations
 
+from typing import Optional
+
+from .compositions import ALL_COMPOSITIONS, Family
 from .series import BivariatePolynomial, RationalGF
 
 
@@ -160,6 +163,39 @@ def gf_compositions() -> RationalGF:
     num = _poly((0, 0, 1), (1, 0, -1))
     den = _poly((0, 0, 1), (1, 0, -1), (1, 1, -1))
     return RationalGF(num, den)
+
+
+# Series name -> (constructor in this module, whether it takes k, whether it
+# is a sequence in x alone).  Constructors are looked up by name on every
+# call, so replacing one in this module replaces it for every caller.
+SERIES = {
+    "arndt": ("gf_arndt", False, False),
+    "antipalindromic": ("gf_antipalindromic", False, False),
+    "reduced-ap": ("gf_reduced_ap", False, False),
+    "last-part": ("gf_last_part", False, False),
+    "total-parts": ("gf_total_parts", False, True),
+    "total-last": ("gf_total_last", False, True),
+    "k-arndt": ("gf_k_arndt", True, False),
+    "block-arndt": ("gf_k_block", True, False),
+    "distinct-parts": ("gf_distinct_parts", True, False),
+    "compositions": ("gf_compositions", False, False),
+}
+
+
+def series_gf(name: str, k: Optional[int] = None) -> RationalGF:
+    """The GF of a SERIES entry; pass k exactly when the entry takes one."""
+    constructor, takes_k, _ = SERIES[name]
+    make = globals()[constructor]
+    return make(k) if takes_k else make()
+
+
+def parts_series(family: Family) -> str:
+    """The SERIES name of a family's GF by weight and number of parts.
+
+    Each restricted family's series carries its kind as name; the
+    unrestricted family is counted by all compositions.
+    """
+    return "compositions" if family == ALL_COMPOSITIONS else family.kind
 
 
 def gf_k_block_reference(k: int) -> RationalGF:

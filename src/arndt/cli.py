@@ -15,25 +15,36 @@ from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
 from . import catalog, counting, formulas, verify
-from .compositions import Family
+from .compositions import ARNDT, FAMILY_KINDS, Family
 from .counting import BRUTE_FORCE_CAP, BruteForceCapExceeded
 from .series import DEFAULT_ORDER
 
-FAMILY_CHOICES = ("arndt", "k-arndt", "block-arndt", "antipalindromic",
-                  "reduced-ap", "all")
 FORMAT_CHOICES = ("plain", "csv", "jsonl")
-SERIES_CHOICES = ("arndt", "antipalindromic", "reduced-ap", "last-part",
-                  "total-parts", "total-last", "k-arndt", "block-arndt",
-                  "distinct-parts", "compositions")
 BFILE_CHOICES = ("arndt-total", "parts-triangle-flat", "last-sum")
 
 
+def _int_at_least(lowest: int):
+    """An argparse type: an integer no smaller than `lowest`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lowest}, got {value}")
+        return value
+    parse.__name__ = "int"  # a non-number reads "invalid int value: ..."
+    return parse
+
+
+def _check_k(parser, what: str, name: str, takes_k: bool, k):
+    if takes_k and k is None:
+        parser.error(f"{what} '{name}' requires --k")
+    if not takes_k and k is not None:
+        parser.error(f"{what} '{name}' does not take --k")
+
+
 def _family(args, parser) -> Family:
-    needs_k = args.family in ("k-arndt", "block-arndt")
-    if needs_k and args.k is None:
-        parser.error(f"family '{args.family}' requires --k")
-    if not needs_k and args.k is not None:
-        parser.error(f"family '{args.family}' does not take --k")
+    _check_k(parser, "family", args.family, FAMILY_KINDS[args.family][1],
+             args.k)
     try:
         return Family(args.family, args.k)
     except ValueError as exc:
@@ -92,101 +103,56 @@ def _print_sequence(values: List[Tuple[int, int]], fmt: str):
 
 def cmd_enumerate(args, parser) -> int:
     family = _family(args, parser)
-    cap = args.max_n if args.max_n is not None else BRUTE_FORCE_CAP
-    try:
-        comps = [c for c in counting.compositions_of(args.n, cap)
-                 if family.member(c)]
-    except BruteForceCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    comps = [c for c in counting.compositions_of(args.n, args.max_n)
+             if family.member(c)]
     _print_compositions(comps, args.format)
     return 0
-
-
-def _parts_gf(family: Family):
-    if family.kind == "arndt":
-        return catalog.gf_arndt()
-    if family.kind == "antipalindromic":
-        return catalog.gf_antipalindromic()
-    if family.kind == "reduced-ap":
-        return catalog.gf_reduced_ap()
-    if family.kind == "k-arndt":
-        return catalog.gf_k_arndt(family.k)
-    if family.kind == "block-arndt":
-        return catalog.gf_k_block(family.k)
-    return catalog.gf_compositions()
 
 
 def cmd_table(args, parser) -> int:
     family = _family(args, parser)
     if args.kind == "last" and args.method in ("gf", "formula") \
-            and family.kind != "arndt":
+            and family != ARNDT:
         parser.error("the last-part table has gf/formula paths only for "
-                     "--family arndt; use --method brute")
+                     f"--family {ARNDT.kind}; use --method brute")
     if args.kind == "parts" and args.method == "formula" \
-            and family.kind != "arndt":
-        parser.error("the formula path covers --family arndt only")
-    cap = args.max_n if args.max_n is not None else BRUTE_FORCE_CAP
-    try:
-        if args.method == "brute":
-            count = (counting.count_by_parts if args.kind == "parts"
-                     else counting.count_by_last)
-            rows = {n: count(n, family, cap) for n in range(args.n + 1)}
-        elif args.method == "formula":
-            if args.kind == "parts":
-                rows = formulas.parts_triangle_by_recurrence(args.n).rows()
-            else:
-                rows = {n: {m: v for m in range(n + 1)
-                            if (v := formulas.last_count(n, m))}
-                        for n in range(args.n + 1)}
+            and family != ARNDT:
+        parser.error(f"the formula path covers --family {ARNDT.kind} only")
+    if args.method == "brute":
+        rows = {n: counting.tally(n, family, args.kind, args.max_n)
+                for n in range(args.n + 1)}
+    elif args.method == "formula":
+        if args.kind == "parts":
+            rows = formulas.parts_triangle_by_recurrence(args.n).rows()
         else:
-            gf = (_parts_gf(family) if args.kind == "parts"
-                  else catalog.gf_last_part())
-            rows = gf.expand(args.n).integer_rows()
-    except BruteForceCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            rows = {n: {m: v for m in range(n + 1)
+                        if (v := formulas.last_count(n, m))}
+                    for n in range(args.n + 1)}
+    else:
+        gf = (catalog.series_gf(catalog.parts_series(family), family.k)
+              if args.kind == "parts" else catalog.gf_last_part())
+        rows = gf.expand(args.n).integer_rows()
     _print_triangle(rows, args.format)
     return 0
 
 
 def cmd_series(args, parser) -> int:
-    needs_k = args.name in ("k-arndt", "block-arndt", "distinct-parts")
-    if needs_k and args.k is None:
-        parser.error(f"series '{args.name}' requires --k")
-    if not needs_k and args.k is not None:
-        parser.error(f"series '{args.name}' does not take --k")
+    _, takes_k, univariate = catalog.SERIES[args.name]
+    _check_k(parser, "series", args.name, takes_k, args.k)
     try:
-        if args.name == "k-arndt":
-            gf = catalog.gf_k_arndt(args.k)
-        elif args.name == "block-arndt":
-            gf = catalog.gf_k_block(args.k)
-        elif args.name == "distinct-parts":
-            gf = catalog.gf_distinct_parts(args.k)
-        elif args.name == "last-part":
-            gf = catalog.gf_last_part()
-        elif args.name == "total-parts":
-            gf = catalog.gf_total_parts()
-        elif args.name == "total-last":
-            gf = catalog.gf_total_last()
-        elif args.name == "antipalindromic":
-            gf = catalog.gf_antipalindromic()
-        elif args.name == "reduced-ap":
-            gf = catalog.gf_reduced_ap()
-        elif args.name == "compositions":
-            gf = catalog.gf_compositions()
-        else:
-            gf = catalog.gf_arndt()
+        gf = catalog.series_gf(args.name, args.k)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.format == "bfile" and not univariate:
+        sequences = ", ".join(name for name, entry in catalog.SERIES.items()
+                              if entry[2])
+        parser.error("the bfile format applies only to univariate "
+                     f"sequences ({sequences})")
     series = gf.expand(args.n)
-    if args.name in ("total-parts", "total-last"):
+    if univariate:
         fmt = "plain" if args.format == "bfile" else args.format
         _print_sequence(list(enumerate(series.sequence())), fmt)
     else:
-        if args.format == "bfile":
-            parser.error("the bfile format applies only to univariate "
-                         "sequences (total-parts, total-last)")
         _print_triangle(series.integer_rows(), args.format)
     return 0
 
@@ -205,15 +171,13 @@ def _load_reference(name: str) -> Tuple[dict, Dict[int, int]]:
 
 
 def _bfile_values(name: str, count: int) -> List[Tuple[int, int]]:
-    if count < 1:
-        return []
     if name == "arndt-total":
         return [(n, formulas.fibonacci(n)) for n in range(1, count + 1)]
     if name == "last-sum":
         return [(n, formulas.total_last_closed(n)) for n in range(1, count + 1)]
     # parts-triangle-flat: row n covers at least one term for every n >= 1,
     # so building `count` rows always yields enough terms.
-    triangle = formulas.parts_triangle_by_recurrence(max(count, 1))
+    triangle = formulas.parts_triangle_by_recurrence(count)
     out = []
     idx = 1
     for n in range(1, triangle.max_row + 1):
@@ -271,36 +235,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Enumerate, tabulate, and cross-verify Arndt-type "
                     "integer compositions.")
     sub = parser.add_subparsers(dest="command", required=True)
+    size = _int_at_least(0)
+    k_kinds = "/".join(kind for kind, entry in FAMILY_KINDS.items()
+                       if entry[1])
 
     p = sub.add_parser("enumerate",
                        help="list the members of a family at one weight")
-    p.add_argument("--n", type=int, required=True, help="weight to enumerate")
-    p.add_argument("--family", choices=FAMILY_CHOICES, default="arndt")
-    p.add_argument("--k", type=int, help="parameter for k-arndt/block-arndt")
+    p.add_argument("--n", type=size, required=True, help="weight to enumerate")
+    p.add_argument("--family", choices=FAMILY_KINDS, default=ARNDT.kind)
+    p.add_argument("--k", type=int, help=f"parameter for {k_kinds}")
     p.add_argument("--format", choices=FORMAT_CHOICES, default="plain")
-    p.add_argument("--max-n", type=int, default=None,
+    p.add_argument("--max-n", type=size, default=BRUTE_FORCE_CAP,
                    help="raise the brute-force cap")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("table", help="triangle of counts for weights 0..N")
-    p.add_argument("kind", choices=("parts", "last"),
+    p.add_argument("kind", choices=counting.STATISTICS,
                    help="statistic: number of parts, or last part")
-    p.add_argument("--N", dest="n", type=int, required=True,
+    p.add_argument("--N", dest="n", type=size, required=True,
                    help="largest weight")
-    p.add_argument("--family", choices=FAMILY_CHOICES, default="arndt")
+    p.add_argument("--family", choices=FAMILY_KINDS, default=ARNDT.kind)
     p.add_argument("--k", type=int)
     p.add_argument("--method", choices=("gf", "brute", "formula"),
                    default="gf")
     p.add_argument("--format", choices=FORMAT_CHOICES, default="plain")
-    p.add_argument("--max-n", type=int, default=None,
+    p.add_argument("--max-n", type=size, default=BRUTE_FORCE_CAP,
                    help="raise the brute-force cap (brute method)")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("series",
                        help="coefficients of a catalog generating function")
-    p.add_argument("name", choices=SERIES_CHOICES)
+    p.add_argument("name", choices=catalog.SERIES)
     p.add_argument("--k", type=int)
-    p.add_argument("--N", "--order", dest="n", type=int, default=DEFAULT_ORDER,
+    p.add_argument("--N", "--order", dest="n", type=size, default=DEFAULT_ORDER,
                    help=f"truncation order (default {DEFAULT_ORDER})")
     p.add_argument("--format", choices=FORMAT_CHOICES + ("bfile",),
                    default="plain")
@@ -309,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bfile",
                        help="emit a sequence in OEIS b-file format")
     p.add_argument("sequence", choices=BFILE_CHOICES)
-    p.add_argument("--N", dest="n", type=int, required=True,
+    p.add_argument("--N", dest="n", type=_int_at_least(1), required=True,
                    help="number of terms (b-file index runs from 1)")
     p.add_argument("--check", action="store_true",
                    help="compare against the bundled reference prefix")
@@ -317,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
     p.add_argument("scope", nargs="?", choices=verify.SCOPES, default="all")
-    p.add_argument("--max-n", type=int, default=None,
+    p.add_argument("--max-n", type=size, default=None,
                    help="clamp the per-check weight ranges")
     p.set_defaults(func=cmd_verify)
 
@@ -327,7 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except BruteForceCapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry():

@@ -29,8 +29,8 @@ condition holds vacuously).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 
 def is_arndt(comp) -> bool:
@@ -93,46 +93,46 @@ def flip_class(comp) -> set:
     return out
 
 
-FAMILY_KINDS = ("arndt", "k-arndt", "block-arndt", "antipalindromic",
-                "reduced-ap", "all")
+# Family kind -> (membership predicate, whether the kind takes a parameter k,
+# smallest k it accepts or None for any integer).
+FAMILY_KINDS = {
+    "arndt": (is_arndt, False, None),
+    "k-arndt": (is_k_arndt, True, None),
+    "block-arndt": (is_k_block_arndt, True, 1),
+    "antipalindromic": (is_antipalindromic, False, None),
+    "reduced-ap": (is_reduced_ap_representative, False, None),
+    "all": (lambda comp: True, False, None),
+}
 
 
 @dataclass(frozen=True)
 class Family:
-    """A composition family, optionally parameterised by an integer k.
-
-    kind 'k-arndt' accepts any integer k; 'block-arndt' requires k >= 1;
-    the remaining kinds take no parameter.  kind 'all' is the unrestricted
-    family (every composition is a member).
+    """A composition family: a kind from FAMILY_KINDS, with the integer k
+    that kind requires.  Kind 'all' is the unrestricted family (every
+    composition is a member).
     """
 
     kind: str
     k: Optional[int] = None
+    # The kind's predicate, looked up once: member() runs per composition.
+    _test: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "k-arndt":
-            if self.k is None:
-                raise ValueError("family 'k-arndt' needs an integer k")
-        elif self.kind == "block-arndt":
-            if self.k is None or self.k < 1:
-                raise ValueError("family 'block-arndt' needs k >= 1")
-        elif self.k is not None:
+        test, takes_k, min_k = FAMILY_KINDS[self.kind]
+        if not takes_k and self.k is not None:
             raise ValueError(f"family {self.kind!r} takes no parameter k")
+        if takes_k and (self.k is None
+                        or min_k is not None and self.k < min_k):
+            need = "an integer k" if min_k is None else f"k >= {min_k}"
+            raise ValueError(f"family {self.kind!r} needs {need}")
+        object.__setattr__(self, "_test", test)
 
     def member(self, comp) -> bool:
-        if self.kind == "arndt":
-            return is_arndt(comp)
-        if self.kind == "k-arndt":
-            return is_k_arndt(comp, self.k)
-        if self.kind == "block-arndt":
-            return is_k_block_arndt(comp, self.k)
-        if self.kind == "antipalindromic":
-            return is_antipalindromic(comp)
-        if self.kind == "reduced-ap":
-            return is_reduced_ap_representative(comp)
-        return True
+        if self.k is None:
+            return self._test(comp)
+        return self._test(comp, self.k)
 
     def __str__(self):
         if self.k is None:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional
 
-from .compositions import (ARNDT, Family, is_arndt,
+# is_arndt is bound here as well, so that calls made through this module's
+# names can be counted from outside (benchmarks/spans.py does).
+from .compositions import (ARNDT, Family, is_arndt,  # noqa: F401
                            is_reduced_ap_representative)
 
 BRUTE_FORCE_CAP = 28
@@ -96,48 +98,39 @@ class CountTriangle:
         return f"CountTriangle(rows 0..{self.max_row})"
 
 
-def count_by_parts(n: int, family: Family = ARNDT,
-                   cap: Optional[int] = BRUTE_FORCE_CAP) -> Dict[int, int]:
-    """Family members of weight n tallied by number of parts."""
+# Statistic name -> its value on one composition.  The empty composition has
+# last part 0.
+STATISTICS = {"parts": len, "last": lambda comp: comp[-1] if comp else 0}
+
+
+def tally(n: int, family: Family, statistic: str,
+          cap: Optional[int] = BRUTE_FORCE_CAP) -> Dict[int, int]:
+    """Family members of weight n tallied by a statistic from STATISTICS."""
+    value = STATISTICS[statistic]
     row: Dict[int, int] = {}
     member = family.member
     for comp in compositions_of(n, cap):
         if member(comp):
-            m = len(comp)
+            m = value(comp)
             row[m] = row.get(m, 0) + 1
     return row
+
+
+def count_by_parts(n: int, family: Family = ARNDT,
+                   cap: Optional[int] = BRUTE_FORCE_CAP) -> Dict[int, int]:
+    """Family members of weight n tallied by number of parts."""
+    return tally(n, family, "parts", cap)
 
 
 def count_by_last(n: int, family: Family = ARNDT,
                   cap: Optional[int] = BRUTE_FORCE_CAP) -> Dict[int, int]:
-    """Family members of weight n tallied by last part.
-
-    The empty composition (weight 0) counts under last part 0.
-    """
-    row: Dict[int, int] = {}
-    member = family.member
-    for comp in compositions_of(n, cap):
-        if member(comp):
-            m = comp[-1] if comp else 0
-            row[m] = row.get(m, 0) + 1
-    return row
-
-
-def parts_triangle(max_n: int, family: Family = ARNDT,
-                   cap: Optional[int] = BRUTE_FORCE_CAP) -> CountTriangle:
-    return CountTriangle({n: count_by_parts(n, family, cap)
-                          for n in range(max_n + 1)}, max_n)
-
-
-def last_triangle(max_n: int, family: Family = ARNDT,
-                  cap: Optional[int] = BRUTE_FORCE_CAP) -> CountTriangle:
-    return CountTriangle({n: count_by_last(n, family, cap)
-                          for n in range(max_n + 1)}, max_n)
+    """Family members of weight n tallied by last part (0 for the empty one)."""
+    return tally(n, family, "last", cap)
 
 
 def total_parts(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> int:
     """Sum of the number of parts over all Arndt compositions of n."""
-    return sum(len(c) for c in compositions_of(n, cap) if is_arndt(c))
+    return sum(m * c for m, c in tally(n, ARNDT, "parts", cap).items())
 
 
 def total_last(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> int:
@@ -145,7 +138,7 @@ def total_last(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> int:
 
     The empty composition contributes 0.
     """
-    return sum(c[-1] for c in compositions_of(n, cap) if c and is_arndt(c))
+    return sum(m * c for m, c in tally(n, ARNDT, "last", cap).items())
 
 
 def reduced_antipalindromic(n: int,

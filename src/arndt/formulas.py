@@ -9,39 +9,34 @@ brute-force paths is established in the verification suite.
 
 from __future__ import annotations
 
-import threading
 from math import factorial, prod
 from typing import Dict, Optional
 
 from .counting import CountTriangle
 
-# Append-only caches, extended under one lock; readers outside the lock only
-# ever index an already-complete prefix.
-_CACHE_LOCK = threading.Lock()
 _FIB = [0, 1]
 _LUCAS = [2, 1]
+
+
+def _extend(cache: list, n: int) -> int:
+    """Entry n of a cache of a sequence with s(i) = s(i-1) + s(i-2)."""
+    while len(cache) <= n:
+        cache.append(cache[-1] + cache[-2])
+    return cache[n]
 
 
 def fibonacci(n: int) -> int:
     """F(0) = 0, F(1) = 1, F(n) = F(n-1) + F(n-2); defined for n >= 0."""
     if n < 0:
         raise ValueError(f"Fibonacci index must be >= 0, got {n}")
-    if len(_FIB) <= n:
-        with _CACHE_LOCK:
-            while len(_FIB) <= n:
-                _FIB.append(_FIB[-1] + _FIB[-2])
-    return _FIB[n]
+    return _extend(_FIB, n)
 
 
 def lucas(n: int) -> int:
     """L(0) = 2, L(1) = 1, L(n) = L(n-1) + L(n-2); defined for n >= 0."""
     if n < 0:
         raise ValueError(f"Lucas index must be >= 0, got {n}")
-    if len(_LUCAS) <= n:
-        with _CACHE_LOCK:
-            while len(_LUCAS) <= n:
-                _LUCAS.append(_LUCAS[-1] + _LUCAS[-2])
-    return _LUCAS[n]
+    return _extend(_LUCAS, n)
 
 
 def gen_binomial(p: int, q: int) -> int:
@@ -195,15 +190,13 @@ def total_parts_closed(n: int) -> int:
     """Total number of parts over all Arndt compositions of n."""
     if n < 0:
         raise ValueError(f"weight must be nonnegative, got {n}")
-    if len(_TOTAL_PARTS) <= n:
-        with _CACHE_LOCK:
-            while len(_TOTAL_PARTS) <= n:
-                i = len(_TOTAL_PARTS)
-                s = _TOTAL_PARTS_NUM[i] if i < len(_TOTAL_PARTS_NUM) else 0
-                for j in range(1, len(_TOTAL_PARTS_DEN)):
-                    if i - j >= 0:
-                        s -= _TOTAL_PARTS_DEN[j] * _TOTAL_PARTS[i - j]
-                _TOTAL_PARTS.append(s)
+    while len(_TOTAL_PARTS) <= n:
+        i = len(_TOTAL_PARTS)
+        s = _TOTAL_PARTS_NUM[i] if i < len(_TOTAL_PARTS_NUM) else 0
+        for j in range(1, len(_TOTAL_PARTS_DEN)):
+            if i - j >= 0:
+                s -= _TOTAL_PARTS_DEN[j] * _TOTAL_PARTS[i - j]
+        _TOTAL_PARTS.append(s)
     return _TOTAL_PARTS[n]
 
 

@@ -64,9 +64,6 @@ class BivariatePolynomial:
     def constant(self) -> Fraction:
         return self.coefficient(0, 0)
 
-    def degree_x(self) -> int:
-        return max((i for i, _ in self._coeffs), default=0)
-
     def degree_y(self) -> int:
         return max((j for _, j in self._coeffs), default=0)
 

@@ -141,21 +141,22 @@ def check_antipalindromic_doubling(lim: Limits):
 # series engine
 
 
+# The k each catalog constructor that takes one is checked at.
+_SAMPLE_K = {"gf_k_arndt": (-3, -1, 0, 1, 3), "gf_k_block": (1, 2, 3, 4),
+             "gf_distinct_parts": (0, 1, 2, 3)}
+
+
+def _series(name: str, k: Optional[int] = None) -> Tuple[str, RationalGF]:
+    """A catalog series, labelled by its constructor call."""
+    constructor, takes_k, _ = catalog.SERIES[name]
+    label = f"{constructor}({k})" if takes_k else constructor
+    return label, catalog.series_gf(name, k)
+
+
 def _catalog_gfs() -> List[Tuple[str, RationalGF]]:
-    gfs = [("gf_arndt", catalog.gf_arndt()),
-           ("gf_antipalindromic", catalog.gf_antipalindromic()),
-           ("gf_reduced_ap", catalog.gf_reduced_ap()),
-           ("gf_last_part", catalog.gf_last_part()),
-           ("gf_total_parts", catalog.gf_total_parts()),
-           ("gf_total_last", catalog.gf_total_last()),
-           ("gf_compositions", catalog.gf_compositions())]
-    for k in (-3, -1, 0, 1, 3):
-        gfs.append((f"gf_k_arndt({k})", catalog.gf_k_arndt(k)))
-    for k in (1, 2, 3, 4):
-        gfs.append((f"gf_k_block({k})", catalog.gf_k_block(k)))
-    for j in (0, 1, 2, 3):
-        gfs.append((f"gf_distinct_parts({j})", catalog.gf_distinct_parts(j)))
-    return gfs
+    return [_series(name, k)
+            for name, (constructor, takes_k, _) in catalog.SERIES.items()
+            for k in (_SAMPLE_K[constructor] if takes_k else (None,))]
 
 
 def check_round_trip(lim: Limits):
@@ -232,32 +233,22 @@ def check_poly_associativity(lim: Limits):
 
 
 def check_catalog_vs_brute(lim: Limits):
-    """Every catalog GF's rows equal the brute-force rows of its family."""
-    cases = [("gf_arndt", catalog.gf_arndt(), ARNDT, lim.upto(14)),
-             ("gf_reduced_ap", catalog.gf_reduced_ap(), REDUCED_AP,
-              lim.upto(14)),
-             ("gf_antipalindromic", catalog.gf_antipalindromic(),
-              ANTIPALINDROMIC, lim.upto(12)),
-             ("gf_compositions", catalog.gf_compositions(), ALL_COMPOSITIONS,
-              lim.upto(12))]
-    for k in range(-3, 4):
-        cases.append((f"gf_k_arndt({k})", catalog.gf_k_arndt(k),
-                      Family("k-arndt", k), lim.upto(12)))
-    for k in range(1, 5):
-        cases.append((f"gf_k_block({k})", catalog.gf_k_block(k),
-                      Family("block-arndt", k), lim.upto(12)))
-    for name, gf, family, max_n in cases:
+    """Every family's parts GF, as the CLI finds it, has the brute-force
+    rows of the family; so has the last-part GF of the Arndt family."""
+    families = [(ARNDT, 14), (REDUCED_AP, 14), (ANTIPALINDROMIC, 12),
+                (ALL_COMPOSITIONS, 12)]
+    families += [(Family("k-arndt", k), 12) for k in range(-3, 4)]
+    families += [(Family("block-arndt", k), 12) for k in range(1, 5)]
+    cases = [(*_series(catalog.parts_series(family), family.k), family,
+              "parts", upto) for family, upto in families]
+    cases.append(("gf_last_part", catalog.gf_last_part(), ARNDT, "last", 14))
+    for name, gf, family, statistic, upto in cases:
+        max_n = lim.upto(upto)
         rows = gf.expand(max_n).integer_rows()
         for n in range(max_n + 1):
-            brute = counting.count_by_parts(n, family)
+            brute = counting.tally(n, family, statistic)
             if rows[n] != brute:
                 _fail(f"{name} row {n}: expansion {rows[n]} != brute {brute}")
-    max_n = lim.upto(14)
-    rows = catalog.gf_last_part().expand(max_n).integer_rows()
-    for n in range(max_n + 1):
-        brute = counting.count_by_last(n, ARNDT)
-        if rows[n] != brute:
-            _fail(f"gf_last_part row {n}: expansion {rows[n]} != brute {brute}")
 
 
 def check_reduced_equals_arndt(lim: Limits):
@@ -401,29 +392,22 @@ def check_last_closed_forms(lim: Limits):
 
 def check_totals(lim: Limits):
     """The totals closed forms match the series and brute force."""
-    known = {"total_parts": {6: 21, 7: 38}, "total_last": {6: 17, 7: 29}}
-    for n, want in known["total_parts"].items():
-        if formulas.total_parts_closed(n) != want:
-            _fail(f"total_parts_closed({n}) != {want}")
-    for n, want in known["total_last"].items():
-        if formulas.total_last_closed(n) != want:
-            _fail(f"total_last_closed({n}) != {want}")
     max_n = lim.upto(40)
-    parts_seq = catalog.gf_total_parts().expand(max_n).sequence()
-    last_seq = catalog.gf_total_last().expand(max_n).sequence()
-    for n in range(max_n + 1):
-        if formulas.total_parts_closed(n) != parts_seq[n]:
-            _fail(f"total_parts_closed({n}) != series {parts_seq[n]}")
-        if formulas.total_last_closed(n) != last_seq[n]:
-            _fail(f"total_last_closed({n}) != series {last_seq[n]}")
-    for n in range(lim.upto(20) + 1):
-        brute = counting.total_last(n)
-        if formulas.total_last_closed(n) != brute:
-            _fail(f"total_last_closed({n}) != brute force {brute}")
-    for n in range(lim.upto(14) + 1):
-        brute = counting.total_parts(n)
-        if formulas.total_parts_closed(n) != brute:
-            _fail(f"total_parts_closed({n}) != brute force {brute}")
+    for name, closed, gf, brute, known, brute_n in (
+            ("total_parts", formulas.total_parts_closed,
+             catalog.gf_total_parts, counting.total_parts, {6: 21, 7: 38}, 14),
+            ("total_last", formulas.total_last_closed,
+             catalog.gf_total_last, counting.total_last, {6: 17, 7: 29}, 20)):
+        for n, want in known.items():
+            if closed(n) != want:
+                _fail(f"{name}_closed({n}) != {want}")
+        seq = gf().expand(max_n).sequence()
+        for n in range(max_n + 1):
+            if closed(n) != seq[n]:
+                _fail(f"{name}_closed({n}) != series {seq[n]}")
+        for n in range(lim.upto(brute_n) + 1):
+            if closed(n) != brute(n):
+                _fail(f"{name}_closed({n}) != brute force {brute(n)}")
 
 
 # ---------------------------------------------------------------------------

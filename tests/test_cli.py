@@ -193,10 +193,33 @@ def test_bfile_outputs(capsys):
 
 
 def test_bfile_empty(capsys):
+    # a b-file of zero terms is refused rather than checked vacuously
     for sequence in ("arndt-total", "parts-triangle-flat", "last-sum"):
-        code, out, _ = run(capsys, "bfile", sequence, "--N", "0")
-        assert code == 0
-        assert out == ""
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "bfile", sequence, "--N", "0")
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "-1"),
+    ("enumerate", "--n", "5", "--max-n", "-2"),
+    ("table", "parts", "--N", "-1"),
+    ("table", "last", "--N", "4", "--method", "brute", "--max-n", "-1"),
+    ("series", "arndt", "--N", "-1"),
+    ("series", "arndt", "--order", "-1"),
+    ("verify", "all", "--max-n", "-1"),
+    ("bfile", "arndt-total", "--N", "0", "--check"),
+    ("bfile", "arndt-total", "--N", "-3"),
+])
+def test_sizes_out_of_range_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"arndt {argv[0]}: error: argument")
 
 
 def test_series_bfile_format(capsys):

@@ -144,18 +144,20 @@ def gf_distinct_parts(j: int) -> RationalGF:
 def gf_k_block(k: int) -> RationalGF:
     """k-block Arndt compositions by weight and number of parts, k >= 1.
 
-    Assembled as (sum_{j=0..k-1} J_j) / (1 - J_k) from the distinct-parts
-    series J_j = gf_distinct_parts(j): a run of complete descending k-blocks
-    followed by one shorter descending block.
+    (sum_{j=0..k-1} J_j) / (1 - J_k) in the distinct-parts series
+    J_j = gf_distinct_parts(j): a run of complete descending k-blocks
+    followed by one shorter descending block.  Over the common denominator
+    D_k = prod_{l=1..k} (1 - x^l) of the J_j this is
+    sum_j J_j.num prod_{j<l<=k} (1 - x^l) / (D_k - J_k.num).
     """
     if k < 1:
         raise ValueError(f"block length must be >= 1, got {k}")
-    partial = gf_distinct_parts(0)
-    for j in range(1, k):
-        partial = partial + gf_distinct_parts(j)
     full = gf_distinct_parts(k)
-    one = RationalGF.from_polynomial(BivariatePolynomial.one())
-    return partial / (one - full)
+    num, tail = BivariatePolynomial.zero(), BivariatePolynomial.one()
+    for j in reversed(range(k)):
+        tail = tail * _poly((0, 0, 1), (j + 1, 0, -1))
+        num = num + gf_distinct_parts(j).num * tail
+    return RationalGF(num, full.den - full.num)
 
 
 def gf_compositions() -> RationalGF:

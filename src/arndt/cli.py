@@ -103,9 +103,9 @@ def _print_sequence(values: List[Tuple[int, int]], fmt: str):
 
 def cmd_enumerate(args, parser) -> int:
     family = _family(args, parser)
-    comps = [c for c in counting.compositions_of(args.n, args.max_n)
-             if family.member(c)]
-    _print_compositions(comps, args.format)
+    _print_compositions(
+        filter(family.member, counting.compositions_of(args.n, args.max_n)),
+        args.format)
     return 0
 
 
@@ -175,19 +175,17 @@ def _bfile_values(name: str, count: int) -> List[Tuple[int, int]]:
         return [(n, formulas.fibonacci(n)) for n in range(1, count + 1)]
     if name == "last-sum":
         return [(n, formulas.total_last_closed(n)) for n in range(1, count + 1)]
-    # parts-triangle-flat: row n covers at least one term for every n >= 1,
-    # so building `count` rows always yields enough terms.
-    triangle = formulas.parts_triangle_by_recurrence(count)
-    out = []
-    idx = 1
-    for n in range(1, triangle.max_row + 1):
-        row = triangle.row(n)
-        for m in range(1, max(row) + 1):
-            out.append((idx, row.get(m, 0)))
-            idx += 1
-            if len(out) == count:
-                return out
-    return out
+    # parts-triangle-flat: row n >= 1 runs over m = 1..(2n + 1) // 3, the
+    # most parts an Arndt composition of n can have, so build only the rows
+    # that cover `count` terms.
+    rows, terms = 0, 0
+    while terms < count:
+        rows += 1
+        terms += (2 * rows + 1) // 3
+    triangle = formulas.parts_triangle_by_recurrence(rows)
+    flat = [triangle.get(n, m) for n in range(1, rows + 1)
+            for m in range(1, (2 * n + 1) // 3 + 1)]
+    return list(enumerate(flat[:count], start=1))
 
 
 def cmd_bfile(args, parser) -> int:

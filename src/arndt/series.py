@@ -1,12 +1,14 @@
 """Exact bivariate polynomials, rational generating functions, and truncated
 series expansion.
 
-Coefficients are fractions.Fraction throughout, so expanding a rational
-series never needs a divisibility assumption; integrality of combinatorial
-answers is asserted at extraction time, never assumed.  Rational arithmetic
-is plain cross-multiplication with no gcd normalisation: degrees stay small
-at the scales used here, and the denominator * expansion == numerator
-round-trip check in the verification suite guards correctness.
+Coefficients are plain ints: every catalog GF has integer coefficients over
+a denominator with constant term 1, so expansion never divides; any other
+exact input expands through one rational division.  Integrality of
+combinatorial answers is asserted at extraction time, never assumed.
+Rational arithmetic is plain cross-multiplication with no gcd normalisation:
+the catalog writes each GF over its natural denominator, so degrees stay
+small, and the denominator * expansion == numerator round-trip check in the
+verification suite guards correctness.
 
 Conventions: exponent pairs are (deg_x, deg_y); a polynomial is "univariate"
 when every stored term has deg_y == 0.
@@ -25,12 +27,11 @@ class BivariatePolynomial:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Dict[Tuple[int, int], Fraction] = None):
+    def __init__(self, coeffs: Dict[Tuple[int, int], int] = None):
         clean = {}
         for (i, j), v in (coeffs or {}).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent ({i}, {j})")
-            v = Fraction(v)
             if v:
                 clean[(i, j)] = v
         self._coeffs = clean
@@ -38,10 +39,10 @@ class BivariatePolynomial:
     @classmethod
     def from_terms(cls, terms: Iterable[Tuple[int, int, int]]):
         """Build from (deg_x, deg_y, coeff) triples; repeats are summed."""
-        coeffs: Dict[Tuple[int, int], Fraction] = {}
+        coeffs = {}
         for i, j, v in terms:
             key = (i, j)
-            coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(v)
+            coeffs[key] = coeffs.get(key, 0) + v
         return cls(coeffs)
 
     @classmethod
@@ -50,10 +51,10 @@ class BivariatePolynomial:
 
     @classmethod
     def one(cls):
-        return cls({(0, 0): Fraction(1)})
+        return cls({(0, 0): 1})
 
-    def coefficient(self, i: int, j: int = 0) -> Fraction:
-        return self._coeffs.get((i, j), Fraction(0))
+    def coefficient(self, i: int, j: int = 0) -> int:
+        return self._coeffs.get((i, j), 0)
 
     def terms(self):
         return self._coeffs.items()
@@ -61,7 +62,7 @@ class BivariatePolynomial:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def constant(self) -> Fraction:
+    def constant(self) -> int:
         return self.coefficient(0, 0)
 
     def degree_y(self) -> int:
@@ -70,7 +71,7 @@ class BivariatePolynomial:
     def __add__(self, other: "BivariatePolynomial"):
         coeffs = dict(self._coeffs)
         for key, v in other._coeffs.items():
-            coeffs[key] = coeffs.get(key, Fraction(0)) + v
+            coeffs[key] = coeffs.get(key, 0) + v
         return BivariatePolynomial(coeffs)
 
     def __neg__(self):
@@ -80,15 +81,14 @@ class BivariatePolynomial:
         return self + (-other)
 
     def __mul__(self, other: "BivariatePolynomial"):
-        coeffs: Dict[Tuple[int, int], Fraction] = {}
+        coeffs = {}
         for (i1, j1), v1 in self._coeffs.items():
             for (i2, j2), v2 in other._coeffs.items():
                 key = (i1 + i2, j1 + j2)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + v1 * v2
+                coeffs[key] = coeffs.get(key, 0) + v1 * v2
         return BivariatePolynomial(coeffs)
 
     def scale(self, factor) -> "BivariatePolynomial":
-        factor = Fraction(factor)
         return BivariatePolynomial(
             {k: v * factor for k, v in self._coeffs.items()})
 
@@ -102,9 +102,9 @@ class BivariatePolynomial:
 
     def subst_y1(self) -> "BivariatePolynomial":
         """Substitute y = 1, collapsing to a polynomial in x alone."""
-        coeffs: Dict[Tuple[int, int], Fraction] = {}
+        coeffs = {}
         for (i, _), v in self._coeffs.items():
-            coeffs[(i, 0)] = coeffs.get((i, 0), Fraction(0)) + v
+            coeffs[(i, 0)] = coeffs.get((i, 0), 0) + v
         return BivariatePolynomial(coeffs)
 
     def truncate_x(self, order: int) -> "BivariatePolynomial":
@@ -141,16 +141,16 @@ class TruncatedSeries:
     """Exact coefficients c(n, m) of a formal series, kept for n, m <= order."""
 
     def __init__(self, order: int,
-                 coeffs: Dict[Tuple[int, int], Fraction]):
+                 coeffs: Dict[Tuple[int, int], int]):
         self.order = order
         self._coeffs = {k: v for k, v in coeffs.items() if v}
 
-    def coefficient(self, n: int, m: int = 0) -> Fraction:
+    def coefficient(self, n: int, m: int = 0) -> int:
         if n > self.order or m > self.order:
             raise LookupError(f"({n}, {m}) beyond truncation order {self.order}")
-        return self._coeffs.get((n, m), Fraction(0))
+        return self._coeffs.get((n, m), 0)
 
-    def row(self, n: int) -> Dict[int, Fraction]:
+    def row(self, n: int) -> Dict[int, int]:
         """Nonzero coefficients of x^n, keyed by y-degree."""
         if n > self.order:
             raise LookupError(f"row {n} beyond truncation order {self.order}")
@@ -205,10 +205,6 @@ class RationalGF:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_polynomial(cls, num: BivariatePolynomial):
-        return cls(num, BivariatePolynomial.one())
-
     def __add__(self, other: "RationalGF"):
         return RationalGF(self.num * other.den + other.num * self.den,
                           self.den * other.den)
@@ -240,7 +236,7 @@ class RationalGF:
         d00 = self.den.constant()
         den_rest = [(i, j, v) for (i, j), v in self.den.terms()
                     if (i, j) != (0, 0)]
-        coeffs: Dict[Tuple[int, int], Fraction] = {}
+        coeffs = {}
         for n in range(order + 1):
             for m in range(order + 1):
                 s = self.num.coefficient(n, m)
@@ -250,7 +246,7 @@ class RationalGF:
                         if prev is not None:
                             s -= v * prev
                 if s:
-                    coeffs[(n, m)] = s / d00
+                    coeffs[(n, m)] = s if d00 == 1 else Fraction(s) / d00
         return TruncatedSeries(order, coeffs)
 
     def diff_y_at_1(self) -> "RationalGF":

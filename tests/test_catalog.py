@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import BLOCK3_TOTALS, BLOCK4_TOTALS, TABLE_LAST, TABLE_PARTS
+from arndt import catalog
 from arndt.catalog import (gf_antipalindromic, gf_arndt, gf_distinct_parts,
                            gf_k_arndt, gf_k_arndt_total, gf_k_block,
                            gf_k_block_reference, gf_k_block_total_reference,
@@ -8,6 +9,8 @@ from arndt.catalog import (gf_antipalindromic, gf_arndt, gf_distinct_parts,
                            gf_total_parts)
 from arndt.compositions import ANTIPALINDROMIC, REDUCED_AP, Family
 from arndt.counting import count_by_last, count_by_parts
+from arndt.series import BivariatePolynomial, RationalGF
+from arndt.verify import _SAMPLE_K
 
 
 def test_arndt_series_prefix():
@@ -130,3 +133,39 @@ def test_k_block_displayed_closed_forms():
 def test_k_block_total_prefixes():
     assert gf_k_block(3).eval_y1().expand(9).sequence() == BLOCK3_TOTALS
     assert gf_k_block(4).eval_y1().expand(10).sequence() == BLOCK4_TOTALS
+
+
+def _k_block_by_gf_arithmetic(k):
+    """(J_0 + ... + J_{k-1}) / (1 - J_k) assembled with RationalGF arithmetic.
+
+    The cross-multiplied reference gf_k_block is written against; it carries
+    far larger polynomials than the construction over the natural denominator.
+    """
+    one = BivariatePolynomial.one()
+    partial = gf_distinct_parts(0)
+    for j in range(1, k):
+        partial = partial + gf_distinct_parts(j)
+    return partial / (RationalGF(one, one) - gf_distinct_parts(k))
+
+
+def test_k_block_equals_rational_assembly():
+    for k in range(1, 10):
+        assert gf_k_block(k).series_equal(_k_block_by_gf_arithmetic(k)), k
+
+
+def test_k_block_natural_denominator():
+    for k in range(1, 10):
+        degrees = [i for (i, _) in dict(gf_k_block(k).den.terms())]
+        assert max(degrees) == k * (k + 1) // 2, k
+    assert len(gf_k_block(9).den.terms()) == 33
+    for k in (3, 4):
+        assert gf_k_block(k).den == gf_k_block_reference(k).den, k
+
+
+def test_catalog_coefficients_are_ints():
+    for name, (constructor, takes_k, _) in catalog.SERIES.items():
+        for k in (_SAMPLE_K[constructor] if takes_k else (None,)):
+            series = catalog.series_gf(name, k).expand(16)
+            coeffs = series.as_polynomial().terms()
+            assert coeffs, (name, k)
+            assert all(type(v) is int for _, v in coeffs), (name, k)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import TABLE_LAST, TABLE_PARTS
-from arndt import cli, formulas
+from arndt import cli, counting, formulas
 
 
 def run(capsys, *argv):
@@ -69,6 +69,24 @@ def test_enumerate_cap(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "29")
     assert code == 1
     assert "cap" in err
+
+
+def test_enumerate_streams_its_output(capsys, monkeypatch):
+    def compositions_of(n, cap):
+        yield (3,)
+        # the first member is printed before the second is generated
+        assert capsys.readouterr().out == "(3)\n"
+        yield (2, 1)
+
+    monkeypatch.setattr(counting, "compositions_of", compositions_of)
+    code, out, _ = run(capsys, "enumerate", "--n", "3")
+    assert code == 0
+    assert out == "(2,1)\n"
+    monkeypatch.undo()
+    # the cap is still enforced before anything is printed
+    code, out, _ = run(capsys, "enumerate", "--n", "29", "--family", "all")
+    assert code == 1
+    assert out == ""
 
 
 def test_table_parts_plain(capsys):
@@ -190,6 +208,33 @@ def test_bfile_outputs(capsys):
     assert code == 0
     assert len(out.splitlines()) == 37
     assert "A354787" in err
+
+
+def test_bfile_parts_triangle_flat_builds_only_needed_rows(capsys,
+                                                          monkeypatch):
+    # reference: flatten the full triangle of 300 rows, row by row
+    full = formulas.parts_triangle_by_recurrence(300)
+    flat = [full.get(n, m) for n in range(1, 301)
+            for m in range(1, max(full.row(n)) + 1)]
+    for count in range(1, 301):
+        code, out, _ = run(capsys, "bfile", "parts-triangle-flat",
+                           "--N", str(count))
+        assert code == 0
+        assert out == "".join(f"{i} {v}\n"
+                              for i, v in enumerate(flat[:count], start=1))
+
+    built = []
+    real = formulas.parts_triangle_by_recurrence
+
+    def spy(max_n, max_m=None):
+        built.append(max_n)
+        return real(max_n, max_m)
+
+    monkeypatch.setattr(formulas, "parts_triangle_by_recurrence", spy)
+    code, out, _ = run(capsys, "bfile", "parts-triangle-flat", "--N", "2000")
+    assert code == 0
+    assert len(out.splitlines()) == 2000
+    assert built and max(built) <= 80
 
 
 def test_bfile_empty(capsys):

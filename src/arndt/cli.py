@@ -103,9 +103,8 @@ def _print_sequence(values: List[Tuple[int, int]], fmt: str):
 
 def cmd_enumerate(args, parser) -> int:
     family = _family(args, parser)
-    _print_compositions(
-        filter(family.member, counting.compositions_of(args.n, args.max_n)),
-        args.format)
+    _print_compositions(counting.family_members(args.n, family, args.max_n),
+                        args.format)
     return 0
 
 
@@ -212,19 +211,22 @@ def cmd_bfile(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     results = verify.run_checks(args.scope, args.max_n)
-    failed = 0
+    failed = skipped = 0
     for r in results:
-        if r.passed:
-            print(f"PASS  {r.name}")
-        else:
+        if not r.passed:
             failed += 1
             print(f"FAIL  {r.name}: {r.detail}")
+        elif r.cases == 0:
+            skipped += 1
+            print(f"SKIP  {r.name}: compared 0 cases")
+        else:
+            print(f"PASS  {r.name}")
     total = len(results)
-    if failed:
-        print(f"{failed} of {total} checks failed")
-        return 1
-    print(f"all {total} checks passed")
-    return 0
+    summary = (f"{failed} of {total} checks failed" if failed
+               else f"{total - skipped} of {total} checks passed" if skipped
+               else f"all {total} checks passed")
+    print(summary + (f", {skipped} skipped" if skipped else ""))
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional
 
-# is_arndt is bound here as well, so that calls made through this module's
-# names can be counted from outside (benchmarks/spans.py does).
-from .compositions import (ARNDT, Family, is_arndt,  # noqa: F401
-                           is_reduced_ap_representative)
+# The two predicates are bound here as well, so that calls made through this
+# module's names can be counted from outside (benchmarks/spans.py does).
+from .compositions import (ARNDT, REDUCED_AP, Family,  # noqa: F401
+                           is_arndt, is_reduced_ap_representative)
 
 BRUTE_FORCE_CAP = 28
 
@@ -55,6 +55,13 @@ def compositions_of(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tu
             return
         cur[-1] -= 1
         cur.append(tail + 1)
+
+
+def family_members(n: int, family: Family,
+                   cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
+    """The members of a family at weight n, in the order of compositions_of:
+    the one stream that every brute-force count and `enumerate` read."""
+    return filter(family.member, compositions_of(n, cap))
 
 
 class CountTriangle:
@@ -108,11 +115,9 @@ def tally(n: int, family: Family, statistic: str,
     """Family members of weight n tallied by a statistic from STATISTICS."""
     value = STATISTICS[statistic]
     row: Dict[int, int] = {}
-    member = family.member
-    for comp in compositions_of(n, cap):
-        if member(comp):
-            m = value(comp)
-            row[m] = row.get(m, 0) + 1
+    for comp in family_members(n, family, cap):
+        m = value(comp)
+        row[m] = row.get(m, 0) + 1
     return row
 
 
@@ -143,12 +148,10 @@ def total_last(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> int:
 
 def reduced_antipalindromic(n: int,
                             cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
-    """Yield the canonical representative of each flip class of weight n.
+    """The canonical representative of each flip class of weight n.
 
-    Generates all compositions of n and keeps those whose mirrored pairs all
-    descend from the left; that picks exactly one member per flip class of
-    anti-palindromic compositions.
+    These are the compositions of n whose mirrored pairs all descend from the
+    left; that picks exactly one member per flip class of anti-palindromic
+    compositions.
     """
-    for comp in compositions_of(n, cap):
-        if is_reduced_ap_representative(comp):
-            yield comp
+    return family_members(n, REDUCED_AP, cap)

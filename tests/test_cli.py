@@ -299,6 +299,36 @@ def test_verify_all_reduced(capsys):
     assert out.strip().endswith("all 28 checks passed")
 
 
+def test_verify_empty_range_is_skip_not_pass(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--max-n", "0")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line for line in lines if not line.startswith("PASS")] == [
+        "SKIP  counting.fibonacci-totals: compared 0 cases",
+        "SKIP  formulas.row-sums: compared 0 cases",
+        "SKIP  formulas.fibonacci-double-sums: compared 0 cases",
+        "25 of 28 checks passed, 3 skipped"]
+    assert len(lines) == 29
+
+
+def test_verify_fail_detail_is_one_bounded_line(capsys, monkeypatch):
+    stream = counting.compositions_of
+
+    def misordered(n, cap=counting.BRUTE_FORCE_CAP):
+        return reversed(list(stream(n, cap))) if n == 12 else stream(n, cap)
+
+    monkeypatch.setattr(counting, "compositions_of", misordered)
+    code, out, _ = run(capsys, "verify", "counting", "--max-n", "12")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith(
+        "FAIL  counting.stream: stream order at 12: got [(1, 1, 1, 1, ")
+    assert ", want [(12,), (11, 1), " in fails[0]
+    assert len(fails[0]) < 450
+    assert out.splitlines()[-1] == "1 of 4 checks failed"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from arndt import catalog
     from arndt.series import BivariatePolynomial, RationalGF

@@ -1,10 +1,19 @@
 import pytest
 
 from conftest import ARNDT_OF_6, TABLE_LAST, TABLE_PARTS
-from arndt.compositions import ARNDT, Family, is_arndt
+from arndt.compositions import ARNDT, FAMILY_KINDS, Family, is_arndt
 from arndt.counting import (BruteForceCapExceeded, CountTriangle,
                             compositions_of, count_by_last, count_by_parts,
-                            reduced_antipalindromic, total_last, total_parts)
+                            family_members, reduced_antipalindromic,
+                            total_last, total_parts)
+from arndt.verify import _SAMPLE_K
+
+# Every family kind, the parameterised ones at the k values verify samples.
+_KIND_K = {"k-arndt": _SAMPLE_K["gf_k_arndt"],
+           "block-arndt": _SAMPLE_K["gf_k_block"]}
+EVERY_FAMILY = [Family(kind, k)
+                for kind, (_, takes_k, _) in FAMILY_KINDS.items()
+                for k in (_KIND_K[kind] if takes_k else (None,))]
 
 
 def test_compositions_of_4_order():
@@ -73,6 +82,15 @@ def test_total_last():
     assert total_last(1) == 1
     assert total_last(6) == 17
     assert total_last(7) == 29
+
+
+@pytest.mark.parametrize("family", EVERY_FAMILY, ids=str)
+def test_family_members_is_the_filtered_stream(family):
+    for n in range(13):
+        assert list(family_members(n, family)) == \
+            [c for c in compositions_of(n) if family.member(c)]
+    with pytest.raises(BruteForceCapExceeded):
+        next(family_members(29, family))
 
 
 def test_reduced_antipalindromic():

@@ -1,6 +1,6 @@
 import pytest
 
-from arndt import catalog
+from arndt import asymptotics, catalog, formulas
 from arndt.series import BivariatePolynomial, RationalGF
 from arndt.verify import Limits, run_checks
 
@@ -10,6 +10,24 @@ def test_all_checks_pass_at_reduced_scale():
     failed = [r for r in results if not r.passed]
     assert not failed, failed
     assert len(results) == 28
+
+
+def test_every_check_compares_cases():
+    results = run_checks("all", max_n=6)
+    assert len(results) == 28
+    assert [r.name for r in results if not r.passed or r.cases <= 0] == []
+
+
+def test_tolerance_failure_shows_the_error(monkeypatch):
+    exact = formulas.last_count
+    monkeypatch.setattr(asymptotics, "last_count_asymptotic",
+                        lambda n, m: exact(n, m) * 1.01)
+    results = {r.name: r for r in run_checks("asymptotics")}
+    failed = results.pop("asymptotics.last-count-ratio")
+    assert not failed.passed
+    assert failed.detail.startswith("b(60, 1) error: got 0.0099")
+    assert failed.detail.endswith(", want at most 0.001")
+    assert all(r.passed for r in results.values())
 
 
 def test_scope_selects_subset():

@@ -210,18 +210,18 @@ def cmd_bfile(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    results = verify.run_checks(args.scope, args.max_n)
-    failed = skipped = 0
-    for r in results:
+    total = failed = skipped = 0
+    for r in verify.iter_checks(args.scope, args.max_n):
+        total += 1
         if not r.passed:
             failed += 1
-            print(f"FAIL  {r.name}: {r.detail}")
+            line = f"FAIL  {r.name}: {r.detail}"
         elif r.cases == 0:
             skipped += 1
-            print(f"SKIP  {r.name}: compared 0 cases")
+            line = f"SKIP  {r.name}: compared 0 cases"
         else:
-            print(f"PASS  {r.name}")
-    total = len(results)
+            line = f"PASS  {r.name}"
+        print(line, flush=True)  # each line as its check ends
     summary = (f"{failed} of {total} checks failed" if failed
                else f"{total - skipped} of {total} checks passed" if skipped
                else f"all {total} checks passed")

@@ -30,7 +30,7 @@ condition holds vacuously).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 
 def is_arndt(comp) -> bool:
@@ -94,14 +94,18 @@ def flip_class(comp) -> set:
 
 
 # Family kind -> (membership predicate, whether the kind takes a parameter k,
-# smallest k it accepts or None for any integer).
+# smallest k it accepts or None for any integer, prefix bound or None).
+# A prefix bound maps k to (period, drop): the kind's members are exactly the
+# compositions in which every part at an index j with j % period != 0 is at
+# most the part before it minus drop.  The anti-palindromic kinds have none:
+# they constrain mirrored pairs, which no prefix decides.
 FAMILY_KINDS = {
-    "arndt": (is_arndt, False, None),
-    "k-arndt": (is_k_arndt, True, None),
-    "block-arndt": (is_k_block_arndt, True, 1),
-    "antipalindromic": (is_antipalindromic, False, None),
-    "reduced-ap": (is_reduced_ap_representative, False, None),
-    "all": (lambda comp: True, False, None),
+    "arndt": (is_arndt, False, None, lambda k: (2, 1)),
+    "k-arndt": (is_k_arndt, True, None, lambda k: (2, k + 1)),
+    "block-arndt": (is_k_block_arndt, True, 1, lambda k: (k, 1)),
+    "antipalindromic": (is_antipalindromic, False, None, None),
+    "reduced-ap": (is_reduced_ap_representative, False, None, None),
+    "all": (lambda comp: True, False, None, None),
 }
 
 
@@ -116,11 +120,14 @@ class Family:
     k: Optional[int] = None
     # The kind's predicate, looked up once: member() runs per composition.
     _test: Callable = field(init=False, repr=False, compare=False)
+    # (period, drop) from the kind's prefix bound at this k, or None.
+    bound: Optional[Tuple[int, int]] = field(init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        test, takes_k, min_k = FAMILY_KINDS[self.kind]
+        test, takes_k, min_k, bound = FAMILY_KINDS[self.kind]
         if not takes_k and self.k is not None:
             raise ValueError(f"family {self.kind!r} takes no parameter k")
         if takes_k and (self.k is None
@@ -128,6 +135,8 @@ class Family:
             need = "an integer k" if min_k is None else f"k >= {min_k}"
             raise ValueError(f"family {self.kind!r} needs {need}")
         object.__setattr__(self, "_test", test)
+        object.__setattr__(self, "bound",
+                           None if bound is None else bound(self.k))
 
     def member(self, comp) -> bool:
         if self.k is None:

@@ -4,14 +4,21 @@ Everything in this module enumerates actual compositions and tallies them;
 there are no generating functions and no closed forms here.  It is the ground
 truth that the series and formula paths are checked against.
 
-Counts are exact Python ints (unbounded); an exhaustive stream over weight n
-touches 2^(n-1) compositions, so a default cap refuses n beyond
-BRUTE_FORCE_CAP unless the caller raises it explicitly.
+compositions_of is the exhaustive reference: it touches all 2^(n-1)
+compositions of weight n.  family_members streams one family's members.
+For a family whose condition is a bound on each part set by the part before
+it (Arndt, k-Arndt, k-block Arndt), a depth-first search enters only the
+prefixes that the bound allows, so it walks little more than the members;
+any other family filters the exhaustive stream.  Both paths yield in the
+same order and test every composition with the family's predicate.
+
+Counts are exact Python ints (unbounded).  A default cap refuses weights
+beyond BRUTE_FORCE_CAP on either path unless the caller raises it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 # The two predicates are bound here as well, so that calls made through this
 # module's names can be counted from outside (benchmarks/spans.py does).
@@ -57,11 +64,61 @@ def compositions_of(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tu
         cur.append(tail + 1)
 
 
+def _descend(n: int, bound: Tuple[int, int],
+             cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
+    """Yield the compositions of n in which every part at an index j with
+    j % period != 0 is at most the part before it minus drop, for bound =
+    (period, drop), in the decreasing lex order of compositions_of.
+
+    Depth first, largest part first: a prefix is extended by the largest
+    part that its bound and the weight left allow.  Backtracking lowers the
+    last part by one, and drops it where it cannot go lower, or where no
+    part may follow it.  The cap and its message are those of
+    compositions_of.
+    """
+    if n < 0:
+        raise ValueError(f"weight must be nonnegative, got {n}")
+    if cap is not None and n > cap:
+        raise BruteForceCapExceeded(
+            f"enumerating weight {n} means 2^{n - 1} compositions; the cap "
+            f"is {cap} (override it to proceed)")
+    if n == 0:
+        yield ()
+        return
+    period, drop = bound
+    parts: List[int] = []
+    rest = n  # weight not yet placed
+    while True:
+        top = rest if len(parts) % period == 0 \
+            else min(rest, parts[-1] - drop)
+        if top >= 1:
+            parts.append(top)
+            rest -= top
+            if rest:
+                continue
+            yield tuple(parts)
+        else:  # a lower last part would only lower the bound after it
+            rest += parts.pop()
+        while parts and parts[-1] == 1:
+            rest += parts.pop()
+        if not parts:
+            return
+        parts[-1] -= 1
+        rest += 1
+
+
 def family_members(n: int, family: Family,
                    cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
     """The members of a family at weight n, in the order of compositions_of:
-    the one stream that every brute-force count and `enumerate` read."""
-    return filter(family.member, compositions_of(n, cap))
+    the one stream that every brute-force count and `enumerate` read.
+
+    A family with a prefix bound is walked by _descend, which only enters
+    prefixes that the bound allows; any other family filters the exhaustive
+    compositions_of.  Either way each composition passes family.member.
+    """
+    stream = compositions_of(n, cap) if family.bound is None \
+        else _descend(n, family.bound, cap)
+    return filter(family.member, stream)
 
 
 class CountTriangle:

@@ -7,7 +7,9 @@ want) triples, registered in CHECKS by @_check where it is defined.  One
 comparator runs each: it raises CheckFailed at the first got != want, or
 returns how many triples it compared, so a check that compared nothing is
 told apart from one that passed.  A case is a label, or a format string and
-its arguments, formatted only when its comparison fails.
+its arguments, formatted only when its comparison fails.  iter_checks
+yields each check's result as soon as the check ends, so `arndt verify`
+prints it then; run_checks collects them.
 
 max_n, when given, clamps the desk-scale default range of each check, so a
 reduced run like ``verify bijection --max-n 10`` stays cheap.
@@ -20,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import asymptotics, bijection, catalog, counting, formulas
 from .compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
@@ -176,6 +178,15 @@ def _series(name: str, k: Optional[int] = None) -> Tuple[str, RationalGF]:
     return label, catalog.series_gf(name, k)
 
 
+def _integer_rows(name: str, gf: RationalGF, order: int):
+    """gf's expansion to order as int rows; a coefficient that is not a
+    nonnegative integer fails the check with a detail that names gf."""
+    try:
+        return gf.expand(order).integer_rows()
+    except ValueError as exc:
+        raise CheckFailed(f"{name}: {exc}") from exc
+
+
 def _catalog_gfs() -> List[Tuple[str, RationalGF]]:
     return [_series(name, k)
             for name, (constructor, takes_k, _) in catalog.SERIES.items()
@@ -266,7 +277,7 @@ def check_catalog_vs_brute(lim: Limits):
     cases.append(("gf_last_part", catalog.gf_last_part(), ARNDT, "last", 14))
     for name, gf, family, statistic, upto in cases:
         max_n = lim.upto(upto)
-        rows = gf.expand(max_n).integer_rows()
+        rows = _integer_rows(name, gf, max_n)
         for n in range(max_n + 1):
             yield ("{} row {}", name, n), rows[n], \
                 counting.tally(n, family, statistic)
@@ -321,8 +332,8 @@ def check_k_arndt_y1(lim: Limits):
 def check_block2_equals_arndt(lim: Limits):
     """gf_k_block(2) and gf_arndt agree coefficientwise."""
     order = lim.upto(30)
-    a = catalog.gf_k_block(2).expand(order).integer_rows()
-    b = catalog.gf_arndt().expand(order).integer_rows()
+    a = _integer_rows("gf_k_block(2)", catalog.gf_k_block(2), order)
+    b = _integer_rows("gf_arndt", catalog.gf_arndt(), order)
     for n in range(order + 1):
         yield ("gf_k_block(2) row {} vs gf_arndt", n), a[n], b[n]
 
@@ -336,7 +347,7 @@ def check_four_way_agreement(lim: Limits):
     """Alternating sum == positive sum == recurrence == series coefficients."""
     max_n = lim.upto(40)
     triangle = formulas.parts_triangle_by_recurrence(max_n)
-    rows = catalog.gf_arndt().expand(max_n).integer_rows()
+    rows = _integer_rows("gf_arndt", catalog.gf_arndt(), max_n)
     for n in range(max_n + 1):
         for m in range(n + 1):
             yield ("({}, {}): alternating, positive, recurrence vs series",
@@ -387,7 +398,7 @@ def check_last_closed_forms(lim: Limits):
     """last_count matches the series, the shifted-Fibonacci identity, and
     the cumulative closed forms."""
     max_n = lim.upto(40)
-    rows = catalog.gf_last_part().expand(max_n).integer_rows()
+    rows = _integer_rows("gf_last_part", catalog.gf_last_part(), max_n)
     for n in range(max_n + 1):
         yield ("last_count row {} vs series", n), \
             {m: v for m in range(n + 1) if (v := formulas.last_count(n, m))}, \
@@ -546,13 +557,13 @@ def check_expected_values(lim: Limits):
 SCOPES = ("all",) + tuple(dict.fromkeys(area for area, _, _ in CHECKS))
 
 
-def run_checks(scope: str = "all",
-               max_n: Optional[int] = None) -> List[CheckResult]:
-    """Run the selected checks and report one result per check."""
+def iter_checks(scope: str = "all",
+                max_n: Optional[int] = None) -> Iterator[CheckResult]:
+    """Run the selected checks in order, yielding each one's result as soon
+    as that check ends."""
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; choose from {SCOPES}")
     lim = Limits(max_n)
-    results = []
     for area, name, fn in CHECKS:
         if scope not in ("all", area):
             continue
@@ -560,9 +571,14 @@ def run_checks(scope: str = "all",
         try:
             cases = fn(lim)
         except CheckFailed as exc:
-            results.append(CheckResult(full, False, str(exc)))
+            yield CheckResult(full, False, str(exc))
         except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(full, False, f"{type(exc).__name__}: {exc}"))
+            yield CheckResult(full, False, f"{type(exc).__name__}: {exc}")
         else:
-            results.append(CheckResult(full, True, cases=cases))
-    return results
+            yield CheckResult(full, True, cases=cases)
+
+
+def run_checks(scope: str = "all",
+               max_n: Optional[int] = None) -> List[CheckResult]:
+    """Run the selected checks and report one result per check."""
+    return list(iter_checks(scope, max_n))

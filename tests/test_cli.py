@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import TABLE_LAST, TABLE_PARTS
-from arndt import cli, counting, formulas
+from arndt import cli, counting, formulas, verify
 
 
 def run(capsys, *argv):
@@ -79,12 +79,33 @@ def test_enumerate_streams_its_output(capsys, monkeypatch):
         yield (2, 1)
 
     monkeypatch.setattr(counting, "compositions_of", compositions_of)
-    code, out, _ = run(capsys, "enumerate", "--n", "3")
+    code, out, _ = run(capsys, "enumerate", "--n", "3", "--family", "all")
     assert code == 0
     assert out == "(2,1)\n"
     monkeypatch.undo()
     # the cap is still enforced before anything is printed
     code, out, _ = run(capsys, "enumerate", "--n", "29", "--family", "all")
+    assert code == 1
+    assert out == ""
+
+
+def test_enumerate_streams_pruned_members(capsys, monkeypatch):
+    descend = counting._descend
+
+    def spy(*args):
+        stream = descend(*args)
+        yield next(stream)
+        # the first member is printed before the second is generated
+        assert capsys.readouterr().out == "(3)\n"
+        yield from stream
+
+    monkeypatch.setattr(counting, "_descend", spy)
+    code, out, _ = run(capsys, "enumerate", "--n", "3")
+    assert code == 0
+    assert out == "(2,1)\n"
+    monkeypatch.undo()
+    # the pruned stream keeps the cap, also before anything is printed
+    code, out, _ = run(capsys, "enumerate", "--n", "29")
     assert code == 1
     assert out == ""
 
@@ -309,6 +330,21 @@ def test_verify_empty_range_is_skip_not_pass(capsys):
         "SKIP  formulas.fibonacci-double-sums: compared 0 cases",
         "25 of 28 checks passed, 3 skipped"]
     assert len(lines) == 29
+
+
+def test_verify_prints_each_line_as_its_check_ends(capsys, monkeypatch):
+    def first(lim):
+        return 1
+
+    def second(lim):
+        assert capsys.readouterr().out == "PASS  spy.first\n"
+        return 1
+
+    monkeypatch.setattr(verify, "CHECKS",
+                        [("spy", "first", first), ("spy", "second", second)])
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    assert out == "PASS  spy.second\nall 2 checks passed\n"
 
 
 def test_verify_fail_detail_is_one_bounded_line(capsys, monkeypatch):

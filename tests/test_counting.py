@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import ARNDT_OF_6, TABLE_LAST, TABLE_PARTS
+from arndt import counting
 from arndt.compositions import ARNDT, FAMILY_KINDS, Family, is_arndt
 from arndt.counting import (BruteForceCapExceeded, CountTriangle,
                             compositions_of, count_by_last, count_by_parts,
@@ -12,7 +13,7 @@ from arndt.verify import _SAMPLE_K
 _KIND_K = {"k-arndt": _SAMPLE_K["gf_k_arndt"],
            "block-arndt": _SAMPLE_K["gf_k_block"]}
 EVERY_FAMILY = [Family(kind, k)
-                for kind, (_, takes_k, _) in FAMILY_KINDS.items()
+                for kind, (_, takes_k, *_) in FAMILY_KINDS.items()
                 for k in (_KIND_K[kind] if takes_k else (None,))]
 
 
@@ -91,6 +92,40 @@ def test_family_members_is_the_filtered_stream(family):
             [c for c in compositions_of(n) if family.member(c)]
     with pytest.raises(BruteForceCapExceeded):
         next(family_members(29, family))
+
+
+# Every family with a prefix bound, at the k values its pruned stream is
+# gated on.
+PRUNED = [ARNDT] + [Family("k-arndt", k) for k in range(-4, 5)] + \
+    [Family("block-arndt", k) for k in range(1, 6)]
+
+
+def test_pruned_streams_equal_the_filtered_stream():
+    for n in range(17):
+        every = list(compositions_of(n))
+        for family in PRUNED:
+            assert list(family_members(n, family)) == \
+                [c for c in every if family.member(c)], (n, str(family))
+
+
+def test_pruned_streams_never_walk_every_composition(monkeypatch):
+    def refuse(n, cap=None):
+        raise AssertionError("the exhaustive stream was walked")
+
+    monkeypatch.setattr(counting, "compositions_of", refuse)
+    for family in PRUNED:
+        assert sum(1 for _ in family_members(12, family)) > 0
+
+
+def test_pruned_stream_keeps_the_cap_and_its_message():
+    with pytest.raises(BruteForceCapExceeded) as pruned:
+        next(family_members(29, ARNDT))
+    with pytest.raises(BruteForceCapExceeded) as exhaustive:
+        next(compositions_of(29))
+    assert str(pruned.value) == str(exhaustive.value)
+    assert next(family_members(29, ARNDT, cap=None)) == (29,)
+    with pytest.raises(ValueError):
+        next(family_members(-1, ARNDT))
 
 
 def test_reduced_antipalindromic():

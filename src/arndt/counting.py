@@ -32,6 +32,16 @@ class BruteForceCapExceeded(ValueError):
     """An exhaustive enumeration would exceed the configured cap."""
 
 
+def _check_weight(n: int, cap: Optional[int]):
+    """Refuse a negative weight, and one above cap unless cap is None."""
+    if n < 0:
+        raise ValueError(f"weight must be nonnegative, got {n}")
+    if cap is not None and n > cap:
+        raise BruteForceCapExceeded(
+            f"enumerating weight {n} means 2^{n - 1} compositions; the cap "
+            f"is {cap} (override it to proceed)")
+
+
 def compositions_of(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
     """Yield every composition of n exactly once, in decreasing lex order.
 
@@ -41,12 +51,7 @@ def compositions_of(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tu
 
     Pass cap=None (or a larger value) to enumerate past the default cap.
     """
-    if n < 0:
-        raise ValueError(f"weight must be nonnegative, got {n}")
-    if cap is not None and n > cap:
-        raise BruteForceCapExceeded(
-            f"enumerating weight {n} means 2^{n - 1} compositions; the cap "
-            f"is {cap} (override it to proceed)")
+    _check_weight(n, cap)
     if n == 0:
         yield ()
         return
@@ -73,15 +78,9 @@ def _descend(n: int, bound: Tuple[int, int],
     Depth first, largest part first: a prefix is extended by the largest
     part that its bound and the weight left allow.  Backtracking lowers the
     last part by one, and drops it where it cannot go lower, or where no
-    part may follow it.  The cap and its message are those of
-    compositions_of.
+    part may follow it.  Weights are guarded as in compositions_of.
     """
-    if n < 0:
-        raise ValueError(f"weight must be nonnegative, got {n}")
-    if cap is not None and n > cap:
-        raise BruteForceCapExceeded(
-            f"enumerating weight {n} means 2^{n - 1} compositions; the cap "
-            f"is {cap} (override it to proceed)")
+    _check_weight(n, cap)
     if n == 0:
         yield ()
         return

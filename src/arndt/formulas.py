@@ -2,9 +2,9 @@
 
 Everything here is exact integer arithmetic: Fibonacci/Lucas caches,
 generalised binomial sums, the three-term recurrence triangle, and the
-shifted-Fibonacci closed forms for the last-part statistic.  No generating
-function is expanded in this module; agreement with the series and
-brute-force paths is established in the verification suite.
+Fibonacci and Lucas closed forms for the last-part statistic and for the
+totals.  No generating function is expanded in this module; agreement with
+the series and brute-force paths is established in the verification suite.
 """
 
 from __future__ import annotations
@@ -179,25 +179,22 @@ def last_count_at_least(n: int, k: int) -> int:
     return sum(last_count(n, j) for j in range(max(k, 0), n + 1))
 
 
-# Totals: linear recurrences induced by the displayed rational forms.
-# total parts: x(1 - x + x^3 - x^4) / (1 - x - x^2)^2
-_TOTAL_PARTS_NUM = (0, 1, -1, 0, 1, -1)
-_TOTAL_PARTS_DEN = (1, -2, -1, 2, 1)
-_TOTAL_PARTS = [0]
-
-
 def total_parts_closed(n: int) -> int:
-    """Total number of parts over all Arndt compositions of n."""
+    """Total number of parts over all Arndt compositions of n.
+
+    With D = 1 - x - x^2 the totals' GF x(1 - x + x^3 - x^4)/D^2 splits into
+    3 - x - 7(1 - x)/D + (4 - 6x)/D^2.  For n >= 1, [x^n] (1 - x)/D = F(n-1),
+    and [x^n] 1/D^2 = c(n) = ((n+2) L(n+2) - F(n+2))/5, a Fibonacci
+    convolution.  So T(n) = -7 F(n-1) + 4 c(n) - 6 c(n-1) once the polynomial
+    part 3 - x stops contributing, at n >= 2; rewriting through
+    2 F(n+1) = F(n) + L(n) and 2 L(n+1) = L(n) + 5 F(n) gives
+    10 T(n) = (39 - 10n) F(n) + (6n - 15) L(n).  T(0) = 0 and T(1) = 1.
+    """
     if n < 0:
         raise ValueError(f"weight must be nonnegative, got {n}")
-    while len(_TOTAL_PARTS) <= n:
-        i = len(_TOTAL_PARTS)
-        s = _TOTAL_PARTS_NUM[i] if i < len(_TOTAL_PARTS_NUM) else 0
-        for j in range(1, len(_TOTAL_PARTS_DEN)):
-            if i - j >= 0:
-                s -= _TOTAL_PARTS_DEN[j] * _TOTAL_PARTS[i - j]
-        _TOTAL_PARTS.append(s)
-    return _TOTAL_PARTS[n]
+    if n < 2:
+        return n
+    return ((39 - 10 * n) * fibonacci(n) + (6 * n - 15) * lucas(n)) // 10
 
 
 def total_last_closed(n: int) -> int:

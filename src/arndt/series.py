@@ -10,6 +10,10 @@ the catalog writes each GF over its natural denominator, so degrees stay
 small, and the denominator * expansion == numerator round-trip check in the
 verification suite guards correctness.
 
+An expansion is stored as its rows of y-coefficients, row n filled only up
+to the y-degree it can reach: the numerator's, or row n - i's top plus j for
+a denominator term x^i y^j with i >= 1 (the order, if a term has i == 0 < j).
+
 Conventions: exponent pairs are (deg_x, deg_y); a polynomial is "univariate"
 when every stored term has deg_y == 0.
 """
@@ -41,8 +45,7 @@ class BivariatePolynomial:
         """Build from (deg_x, deg_y, coeff) triples; repeats are summed."""
         coeffs = {}
         for i, j, v in terms:
-            key = (i, j)
-            coeffs[key] = coeffs.get(key, 0) + v
+            coeffs[i, j] = coeffs.get((i, j), 0) + v
         return cls(coeffs)
 
     @classmethod
@@ -87,10 +90,6 @@ class BivariatePolynomial:
                 key = (i1 + i2, j1 + j2)
                 coeffs[key] = coeffs.get(key, 0) + v1 * v2
         return BivariatePolynomial(coeffs)
-
-    def scale(self, factor) -> "BivariatePolynomial":
-        return BivariatePolynomial(
-            {k: v * factor for k, v in self._coeffs.items()})
 
     def diff_y(self) -> "BivariatePolynomial":
         return BivariatePolynomial(
@@ -138,34 +137,37 @@ class BivariatePolynomial:
 
 
 class TruncatedSeries:
-    """Exact coefficients c(n, m) of a formal series, kept for n, m <= order."""
+    """Exact c(n, m) for n, m <= order: rows[n][m], or 0 past rows[n]'s end."""
 
-    def __init__(self, order: int,
-                 coeffs: Dict[Tuple[int, int], int]):
+    __slots__ = ("order", "rows")
+
+    def __init__(self, order: int, rows: List[list]):
         self.order = order
-        self._coeffs = {k: v for k, v in coeffs.items() if v}
+        self.rows = rows
 
     def coefficient(self, n: int, m: int = 0) -> int:
         if n > self.order or m > self.order:
             raise LookupError(f"({n}, {m}) beyond truncation order {self.order}")
-        return self._coeffs.get((n, m), 0)
+        return self.row(n).get(m, 0)
 
     def row(self, n: int) -> Dict[int, int]:
         """Nonzero coefficients of x^n, keyed by y-degree."""
         if n > self.order:
             raise LookupError(f"row {n} beyond truncation order {self.order}")
-        return {m: v for (nn, m), v in self._coeffs.items() if nn == n}
+        return {m: v for m, v in enumerate(self.rows[n]) if v} if n >= 0 else {}
 
     def integer_rows(self, require_nonnegative: bool = True
                      ) -> Dict[int, Dict[int, int]]:
         """All rows as ints, raising if any coefficient fails integrality."""
-        rows: Dict[int, Dict[int, int]] = {n: {} for n in range(self.order + 1)}
-        for (n, m), v in self._coeffs.items():
-            if v.denominator != 1:
-                raise ValueError(f"coefficient at ({n}, {m}) is {v}, not an integer")
-            if require_nonnegative and v < 0:
-                raise ValueError(f"coefficient at ({n}, {m}) is negative: {v}")
-            rows[n][m] = int(v)
+        rows = {n: self.row(n) for n in range(self.order + 1)}
+        for n, row in rows.items():
+            for m, v in row.items():
+                if v.denominator != 1:
+                    raise ValueError(
+                        f"coefficient at ({n}, {m}) is {v}, not an integer")
+                if require_nonnegative and v < 0:
+                    raise ValueError(f"coefficient at ({n}, {m}) is negative: {v}")
+                row[m] = int(v)
         return rows
 
     def sequence(self) -> List[int]:
@@ -174,18 +176,11 @@ class TruncatedSeries:
         for n, row in rows.items():
             if any(m != 0 for m in row):
                 raise ValueError(f"series has a y-term in row {n}")
-        return [rows[n].get(0, 0) for n in range(self.order + 1)]
+        return [row.get(0, 0) for row in rows.values()]
 
     def as_polynomial(self) -> BivariatePolynomial:
-        return BivariatePolynomial(dict(self._coeffs))
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self._coeffs == other._coeffs
-
-    def __repr__(self):
-        return f"TruncatedSeries(order={self.order}, {len(self._coeffs)} terms)"
+        return BivariatePolynomial({(n, m): v for n, row in enumerate(self.rows)
+                                    for m, v in enumerate(row)})
 
 
 class RationalGF:
@@ -217,8 +212,7 @@ class RationalGF:
         return RationalGF(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RationalGF"):
-        # RationalGF.__init__ rejects the quotient if other.num has zero
-        # constant term (the result would not be a power series).
+        # __init__ rejects a quotient whose other.num has zero constant term.
         return RationalGF(self.num * other.den, self.den * other.num)
 
     def series_equal(self, other: "RationalGF") -> bool:
@@ -227,27 +221,32 @@ class RationalGF:
     def expand(self, order: int) -> TruncatedSeries:
         """Exact coefficients up to x-order (and y-order) `order`.
 
-        Solves den * c == num coefficientwise: within each x-row the terms of
-        the denominator with deg_x == 0 only ever reference lower y-degrees,
-        so rows are filled in increasing (n, m).
+        Row n is num's row n minus v * (row n - i, shifted up by j) for each
+        den term v x^i y^j, divided by den's constant term: den * c == num.
         """
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
         d00 = self.den.constant()
-        den_rest = [(i, j, v) for (i, j), v in self.den.terms()
-                    if (i, j) != (0, 0)]
-        coeffs = {}
+        num: List[dict] = [{} for _ in range(order + 1)]
+        for (i, j), v in self.num.truncate_x(order).terms():
+            num[i][j] = v
+        shifts = [(i, j, v) for (i, j), v in self.den.terms() if i]
+        same_row = [(j, v) for (i, j), v in self.den.terms() if not i and j]
+        rows: List[list] = []
         for n in range(order + 1):
-            for m in range(order + 1):
-                s = self.num.coefficient(n, m)
-                for i, j, v in den_rest:
-                    if i <= n and j <= m:
-                        prev = coeffs.get((n - i, m - j))
-                        if prev is not None:
-                            s -= v * prev
-                if s:
-                    coeffs[(n, m)] = s if d00 == 1 else Fraction(s) / d00
-        return TruncatedSeries(order, coeffs)
+            live = [(rows[n - i], j, v) for i, j, v in shifts if i <= n]
+            top = max([*num[n], *(len(p) - 1 + j for p, j, _ in live)], default=-1)
+            top = order if same_row else min(top, order)
+            row = [num[n].get(m, 0) for m in range(top + 1)]
+            for p, j, v in live:
+                for m, c in enumerate(p[:max(0, top + 1 - j)], j):
+                    row[m] -= v * c
+            if same_row or d00 != 1:  # i == 0 terms read lower m of this row
+                for m in range(top + 1):
+                    s = row[m] - sum(v * row[m - j] for j, v in same_row if j <= m)
+                    row[m] = s if d00 == 1 else Fraction(s) / d00
+            rows.append(row)
+        return TruncatedSeries(order, rows)
 
     def diff_y_at_1(self) -> "RationalGF":
         """d/dy of the series, evaluated at y = 1 (quotient rule)."""

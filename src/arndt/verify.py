@@ -504,7 +504,7 @@ def check_total_parts_asymptotic(lim: Limits):
     """The double-pole estimate tracks the exact totals at O(1/n) rate.
 
     The relative error decays like c/n with c about 1.6, calibrated against
-    the exact recurrence; 2.5/n leaves margin.  At n = 200 the error is
+    the exact closed form; 2.5/n leaves margin.  At n = 200 the error is
     under 1%.
     """
     pole = asymptotics.PoleSpec(asymptotics.GOLDEN_RATIO, 2)

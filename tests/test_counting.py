@@ -117,6 +117,14 @@ def test_pruned_streams_never_walk_every_composition(monkeypatch):
         assert sum(1 for _ in family_members(12, family)) > 0
 
 
+def test_both_streams_check_the_weight_at_the_first_item():
+    streams = [compositions_of(29), compositions_of(-1),
+               family_members(29, ARNDT), family_members(-1, ARNDT)]
+    for stream in streams:  # building a stream checks nothing yet
+        with pytest.raises(ValueError):
+            next(stream)
+
+
 def test_pruned_stream_keeps_the_cap_and_its_message():
     with pytest.raises(BruteForceCapExceeded) as pruned:
         next(family_members(29, ARNDT))

@@ -140,6 +140,26 @@ def test_totals_closed():
         assert total_last_closed(n) == total_last(n)
 
 
+def _total_parts_by_recurrence(max_n):
+    """T(0..max_n) by the recurrence of the totals' rational form
+    x(1 - x + x^3 - x^4)/(1 - x - x^2)^2, the route that total_parts_closed
+    took before its closed form."""
+    num, den = (0, 1, -1, 0, 1, -1), (1, -2, -1, 2, 1)
+    totals = []
+    for i in range(max_n + 1):
+        s = num[i] if i < len(num) else 0
+        for j in range(1, len(den)):
+            if i - j >= 0:
+                s -= den[j] * totals[i - j]
+        totals.append(s)
+    return totals
+
+
+def test_total_parts_closed_form_equals_the_series_recurrence():
+    assert [total_parts_closed(n) for n in range(301)] == \
+        _total_parts_by_recurrence(300)
+
+
 def test_totals_satisfy_series_recurrences():
     # denominators (1-x-x^2)^2 and 1 - x - 2x^2 + x^3 + x^4
     for n in range(6, 41):

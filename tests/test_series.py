@@ -31,12 +31,13 @@ def test_poly_arithmetic():
 
 def test_poly_from_terms_sums_collisions():
     assert poly((3, 2, -1), (3, 2, 1)).is_zero()
-    assert poly((1, 0, 2), (1, 0, 3)) == X.scale(5)
+    assert poly((1, 0, 2), (1, 0, 3)) == poly((1, 0, 5))
 
 
 def test_poly_scale_and_diff():
     p = poly((1, 2, 3), (2, 0, 1))
-    assert p.scale(Fraction(1, 3)) == poly((1, 2, 1), (2, 0, Fraction(1, 3)))
+    third = poly((0, 0, Fraction(1, 3)))
+    assert p * third == poly((1, 2, 1), (2, 0, Fraction(1, 3)))
     assert p.diff_y() == poly((1, 1, 6))
     assert p.diff_x() == poly((0, 2, 3), (1, 0, 2))
     assert p.subst_y1() == poly((1, 0, 3), (2, 0, 1))

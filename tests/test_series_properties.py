@@ -1,4 +1,5 @@
-"""Property test of RationalGF.expand: den * expand(num / den) == num."""
+"""Property tests of RationalGF.expand: den * expand(num / den) == num, and
+the expansion equals the sparse reference it replaced."""
 
 import pytest
 
@@ -6,6 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from arndt.series import BivariatePolynomial, RationalGF
+from sparse_expand import rows_of, sparse_expand
 
 # Exponents (i, j) with j <= i: every series term then has y-degree at most
 # its x-degree, so truncating in x alone keeps the product exact.
@@ -32,3 +34,6 @@ def test_den_times_expansion_is_num(f, order):
     assert product.truncate_x(order) == f.num.truncate_x(order)
     if f.den.constant() == 1:
         assert all(type(v) is int for _, v in series.as_polynomial().terms())
+    want = sparse_expand(f, order)
+    assert series.as_polynomial() == BivariatePolynomial(want)
+    assert {n: series.row(n) for n in range(order + 1)} == rows_of(want, order)

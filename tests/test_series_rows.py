@@ -1,0 +1,65 @@
+"""RationalGF.expand, which stores rows and fills each row only as far as
+it can reach, against the sparse full-square expansion it replaced."""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from arndt import verify
+from arndt.catalog import gf_arndt, gf_total_last
+from arndt.series import BivariatePolynomial, RationalGF
+from sparse_expand import cut, rows_of, sparse_expand
+
+GATE_ORDER = 64
+
+
+@pytest.mark.parametrize(
+    "gf", [pytest.param(gf, id=name) for name, gf in verify._catalog_gfs()])
+def test_expand_equals_the_sparse_reference(gf):
+    full = sparse_expand(gf, GATE_ORDER)
+    for order in range(GATE_ORDER + 1):
+        want = cut(full, order)
+        series = gf.expand(order)
+        assert series.as_polynomial() == BivariatePolynomial(want), order
+        assert series.integer_rows() == rows_of(want, order), order
+
+
+# Denominators with a term x^0 y^j, j > 0, which reads lower y-degrees of
+# its own row, and constant terms other than 1, which divide.
+SAME_ROW_DENS = [{(0, 1): -1}, {(0, 2): 1, (1, 0): -1},
+                 {(0, 1): 1, (1, 1): -1, (2, 0): 1},
+                 {(0, 1): -2, (0, 3): 1, (1, 2): Fraction(1, 2)}]
+NUMS = [{(0, 0): 1}, {(1, 0): 1, (0, 1): 1},
+        {(0, 0): 1, (1, 2): -1, (3, 0): 2}]
+
+
+@pytest.mark.parametrize("den, constant, num",
+                         product(SAME_ROW_DENS, (1, 2, 3), NUMS))
+def test_same_row_terms_and_dividing_constants(den, constant, num):
+    gf = RationalGF(BivariatePolynomial(num),
+                    BivariatePolynomial({**den, (0, 0): constant}))
+    full = sparse_expand(gf, 8)
+    for order in range(9):
+        series = gf.expand(order)
+        assert series.as_polynomial() == BivariatePolynomial(cut(full, order))
+        assert {n: series.row(n) for n in range(order + 1)} == \
+            rows_of(cut(full, order), order)
+
+
+def test_rows_stop_where_they_can_reach():
+    univariate = gf_total_last().expand(800)
+    assert sum(len(row) for row in univariate.rows) <= 801
+    for n, row in enumerate(gf_arndt().expand(40).rows):
+        assert len(row) <= n + 1, n
+
+
+def test_negative_indices_read_zero():
+    series = gf_arndt().expand(6)
+    assert series.coefficient(-1, 0) == 0
+    assert series.coefficient(6, -1) == 0
+    assert series.row(-1) == {}
+    with pytest.raises(LookupError):
+        series.row(7)
+    with pytest.raises(LookupError):
+        series.coefficient(0, 7)

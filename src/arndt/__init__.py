@@ -20,10 +20,11 @@ from .compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
                            REDUCED_AP, Family, flip_class, is_antipalindromic,
                            is_arndt, is_k_arndt, is_k_block_arndt,
                            is_reduced_ap_representative)
-from .counting import (BRUTE_FORCE_CAP, BruteForceCapExceeded, CountTriangle,
+from .counting import (BRUTE_FORCE_CAP, BruteForceCapExceeded,
                        compositions_of, count_by_last, count_by_parts,
                        reduced_antipalindromic, total_last, total_parts)
-from .formulas import (fibonacci, fibonacci_from_alternating_sum,
+from .formulas import (CountTriangle, fibonacci,
+                       fibonacci_from_alternating_sum,
                        fibonacci_from_positive_sum, gen_binomial, last_count,
                        last_count_at_least, last_count_at_most, lucas,
                        parts_count_alternating, parts_count_positive,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .compositions import ALL_COMPOSITIONS, Family
+from .compositions import ALL_COMPOSITIONS, Family, check_k
 from .series import BivariatePolynomial, RationalGF
 
 
@@ -185,8 +185,11 @@ SERIES = {
 
 
 def series_gf(name: str, k: Optional[int] = None) -> RationalGF:
-    """The GF of a SERIES entry; pass k exactly when the entry takes one."""
+    """The GF of a SERIES entry; pass k exactly when the entry takes one,
+    and then an int, or get a ValueError (the rule of compositions.check_k).
+    """
     constructor, takes_k, _ = SERIES[name]
+    check_k("series", name, takes_k, k)
     make = globals()[constructor]
     return make(k) if takes_k else make()
 

@@ -35,16 +35,7 @@ def _int_at_least(lowest: int):
     return parse
 
 
-def _check_k(parser, what: str, name: str, takes_k: bool, k):
-    if takes_k and k is None:
-        parser.error(f"{what} '{name}' requires --k")
-    if not takes_k and k is not None:
-        parser.error(f"{what} '{name}' does not take --k")
-
-
 def _family(args, parser) -> Family:
-    _check_k(parser, "family", args.family, FAMILY_KINDS[args.family][1],
-             args.k)
     try:
         return Family(args.family, args.k)
     except ValueError as exc:
@@ -110,13 +101,12 @@ def cmd_enumerate(args, parser) -> int:
 
 def cmd_table(args, parser) -> int:
     family = _family(args, parser)
-    if args.kind == "last" and args.method in ("gf", "formula") \
-            and family != ARNDT:
-        parser.error("the last-part table has gf/formula paths only for "
-                     f"--family {ARNDT.kind}; use --method brute")
-    if args.kind == "parts" and args.method == "formula" \
-            and family != ARNDT:
-        parser.error(f"the formula path covers --family {ARNDT.kind} only")
+    # Brute force covers every family; gf the parts of every family; the
+    # rest only Arndt.
+    if family != ARNDT and (args.method == "formula" or args.kind == "last"
+                            and args.method == "gf"):
+        parser.error(f"the {args.kind} table has a {args.method} path only "
+                     f"for --family {ARNDT.kind}; use --method brute")
     if args.method == "brute":
         rows = {n: counting.tally(n, family, args.kind, args.max_n)
                 for n in range(args.n + 1)}
@@ -136,8 +126,7 @@ def cmd_table(args, parser) -> int:
 
 
 def cmd_series(args, parser) -> int:
-    _, takes_k, univariate = catalog.SERIES[args.name]
-    _check_k(parser, "series", args.name, takes_k, args.k)
+    univariate = catalog.SERIES[args.name][2]
     try:
         gf = catalog.series_gf(args.name, args.k)
     except ValueError as exc:
@@ -189,8 +178,7 @@ def _bfile_values(name: str, count: int) -> List[Tuple[int, int]]:
 
 def cmd_bfile(args, parser) -> int:
     values = _bfile_values(args.sequence, args.n)
-    for n, v in values:
-        print(f"{n} {v}")
+    _print_sequence(values, "plain")
     if not args.check:
         return 0
     meta, prefix = _load_reference(args.sequence)

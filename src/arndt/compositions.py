@@ -93,6 +93,15 @@ def flip_class(comp) -> set:
     return out
 
 
+def check_k(what: str, name: str, takes_k: bool, k) -> None:
+    """The one k rule of families and series: a k exactly when `name` takes
+    one, and then an int (not a bool).  `what` is "family" or "series"."""
+    if not takes_k and k is not None:
+        raise ValueError(f"{what} {name!r} takes no parameter k")
+    if takes_k and type(k) is not int:
+        raise ValueError(f"{what} {name!r} needs an integer k")
+
+
 # Family kind -> (membership predicate, whether the kind takes a parameter k,
 # smallest k it accepts or None for any integer, prefix bound or None).
 # A prefix bound maps k to (period, drop): the kind's members are exactly the
@@ -128,12 +137,9 @@ class Family:
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         test, takes_k, min_k, bound = FAMILY_KINDS[self.kind]
-        if not takes_k and self.k is not None:
-            raise ValueError(f"family {self.kind!r} takes no parameter k")
-        if takes_k and (self.k is None
-                        or min_k is not None and self.k < min_k):
-            need = "an integer k" if min_k is None else f"k >= {min_k}"
-            raise ValueError(f"family {self.kind!r} needs {need}")
+        check_k("family", self.kind, takes_k, self.k)
+        if min_k is not None and self.k < min_k:
+            raise ValueError(f"family {self.kind!r} needs k >= {min_k}")
         object.__setattr__(self, "_test", test)
         object.__setattr__(self, "bound",
                            None if bound is None else bound(self.k))

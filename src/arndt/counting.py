@@ -1,8 +1,9 @@
 """Exhaustive composition generation and brute-force counting.
 
 Everything in this module enumerates actual compositions and tallies them;
-there are no generating functions and no closed forms here.  It is the ground
-truth that the series and formula paths are checked against.
+there are no generating functions and no closed forms here, and nothing is
+imported from the series or formula routes.  It is the ground truth that
+those two routes are checked against.
 
 compositions_of is the exhaustive reference: it touches all 2^(n-1)
 compositions of weight n.  family_members streams one family's members.
@@ -118,47 +119,6 @@ def family_members(n: int, family: Family,
     stream = compositions_of(n, cap) if family.bound is None \
         else _descend(n, family.bound, cap)
     return filter(family.member, stream)
-
-
-class CountTriangle:
-    """Exact counts indexed by (weight n, statistic m); absent cells are 0.
-
-    max_row is the largest n the triangle holds; reading past it raises
-    LookupError, which keeps "not computed" distinct from a legitimate zero.
-    """
-
-    def __init__(self, rows: Dict[int, Dict[int, int]], max_row: int):
-        self.max_row = max_row
-        self._rows = {n: {m: v for m, v in row.items() if v}
-                      for n, row in rows.items()}
-
-    def _check(self, n: int):
-        if not 0 <= n <= self.max_row:
-            raise LookupError(
-                f"row {n} outside triangle built for rows 0..{self.max_row}")
-
-    def get(self, n: int, m: int) -> int:
-        self._check(n)
-        return self._rows.get(n, {}).get(m, 0)
-
-    def row(self, n: int) -> Dict[int, int]:
-        self._check(n)
-        return dict(self._rows.get(n, {}))
-
-    def row_sum(self, n: int) -> int:
-        self._check(n)
-        return sum(self._rows.get(n, {}).values())
-
-    def rows(self) -> Dict[int, Dict[int, int]]:
-        return {n: self.row(n) for n in range(self.max_row + 1)}
-
-    def __eq__(self, other):
-        if not isinstance(other, CountTriangle):
-            return NotImplemented
-        return self.max_row == other.max_row and self._rows == other._rows
-
-    def __repr__(self):
-        return f"CountTriangle(rows 0..{self.max_row})"
 
 
 # Statistic name -> its value on one composition.  The empty composition has

@@ -1,10 +1,12 @@
 """Closed forms and recurrences for the Arndt counting sequences.
 
 Everything here is exact integer arithmetic: Fibonacci/Lucas caches,
-generalised binomial sums, the three-term recurrence triangle, and the
-Fibonacci and Lucas closed forms for the last-part statistic and for the
-totals.  No generating function is expanded in this module; agreement with
-the series and brute-force paths is established in the verification suite.
+generalised binomial sums, the three-term recurrence triangle (held in this
+module's CountTriangle), and the Fibonacci and Lucas closed forms for the
+last-part statistic and for the totals.  This route imports neither the
+brute-force nor the series modules: no composition is enumerated and no
+generating function is expanded here.  Agreement with those two routes is
+established in the verification suite.
 """
 
 from __future__ import annotations
@@ -12,7 +14,42 @@ from __future__ import annotations
 from math import factorial, prod
 from typing import Dict, Optional
 
-from .counting import CountTriangle
+
+class CountTriangle:
+    """Exact counts indexed by (weight n, statistic m); absent cells are 0.
+
+    max_row is the largest n the triangle holds; reading past it raises
+    LookupError, which keeps "not computed" distinct from a legitimate zero.
+    """
+
+    def __init__(self, rows: Dict[int, Dict[int, int]], max_row: int):
+        self.max_row = max_row
+        self._rows = {n: {m: v for m, v in row.items() if v}
+                      for n, row in rows.items()}
+
+    def _check(self, n: int):
+        if not 0 <= n <= self.max_row:
+            raise LookupError(
+                f"row {n} outside triangle built for rows 0..{self.max_row}")
+
+    def get(self, n: int, m: int) -> int:
+        self._check(n)
+        return self._rows.get(n, {}).get(m, 0)
+
+    def row(self, n: int) -> Dict[int, int]:
+        self._check(n)
+        return dict(self._rows.get(n, {}))
+
+    def row_sum(self, n: int) -> int:
+        self._check(n)
+        return sum(self._rows.get(n, {}).values())
+
+    def rows(self) -> Dict[int, Dict[int, int]]:
+        return {n: self.row(n) for n in range(self.max_row + 1)}
+
+    def __repr__(self):
+        return f"CountTriangle(rows 0..{self.max_row})"
+
 
 _FIB = [0, 1]
 _LUCAS = [2, 1]

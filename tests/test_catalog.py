@@ -169,3 +169,17 @@ def test_catalog_coefficients_are_ints():
             coeffs = series.as_polynomial().terms()
             assert coeffs, (name, k)
             assert all(type(v) is int for _, v in coeffs), (name, k)
+
+
+@pytest.mark.parametrize("name", list(catalog.SERIES))
+def test_series_gf_takes_k_exactly_when_the_entry_does(name):
+    _, takes_k, _ = catalog.SERIES[name]
+    if takes_k:
+        for k in (None, 1.5, "2", True):
+            with pytest.raises(ValueError,
+                               match=f"^series '{name}' needs an integer k$"):
+                catalog.series_gf(name, k)
+    else:
+        with pytest.raises(ValueError,
+                           match=f"^series '{name}' takes no parameter k$"):
+            catalog.series_gf(name, 3)

@@ -288,6 +288,35 @@ def test_sizes_out_of_range_are_usage_errors(capsys, argv):
     assert err.splitlines()[-1].startswith(f"arndt {argv[0]}: error: argument")
 
 
+@pytest.mark.parametrize("argv, names", [
+    (("enumerate", "--n", "5", "--family", "k-arndt"), "family 'k-arndt'"),
+    (("enumerate", "--n", "5", "--k", "1"), "family 'arndt'"),
+    (("enumerate", "--n", "5", "--family", "block-arndt", "--k", "0"),
+     "family 'block-arndt'"),
+    (("table", "parts", "--N", "5", "--family", "block-arndt"),
+     "family 'block-arndt'"),
+    (("table", "last", "--N", "5", "--family", "all", "--k", "2"),
+     "family 'all'"),
+    (("series", "distinct-parts", "--N", "5"), "series 'distinct-parts'"),
+    (("series", "total-parts", "--k", "1"), "series 'total-parts'"),
+    (("table", "last", "--N", "5", "--family", "antipalindromic"),
+     "the last table"),
+    (("table", "last", "--N", "5", "--family", "k-arndt", "--k", "1",
+      "--method", "formula"), "the last table"),
+    (("table", "parts", "--N", "5", "--family", "reduced-ap",
+      "--method", "formula"), "the parts table"),
+])
+def test_family_series_and_route_errors_are_one_line(capsys, argv, names):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert last.startswith("arndt: error:") and names in last, last
+
+
 def test_series_bfile_format(capsys):
     code, out, _ = run(capsys, "series", "total-last", "--N", "7",
                        "--format", "bfile")

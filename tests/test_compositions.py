@@ -94,3 +94,12 @@ def test_family_validation():
         Family("arndt", 2)              # no parameter
     with pytest.raises(ValueError):
         Family("fibonacci")
+
+
+@pytest.mark.parametrize("kind", ["k-arndt", "block-arndt"])
+@pytest.mark.parametrize("k", [1.5, 2.0, "2", True])
+def test_family_rejects_a_k_that_is_not_an_int(kind, k):
+    # A float k once pruned the member stream by a fractional drop, so the
+    # stream and the predicate disagreed; only an int k is a parameter.
+    with pytest.raises(ValueError, match=f"family '{kind}' needs an integer k"):
+        Family(kind, k)

@@ -3,10 +3,10 @@ import pytest
 from conftest import ARNDT_OF_6, TABLE_LAST, TABLE_PARTS
 from arndt import counting
 from arndt.compositions import ARNDT, FAMILY_KINDS, Family, is_arndt
-from arndt.counting import (BruteForceCapExceeded, CountTriangle,
-                            compositions_of, count_by_last, count_by_parts,
-                            family_members, reduced_antipalindromic,
-                            total_last, total_parts)
+from arndt.counting import (BruteForceCapExceeded, compositions_of,
+                            count_by_last, count_by_parts, family_members,
+                            reduced_antipalindromic, total_last, total_parts)
+from arndt.formulas import CountTriangle
 from arndt.verify import _SAMPLE_K
 
 # Every family kind, the parameterised ones at the k values verify samples.
@@ -148,6 +148,7 @@ def test_reduced_antipalindromic():
 
 
 def test_count_triangle_access():
+    assert not hasattr(counting, "CountTriangle")  # formulas owns it
     tri = CountTriangle({0: {0: 1}, 1: {1: 1}, 2: {1: 1, 2: 0}}, max_row=2)
     assert tri.get(2, 1) == 1
     assert tri.get(2, 5) == 0           # absent cell inside range is zero

@@ -99,6 +99,7 @@ def gf_k_arndt(k: int) -> RationalGF:
     x^(3+k) y^2 for k >= 0 becomes x^2 y^2 + x^3 y^2 - x^(2-k) y^2 for k < 0,
     where pairs whose second part is at most -k impose no constraint.
     """
+    check_k("series", "k-arndt", True, k)
     num = _poly((0, 0, 1), (2, 0, -1)) * _poly((0, 0, 1), (1, 0, -1), (1, 1, 1))
     if k >= 0:
         den = _poly((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1),
@@ -116,6 +117,7 @@ def gf_k_arndt_total(k: int) -> RationalGF:
     (1 - x^2)/(1 - x - 2x^2 + x^(2-k)) for k < 0.  k = 0 is the Fibonacci
     generating function (1 - x^2)/(1 - x - x^2).
     """
+    check_k("series", "k-arndt", True, k)
     num = _poly((0, 0, 1), (2, 0, -1))
     if k >= 0:
         den = _poly((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1),
@@ -132,8 +134,7 @@ def gf_distinct_parts(j: int) -> RationalGF:
     j = 0.  These are the strictly decreasing blocks a k-block Arndt
     composition is assembled from.
     """
-    if j < 0:
-        raise ValueError(f"number of distinct parts must be >= 0, got {j}")
+    check_k("series", "distinct-parts", True, j)
     num = _poly((j * (j + 1) // 2, j, 1))
     den = BivariatePolynomial.one()
     for l in range(1, j + 1):
@@ -150,8 +151,7 @@ def gf_k_block(k: int) -> RationalGF:
     D_k = prod_{l=1..k} (1 - x^l) of the J_j this is
     sum_j J_j.num prod_{j<l<=k} (1 - x^l) / (D_k - J_k.num).
     """
-    if k < 1:
-        raise ValueError(f"block length must be >= 1, got {k}")
+    check_k("series", "block-arndt", True, k)
     full = gf_distinct_parts(k)
     num, tail = BivariatePolynomial.zero(), BivariatePolynomial.one()
     for j in reversed(range(k)):

@@ -50,8 +50,8 @@ def is_k_block_arndt(comp, k: int) -> bool:
     well.  Adjacent parts in the same block are exactly those whose boundary
     does not fall on a multiple of k.
     """
-    if k < 1:
-        raise ValueError(f"block length must be >= 1, got {k}")
+    if k < 1:  # check_k owns the bound and its message
+        check_k("family", "block-arndt", True, k)
     return all(comp[j] > comp[j + 1]
                for j in range(len(comp) - 1) if (j + 1) % k)
 
@@ -93,27 +93,43 @@ def flip_class(comp) -> set:
     return out
 
 
+# Family kind or series name -> the smallest k it accepts, where there is
+# one: a block holds at least one part, a partition at least zero parts.
+K_AT_LEAST = {"block-arndt": 1, "distinct-parts": 0}
+
+
 def check_k(what: str, name: str, takes_k: bool, k) -> None:
     """The one k rule of families and series: a k exactly when `name` takes
-    one, and then an int (not a bool).  `what` is "family" or "series"."""
+    one, and then an int (not a bool) no smaller than K_AT_LEAST[name].
+    `what` is "family" or "series"."""
     if not takes_k and k is not None:
         raise ValueError(f"{what} {name!r} takes no parameter k")
     if takes_k and type(k) is not int:
         raise ValueError(f"{what} {name!r} needs an integer k")
+    least = K_AT_LEAST.get(name)
+    if least is not None and k < least:
+        raise ValueError(f"{what} {name!r} needs k >= {least}")
 
 
 # Family kind -> (membership predicate, whether the kind takes a parameter k,
-# smallest k it accepts or None for any integer, prefix bound or None).
+# prefix bound or None, mirror rule or None).
 # A prefix bound maps k to (period, drop): the kind's members are exactly the
 # compositions in which every part at an index j with j % period != 0 is at
-# most the part before it minus drop.  The anti-palindromic kinds have none:
-# they constrain mirrored pairs, which no prefix decides.
+# most the part before it minus drop.
+# A mirror rule is for the kinds that constrain mirrored pairs, which no
+# prefix decides: once the length l is fixed, a part p at an index
+# i >= l - l//2 is decided by its mirror m = c[l-1-i].  The rule maps (p, m)
+# to the largest part at most p allowed opposite m (below 1 if none): p != m
+# for anti-palindromic, p < m for reduced representatives.  A mirror rule
+# never allows p == m, so a mirrored pair weighs at least 3.
 FAMILY_KINDS = {
-    "arndt": (is_arndt, False, None, lambda k: (2, 1)),
-    "k-arndt": (is_k_arndt, True, None, lambda k: (2, k + 1)),
-    "block-arndt": (is_k_block_arndt, True, 1, lambda k: (k, 1)),
-    "antipalindromic": (is_antipalindromic, False, None, None),
-    "reduced-ap": (is_reduced_ap_representative, False, None, None),
+    "arndt": (is_arndt, False, lambda k: (2, 1), None),
+    "k-arndt": (is_k_arndt, True, lambda k: (2, k + 1), None),
+    "block-arndt": (is_k_block_arndt, True, lambda k: (k, 1), None),
+    "antipalindromic": (is_antipalindromic, False, None,
+                        lambda p, m: p - (p == m)),
+    "reduced-ap": (is_reduced_ap_representative, False, None,
+                   lambda p, m: min(p, m - 1)),
     "all": (lambda comp: True, False, None, None),
 }
 
@@ -132,17 +148,19 @@ class Family:
     # (period, drop) from the kind's prefix bound at this k, or None.
     bound: Optional[Tuple[int, int]] = field(init=False, repr=False,
                                              compare=False)
+    # The kind's mirror rule, or None.
+    mirror: Optional[Callable[[int, int], int]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        test, takes_k, min_k, bound = FAMILY_KINDS[self.kind]
+        test, takes_k, bound, mirror = FAMILY_KINDS[self.kind]
         check_k("family", self.kind, takes_k, self.k)
-        if min_k is not None and self.k < min_k:
-            raise ValueError(f"family {self.kind!r} needs k >= {min_k}")
         object.__setattr__(self, "_test", test)
         object.__setattr__(self, "bound",
                            None if bound is None else bound(self.k))
+        object.__setattr__(self, "mirror", mirror)
 
     def member(self, comp) -> bool:
         if self.k is None:

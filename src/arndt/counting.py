@@ -9,9 +9,12 @@ compositions_of is the exhaustive reference: it touches all 2^(n-1)
 compositions of weight n.  family_members streams one family's members.
 For a family whose condition is a bound on each part set by the part before
 it (Arndt, k-Arndt, k-block Arndt), a depth-first search enters only the
-prefixes that the bound allows, so it walks little more than the members;
-any other family filters the exhaustive stream.  Both paths yield in the
-same order and test every composition with the family's predicate.
+prefixes that the bound allows, so it walks little more than the members.
+For a family whose condition is on mirrored pairs (anti-palindromic, and the
+reduced representatives of its flip classes), a depth-first search of each
+length decides every second-half part by its mirror.  Only the unrestricted
+family reads the exhaustive stream.  All paths yield in the same order and
+test every composition with the family's predicate.
 
 Counts are exact Python ints (unbounded).  A default cap refuses weights
 beyond BRUTE_FORCE_CAP on either path unless the caller raises it.
@@ -19,7 +22,8 @@ beyond BRUTE_FORCE_CAP on either path unless the caller raises it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+import heapq
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 # The two predicates are bound here as well, so that calls made through this
 # module's names can be counted from outside (benchmarks/spans.py does).
@@ -107,17 +111,79 @@ def _descend(n: int, bound: Tuple[int, int],
         rest += 1
 
 
+def _mirrored_length(n: int, length: int,
+                     allow: Callable[[int, int], int]) -> Iterator[tuple]:
+    """Yield, in decreasing lex order, the compositions of n with `length`
+    parts whose parts at indices i >= length - length//2 are each allowed
+    opposite their mirror c[length-1-i] by the mirror rule `allow`.
+
+    Depth first, largest part first, as in _descend.  A part leaves 1 for
+    each later slot and 1 more for each later pair, whose parts differ; the
+    last part takes the whole rest or the prefix is a dead end.  Backtracking
+    lowers the deepest part that can go lower and drops the parts after it.
+    """
+    pairs = length // 2
+    free = length - pairs  # parts below this index have no mirror yet
+    last = length - 1
+    parts: List[int] = []
+    rest = n  # weight not yet placed
+    while True:
+        i = len(parts)
+        top = rest - (last - i)
+        if i >= free:
+            top = allow(top, parts[last - i])
+        elif i < pairs:
+            top -= pairs - 1 - i
+        if top >= 1 and (i < last or top == rest):
+            parts.append(top)
+            rest -= top
+            if i < last:
+                continue
+            yield tuple(parts)
+            rest += parts.pop()
+        while parts:
+            j = len(parts) - 1
+            lower = parts[j] - 1
+            if j >= free:
+                lower = allow(lower, parts[last - j])
+            if lower >= 1:
+                rest += parts[j] - lower
+                parts[j] = lower
+                break
+            rest += parts.pop()
+        else:
+            return
+
+
+def _mirrored(n: int, allow: Callable[[int, int], int],
+              cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
+    """Yield the compositions of n whose mirrored parts pass the mirror rule
+    `allow`, in the order of compositions_of: heapq.merge interleaves the
+    walks of each length lazily.  Weights are guarded as in compositions_of.
+    """
+    _check_weight(n, cap)
+    if n == 0:
+        yield ()
+        return
+    yield from heapq.merge(*(_mirrored_length(n, length, allow)
+                             for length in range(1, n + 1)), reverse=True)
+
+
 def family_members(n: int, family: Family,
                    cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
     """The members of a family at weight n, in the order of compositions_of:
     the one stream that every brute-force count and `enumerate` read.
 
-    A family with a prefix bound is walked by _descend, which only enters
-    prefixes that the bound allows; any other family filters the exhaustive
-    compositions_of.  Either way each composition passes family.member.
+    A family with a prefix bound is walked by _descend, one with a mirror
+    rule by _mirrored, and the unrestricted family reads compositions_of.
+    Every composition still passes family.member.
     """
-    stream = compositions_of(n, cap) if family.bound is None \
-        else _descend(n, family.bound, cap)
+    if family.bound is not None:
+        stream = _descend(n, family.bound, cap)
+    elif family.mirror is not None:
+        stream = _mirrored(n, family.mirror, cap)
+    else:
+        stream = compositions_of(n, cap)
     return filter(family.member, stream)
 
 

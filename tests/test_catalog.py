@@ -183,3 +183,26 @@ def test_series_gf_takes_k_exactly_when_the_entry_does(name):
         with pytest.raises(ValueError,
                            match=f"^series '{name}' takes no parameter k$"):
             catalog.series_gf(name, 3)
+
+
+@pytest.mark.parametrize("constructor, name", [
+    (gf_k_arndt, "k-arndt"), (gf_k_arndt_total, "k-arndt"),
+    (gf_k_block, "block-arndt"), (gf_distinct_parts, "distinct-parts")])
+def test_constructors_taking_k_apply_the_k_rule(constructor, name):
+    # A float k once built the term (4.5, 2) and failed in expand with a
+    # TypeError; now each constructor refuses it as series_gf does.
+    for k in (1.5, 2.0, "2", True, None):
+        with pytest.raises(ValueError,
+                           match=f"^series '{name}' needs an integer k$"):
+            constructor(k)
+
+
+@pytest.mark.parametrize("name, least", [("block-arndt", 1),
+                                         ("distinct-parts", 0)])
+def test_the_lower_bound_of_k_has_one_message(name, least):
+    constructor = getattr(catalog, catalog.SERIES[name][0])
+    for make in (constructor, lambda k: catalog.series_gf(name, k)):
+        with pytest.raises(ValueError,
+                           match=f"^series '{name}' needs k >= {least}$"):
+            make(least - 1)
+    assert catalog.series_gf(name, least).expand(3).integer_rows()

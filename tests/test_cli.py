@@ -1,4 +1,6 @@
+import io
 import json
+import random
 
 import pytest
 
@@ -267,6 +269,66 @@ def test_bfile_empty(capsys):
         assert capsys.readouterr().out == ""
 
 
+# The formatting each composition line had before the line table: the
+# reference for cli._composition_lines.
+REFERENCE_LINE = {"plain": lambda c: f"({','.join(map(str, c))})",
+                  "csv": lambda c: ",".join(map(str, c)),
+                  "jsonl": lambda c: json.dumps(list(c))}
+
+
+def sampled_two_digit_compositions(count, n=20, seed=20):
+    """Random compositions of n with few cuts and a part of at least 10."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(4)))
+        comp = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+        if max(comp) >= 10:
+            out.append(comp)
+    return out
+
+
+@pytest.mark.parametrize("fmt", cli.FORMAT_CHOICES)
+def test_composition_lines_equal_the_reference_formatting(fmt):
+    reference = REFERENCE_LINE[fmt]
+    for n in range(15):  # n = 0 is the empty composition
+        comps = list(counting.compositions_of(n))
+        assert list(cli._composition_lines(comps, fmt)) == \
+            [reference(c) for c in comps], n
+    sample = sampled_two_digit_compositions(500)
+    assert list(cli._composition_lines(sample, fmt)) == \
+        [reference(c) for c in sample]
+
+
+@pytest.mark.parametrize("width", [1, 99, 999, 3 * cli.CHUNK_CHARS])
+def test_lines_are_written_in_growing_bounded_chunks(monkeypatch, width):
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr("sys.stdout", Recorder())
+    lines = [str(i % 10) * width
+             for i in range(4 * cli.CHUNK_CHARS // width + 1)]
+    cli._write_lines(lines)
+    assert "".join(writes) == "".join(line + "\n" for line in lines)
+    sizes = [text.count("\n") for text in writes]
+    assert sizes[0] == 1
+    if 8 * (width + 1) <= cli.CHUNK_CHARS:
+        assert sizes[:4] == [1, 2, 4, 8]
+    assert all(b <= 2 * a for a, b in zip(sizes, sizes[1:]))
+    # A chunk stays within CHUNK_CHARS unless one line alone is longer,
+    # and full-length chunks reach at least half of it.
+    assert all(len(text) <= max(cli.CHUNK_CHARS, width + 1)
+               for text in writes)
+    assert max(map(len, writes)) > min(cli.CHUNK_CHARS, width) // 2
+    writes.clear()
+    cli._write_lines([])
+    assert writes == []
+
+
 @pytest.mark.parametrize("argv", [
     ("enumerate", "--n", "-1"),
     ("enumerate", "--n", "5", "--max-n", "-2"),
@@ -292,7 +354,9 @@ def test_sizes_out_of_range_are_usage_errors(capsys, argv):
     (("enumerate", "--n", "5", "--family", "k-arndt"), "family 'k-arndt'"),
     (("enumerate", "--n", "5", "--k", "1"), "family 'arndt'"),
     (("enumerate", "--n", "5", "--family", "block-arndt", "--k", "0"),
-     "family 'block-arndt'"),
+     "family 'block-arndt' needs k >= 1"),
+    (("series", "block-arndt", "--k", "0"),
+     "series 'block-arndt' needs k >= 1"),
     (("table", "parts", "--N", "5", "--family", "block-arndt"),
      "family 'block-arndt'"),
     (("table", "last", "--N", "5", "--family", "all", "--k", "2"),

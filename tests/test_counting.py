@@ -2,7 +2,8 @@ import pytest
 
 from conftest import ARNDT_OF_6, TABLE_LAST, TABLE_PARTS
 from arndt import counting
-from arndt.compositions import ARNDT, FAMILY_KINDS, Family, is_arndt
+from arndt.compositions import (ANTIPALINDROMIC, ARNDT, FAMILY_KINDS,
+                                REDUCED_AP, Family, is_arndt)
 from arndt.counting import (BruteForceCapExceeded, compositions_of,
                             count_by_last, count_by_parts, family_members,
                             reduced_antipalindromic, total_last, total_parts)
@@ -95,9 +96,10 @@ def test_family_members_is_the_filtered_stream(family):
 
 
 # Every family with a prefix bound, at the k values its pruned stream is
-# gated on.
+# gated on, and the two families with a mirror rule.
+MIRRORED = [ANTIPALINDROMIC, REDUCED_AP]
 PRUNED = [ARNDT] + [Family("k-arndt", k) for k in range(-4, 5)] + \
-    [Family("block-arndt", k) for k in range(1, 6)]
+    [Family("block-arndt", k) for k in range(1, 6)] + MIRRORED
 
 
 def test_pruned_streams_equal_the_filtered_stream():
@@ -118,22 +120,23 @@ def test_pruned_streams_never_walk_every_composition(monkeypatch):
 
 
 def test_both_streams_check_the_weight_at_the_first_item():
-    streams = [compositions_of(29), compositions_of(-1),
-               family_members(29, ARNDT), family_members(-1, ARNDT)]
+    streams = [compositions_of(29), compositions_of(-1)] + \
+        [family_members(n, family) for family in [ARNDT] + MIRRORED
+         for n in (29, -1)]
     for stream in streams:  # building a stream checks nothing yet
         with pytest.raises(ValueError):
             next(stream)
 
 
 def test_pruned_stream_keeps_the_cap_and_its_message():
-    with pytest.raises(BruteForceCapExceeded) as pruned:
-        next(family_members(29, ARNDT))
-    with pytest.raises(BruteForceCapExceeded) as exhaustive:
-        next(compositions_of(29))
-    assert str(pruned.value) == str(exhaustive.value)
-    assert next(family_members(29, ARNDT, cap=None)) == (29,)
-    with pytest.raises(ValueError):
-        next(family_members(-1, ARNDT))
+    for family in [ARNDT] + MIRRORED:
+        for n, error in ((29, BruteForceCapExceeded), (-1, ValueError)):
+            with pytest.raises(error) as pruned:
+                next(family_members(n, family))
+            with pytest.raises(error) as exhaustive:
+                next(compositions_of(n))
+            assert str(pruned.value) == str(exhaustive.value), str(family)
+        assert next(family_members(29, family, cap=None)) == (29,)
 
 
 def test_reduced_antipalindromic():

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from importlib import resources
-from itertools import islice
+from itertools import chain, islice, repeat, starmap
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import catalog, counting, formulas, verify
@@ -52,19 +52,20 @@ _COMPOSITION_SHAPES = {"plain": ("(", ",", ")"), "csv": ("", ",", ""),
                        "jsonl": ("[", ", ", "]")}
 
 
-def _write_lines(lines: Iterable[str]):
-    """Write lines to stdout, each followed by a newline, one write per
-    chunk.  The first chunk is one line and each next one at most twice the
-    last, so a stream's first line is out before its second is computed;
-    chunks stop growing at about CHUNK_CHARS, judged by the mean length of
-    the last chunk's lines."""
+def _write_lines(lines: Iterable[str], opening: str = "", closing: str = ""):
+    """Write lines to stdout, each between opening and closing and followed
+    by a newline, one write per chunk.  The first chunk is one line and each
+    next one at most twice the last, so a stream's first line is out before
+    its second is computed; chunks stop growing at about CHUNK_CHARS, judged
+    by the mean length of the last chunk's lines."""
     lines = iter(lines)
+    between = closing + "\n" + opening
     size = 1
     while True:
         chunk = list(islice(lines, size))
         if not chunk:
             return
-        text = "\n".join(chunk) + "\n"
+        text = f"{opening}{between.join(chunk)}{closing}\n"
         sys.stdout.write(text)
         size = max(1, min(2 * size, size * CHUNK_CHARS // len(text)))
 
@@ -77,59 +78,63 @@ class _PartText(dict):
         return text
 
 
-def _composition_lines(comps: Iterable[tuple], fmt: str) -> Iterator[str]:
-    """One line per composition, in the given format."""
-    text = _PartText().__getitem__
+def _write_compositions(comps: Iterable[tuple], fmt: str):
+    """Write one line per composition, in the given format.  The parts of a
+    line are looked up and joined in C, with no Python frame per line; the
+    writer adds each line's opening and closing."""
     opening, separator, closing = _COMPOSITION_SHAPES[fmt]
-    join = separator.join
-    return (f"{opening}{join(map(text, comp))}{closing}" for comp in comps)
+    bodies = map(separator.join,
+                 map(map, repeat(_PartText().__getitem__), comps))
+    _write_lines(bodies, opening, closing)
 
 
-def _triangle_lines(rows: Dict[int, Dict[int, int]],
-                    fmt: str) -> Iterator[str]:
-    """Rows of (n -> {m: count}); zero cells are implicit."""
-    if fmt == "csv":
-        yield "n,m,count"
-        for n in sorted(rows):
-            for m in sorted(rows[n]):
-                yield f"{n},{m},{rows[n][m]}"
-        return
-    if fmt == "jsonl":
-        for n in sorted(rows):
-            counts = {str(m): rows[n][m] for m in sorted(rows[n])}
-            yield json.dumps({"n": n, "counts": counts})
-        return
-    # plain: an aligned grid; each row runs to its last nonzero column.
-    max_m = max((max(row) for row in rows.values() if row), default=0)
+def _write_triangle(rows: Iterable[Tuple[int, Dict[int, int]]], fmt: str):
+    """Write a triangle given as (n, {m: count}) pairs in increasing n; zero
+    cells are implicit.  csv and jsonl write each row as soon as it is drawn,
+    in one write; the plain grid reads every row first, because its column
+    width depends on all of them."""
+    write = sys.stdout.write
+    if fmt == "plain":
+        _write_lines(_grid_lines(list(rows)))
+    elif fmt == "csv":
+        write("n,m,count\n")
+        for n, row in rows:
+            write("".join(f"{n},{m},{row[m]}\n" for m in sorted(row)))
+    else:
+        for n, row in rows:
+            counts = {str(m): row[m] for m in sorted(row)}
+            write(json.dumps({"n": n, "counts": counts}) + "\n")
+
+
+def _grid_lines(rows: List[Tuple[int, Dict[int, int]]]) -> Iterator[str]:
+    """An aligned grid; each row runs to its last nonzero column."""
+    max_m = max((max(row) for _, row in rows if row), default=0)
     width = max([len(str(max_m)), len("n\\m")]
-                + [len(str(v)) for row in rows.values() for v in row.values()])
+                + [len(str(v)) for _, row in rows for v in row.values()])
     yield "  ".join(["n\\m".rjust(width)]
                     + [str(m).rjust(width) for m in range(max_m + 1)])
-    for n in sorted(rows):
-        row = rows[n]
+    for n, row in rows:
         hi = max(row) if row else 0
         cells = [str(row.get(m, 0)).rjust(width) for m in range(hi + 1)]
         yield "  ".join([str(n).rjust(width)] + cells)
 
 
+# Format -> the line of one term (n, value); a csv sequence has a header.
+# The jsonl line is json.dumps({"n": n, "value": value}) for int terms.
+_SEQUENCE_LINES = {"plain": "{} {}", "csv": "{},{}",
+                   "jsonl": '{{"n": {}, "value": {}}}'}
+
+
 def _sequence_lines(values: Iterable[Tuple[int, int]],
                     fmt: str) -> Iterator[str]:
-    if fmt == "csv":
-        yield "n,value"
-        for n, v in values:
-            yield f"{n},{v}"
-    elif fmt == "jsonl":
-        for n, v in values:
-            yield json.dumps({"n": n, "value": v})
-    else:
-        for n, v in values:
-            yield f"{n} {v}"
+    header = ["n,value"] if fmt == "csv" else []
+    return chain(header, starmap(_SEQUENCE_LINES[fmt].format, values))
 
 
 def cmd_enumerate(args, parser) -> int:
     family = _family(args, parser)
     members = counting.family_members(args.n, family, args.max_n)
-    _write_lines(_composition_lines(members, args.format))
+    _write_compositions(members, args.format)
     return 0
 
 
@@ -142,20 +147,22 @@ def cmd_table(args, parser) -> int:
         parser.error(f"the {args.kind} table has a {args.method} path only "
                      f"for --family {ARNDT.kind}; use --method brute")
     if args.method == "brute":
-        rows = {n: counting.tally(n, family, args.kind, args.max_n)
-                for n in range(args.n + 1)}
+        # Refuse before any row is written, at the first weight refused.
+        counting.check_weight(min(args.n, args.max_n + 1), args.max_n)
+        rows = ((n, counting.tally(n, family, args.kind, args.max_n))
+                for n in range(args.n + 1))
     elif args.method == "formula":
         if args.kind == "parts":
-            rows = formulas.parts_triangle_by_recurrence(args.n).rows()
+            rows = formulas.parts_triangle_by_recurrence(args.n).rows().items()
         else:
-            rows = {n: {m: v for m in range(n + 1)
-                        if (v := formulas.last_count(n, m))}
-                    for n in range(args.n + 1)}
+            rows = ((n, {m: v for m in range(n + 1)
+                         if (v := formulas.last_count(n, m))})
+                    for n in range(args.n + 1))
     else:
         gf = (catalog.series_gf(catalog.parts_series(family), family.k)
               if args.kind == "parts" else catalog.gf_last_part())
-        rows = gf.expand(args.n).integer_rows()
-    _write_lines(_triangle_lines(rows, args.format))
+        rows = gf.expand(args.n).integer_rows().items()
+    _write_triangle(rows, args.format)
     return 0
 
 
@@ -175,7 +182,7 @@ def cmd_series(args, parser) -> int:
         fmt = "plain" if args.format == "bfile" else args.format
         _write_lines(_sequence_lines(enumerate(series.sequence()), fmt))
     else:
-        _write_lines(_triangle_lines(series.integer_rows(), args.format))
+        _write_triangle(series.integer_rows().items(), args.format)
     return 0
 
 

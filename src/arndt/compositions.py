@@ -24,23 +24,29 @@ Families handled here, with ``l = len(c)``:
   contains exactly one such representative.
 
 All predicates are pure and accept the empty composition (every pair
-condition holds vacuously).
+condition holds vacuously).  Except for k-block Arndt, each runs its loop in
+C, as all() over map() of an operator function: one shared iterator hands
+map the two parts of each consecutive pair, and the first half of the parts
+against reversed(comp) gives each mirrored pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import gt, ne, sub
 from typing import Callable, Optional, Tuple
 
 
 def is_arndt(comp) -> bool:
     """True if every complete consecutive pair descends."""
-    return all(comp[i] > comp[i + 1] for i in range(0, len(comp) - 1, 2))
+    pairs = iter(comp)  # map draws the two parts of a pair in turn
+    return all(map(gt, pairs, pairs))
 
 
 def is_k_arndt(comp, k: int) -> bool:
     """True if every complete consecutive pair descends by more than k."""
-    return all(comp[i] > comp[i + 1] + k for i in range(0, len(comp) - 1, 2))
+    pairs = iter(comp)
+    return all(map(k.__lt__, map(sub, pairs, pairs)))
 
 
 def is_k_block_arndt(comp, k: int) -> bool:
@@ -58,8 +64,7 @@ def is_k_block_arndt(comp, k: int) -> bool:
 
 def is_antipalindromic(comp) -> bool:
     """True if all mirrored parts differ (middle of an odd length exempt)."""
-    l = len(comp)
-    return all(comp[i] != comp[l - 1 - i] for i in range(l // 2))
+    return all(map(ne, comp[:len(comp) // 2], reversed(comp)))
 
 
 def is_reduced_ap_representative(comp) -> bool:
@@ -68,8 +73,7 @@ def is_reduced_ap_representative(comp) -> bool:
     Such a composition is automatically anti-palindromic and is the canonical
     representative of its flip class.
     """
-    l = len(comp)
-    return all(comp[i] > comp[l - 1 - i] for i in range(l // 2))
+    return all(map(gt, comp[:len(comp) // 2], reversed(comp)))
 
 
 def flip_class(comp) -> set:

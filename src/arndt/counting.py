@@ -14,15 +14,18 @@ For a family whose condition is on mirrored pairs (anti-palindromic, and the
 reduced representatives of its flip classes), a depth-first search of each
 length decides every second-half part by its mirror.  Only the unrestricted
 family reads the exhaustive stream.  All paths yield in the same order and
-test every composition with the family's predicate.
+test every composition with the family's predicate; tally counts their
+statistic in C, with Counter.
 
 Counts are exact Python ints (unbounded).  A default cap refuses weights
-beyond BRUTE_FORCE_CAP on either path unless the caller raises it.
+beyond BRUTE_FORCE_CAP on every path unless the caller raises it;
+check_weight is that one guard.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 # The two predicates are bound here as well, so that calls made through this
@@ -37,7 +40,7 @@ class BruteForceCapExceeded(ValueError):
     """An exhaustive enumeration would exceed the configured cap."""
 
 
-def _check_weight(n: int, cap: Optional[int]):
+def check_weight(n: int, cap: Optional[int]):
     """Refuse a negative weight, and one above cap unless cap is None."""
     if n < 0:
         raise ValueError(f"weight must be nonnegative, got {n}")
@@ -56,7 +59,7 @@ def compositions_of(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tu
 
     Pass cap=None (or a larger value) to enumerate past the default cap.
     """
-    _check_weight(n, cap)
+    check_weight(n, cap)
     if n == 0:
         yield ()
         return
@@ -85,7 +88,7 @@ def _descend(n: int, bound: Tuple[int, int],
     last part by one, and drops it where it cannot go lower, or where no
     part may follow it.  Weights are guarded as in compositions_of.
     """
-    _check_weight(n, cap)
+    check_weight(n, cap)
     if n == 0:
         yield ()
         return
@@ -119,12 +122,15 @@ def _mirrored_length(n: int, length: int,
 
     Depth first, largest part first, as in _descend.  A part leaves 1 for
     each later slot and 1 more for each later pair, whose parts differ; the
-    last part takes the whole rest or the prefix is a dead end.  Backtracking
-    lowers the deepest part that can go lower and drops the parts after it.
+    last part takes the whole rest or the prefix is a dead end.  A first-half
+    part is at least the least part that a mirror is allowed opposite (2
+    under p < m).  Backtracking lowers the deepest part that can go lower
+    and drops the parts after it.
     """
     pairs = length // 2
     free = length - pairs  # parts below this index have no mirror yet
     last = length - 1
+    least = next((x for x in range(1, n + 1) if allow(n, x) >= 1), n + 1)
     parts: List[int] = []
     rest = n  # weight not yet placed
     while True:
@@ -134,7 +140,7 @@ def _mirrored_length(n: int, length: int,
             top = allow(top, parts[last - i])
         elif i < pairs:
             top -= pairs - 1 - i
-        if top >= 1 and (i < last or top == rest):
+        if top >= (least if i < pairs else 1) and (i < last or top == rest):
             parts.append(top)
             rest -= top
             if i < last:
@@ -146,7 +152,7 @@ def _mirrored_length(n: int, length: int,
             lower = parts[j] - 1
             if j >= free:
                 lower = allow(lower, parts[last - j])
-            if lower >= 1:
+            if lower >= (least if j < pairs else 1):
                 rest += parts[j] - lower
                 parts[j] = lower
                 break
@@ -161,7 +167,7 @@ def _mirrored(n: int, allow: Callable[[int, int], int],
     `allow`, in the order of compositions_of: heapq.merge interleaves the
     walks of each length lazily.  Weights are guarded as in compositions_of.
     """
-    _check_weight(n, cap)
+    check_weight(n, cap)
     if n == 0:
         yield ()
         return
@@ -195,12 +201,8 @@ STATISTICS = {"parts": len, "last": lambda comp: comp[-1] if comp else 0}
 def tally(n: int, family: Family, statistic: str,
           cap: Optional[int] = BRUTE_FORCE_CAP) -> Dict[int, int]:
     """Family members of weight n tallied by a statistic from STATISTICS."""
-    value = STATISTICS[statistic]
-    row: Dict[int, int] = {}
-    for comp in family_members(n, family, cap):
-        m = value(comp)
-        row[m] = row.get(m, 0) + 1
-    return row
+    return dict(Counter(map(STATISTICS[statistic],
+                            family_members(n, family, cap))))
 
 
 def count_by_parts(n: int, family: Family = ARNDT,

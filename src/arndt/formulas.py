@@ -55,8 +55,11 @@ _FIB = [0, 1]
 _LUCAS = [2, 1]
 
 
-def _extend(cache: list, n: int) -> int:
-    """Entry n of a cache of a sequence with s(i) = s(i-1) + s(i-2)."""
+def _extend(cache: list, n: int, name: str) -> int:
+    """Entry n >= 0 of the cache of `name`, a sequence with
+    s(i) = s(i-1) + s(i-2)."""
+    if n < 0:
+        raise ValueError(f"{name} index must be >= 0, got {n}")
     while len(cache) <= n:
         cache.append(cache[-1] + cache[-2])
     return cache[n]
@@ -64,16 +67,12 @@ def _extend(cache: list, n: int) -> int:
 
 def fibonacci(n: int) -> int:
     """F(0) = 0, F(1) = 1, F(n) = F(n-1) + F(n-2); defined for n >= 0."""
-    if n < 0:
-        raise ValueError(f"Fibonacci index must be >= 0, got {n}")
-    return _extend(_FIB, n)
+    return _extend(_FIB, n, "Fibonacci")
 
 
 def lucas(n: int) -> int:
     """L(0) = 2, L(1) = 1, L(n) = L(n-1) + L(n-2); defined for n >= 0."""
-    if n < 0:
-        raise ValueError(f"Lucas index must be >= 0, got {n}")
-    return _extend(_LUCAS, n)
+    return _extend(_LUCAS, n, "Lucas")
 
 
 def gen_binomial(p: int, q: int) -> int:
@@ -96,15 +95,10 @@ def parts_count_alternating(n: int, m: int) -> int:
     Sum over l of C(m+l-1, l) C(n-m-l-1, n-m-floor(m/2)-l) (-1)^(n-m-floor(m/2)-l),
     l from 0 to n - m - floor(m/2); zero when that upper limit is negative.
     """
-    upper = n - m - m // 2
-    if upper < 0:
-        return 0
-    total = 0
-    for l in range(upper + 1):
-        total += (gen_binomial(m + l - 1, l)
-                  * gen_binomial(n - m - l - 1, upper - l)
-                  * (-1) ** (upper - l))
-    return total
+    upper = n - m - m // 2  # no term when negative
+    return sum(gen_binomial(m + l - 1, l)
+               * gen_binomial(n - m - l - 1, upper - l) * (-1) ** (upper - l)
+               for l in range(upper + 1))
 
 
 def parts_count_positive(n: int, m: int) -> int:
@@ -117,16 +111,11 @@ def parts_count_positive(n: int, m: int) -> int:
     """
     if m == 0:
         return 1 if n == 0 else 0
-    upper = n - m - m // 2
-    if upper < 0:
-        return 0
+    upper = n - m - m // 2  # no term when negative
     half = m // 2
-    lower_index = (m - 1) // 2
-    total = 0
-    for l in range(upper // 2 + 1):
-        total += (gen_binomial(half + l - 1, l)
-                  * gen_binomial(n - 2 * half - 2 * l - 1, lower_index))
-    return total
+    return sum(gen_binomial(half + l - 1, l)
+               * gen_binomial(n - 2 * half - 2 * l - 1, (m - 1) // 2)
+               for l in range(upper // 2 + 1))
 
 
 def parts_triangle_by_recurrence(max_n: int,
@@ -245,6 +234,4 @@ def total_last_closed(n: int) -> int:
         raise ValueError(f"weight must be nonnegative, got {n}")
     if n == 0:
         return 0
-    if n == 1:
-        return 1
-    return lucas(n) - 1 if n % 2 == 0 else lucas(n)
+    return lucas(n) - (n % 2 == 0)

@@ -112,6 +112,46 @@ def test_enumerate_streams_pruned_members(capsys, monkeypatch):
     assert out == ""
 
 
+# The csv header and row 0 of `table last`, and row 0 as a jsonl line.
+ROW_0 = {"csv": "n,m,count\n0,0,1\n", "jsonl": '{"n": 0, "counts": {"0": 1}}\n'}
+
+
+@pytest.mark.parametrize("fmt", sorted(ROW_0))
+@pytest.mark.parametrize("method, owner, name", [
+    ("brute", counting, "tally"), ("formula", formulas, "last_count")],
+    ids=["brute", "formula"])
+def test_table_streams_its_rows(capsys, monkeypatch, fmt, method, owner,
+                                name):
+    argv = ("table", "last", "--N", "3", "--method", method, "--format", fmt)
+    _, whole, _ = run(capsys, *argv)
+    real = getattr(owner, name)
+    seen = []
+
+    def spy(n, *args):
+        if n == 1 and not seen:
+            # row 0 is on stdout before row 1 is computed
+            seen.append(capsys.readouterr().out)
+        return real(n, *args)
+
+    monkeypatch.setattr(owner, name, spy)
+    code, rest, _ = run(capsys, *argv)
+    assert code == 0
+    assert seen == [ROW_0[fmt]]
+    assert seen[0] + rest == whole
+
+
+def test_table_past_the_cap_writes_and_tallies_nothing(capsys, monkeypatch):
+    tallied = []
+    monkeypatch.setattr(counting, "tally", lambda *args: tallied.append(args))
+    for fmt in cli.FORMAT_CHOICES:
+        code, out, err = run(capsys, "table", "last", "--N", "12", "--method",
+                             "brute", "--max-n", "10", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == ("error: enumerating weight 11 means 2^10 compositions;"
+                       " the cap is 10 (override it to proceed)\n")
+    assert tallied == []
+
+
 def test_table_parts_plain(capsys):
     code, out, _ = run(capsys, "table", "parts", "--N", "10")
     assert code == 0
@@ -270,7 +310,7 @@ def test_bfile_empty(capsys):
 
 
 # The formatting each composition line had before the line table: the
-# reference for cli._composition_lines.
+# reference for the bytes that cli._write_compositions writes.
 REFERENCE_LINE = {"plain": lambda c: f"({','.join(map(str, c))})",
                   "csv": lambda c: ",".join(map(str, c)),
                   "jsonl": lambda c: json.dumps(list(c))}
@@ -289,15 +329,29 @@ def sampled_two_digit_compositions(count, n=20, seed=20):
 
 
 @pytest.mark.parametrize("fmt", cli.FORMAT_CHOICES)
-def test_composition_lines_equal_the_reference_formatting(fmt):
+def test_composition_lines_equal_the_reference_formatting(capsys, fmt):
     reference = REFERENCE_LINE[fmt]
+
+    def written(comps):
+        cli._write_compositions(iter(comps), fmt)
+        return capsys.readouterr().out
+
     for n in range(15):  # n = 0 is the empty composition
         comps = list(counting.compositions_of(n))
-        assert list(cli._composition_lines(comps, fmt)) == \
-            [reference(c) for c in comps], n
+        assert written(comps) == "".join(reference(c) + "\n"
+                                         for c in comps), n
     sample = sampled_two_digit_compositions(500)
-    assert list(cli._composition_lines(sample, fmt)) == \
-        [reference(c) for c in sample]
+    assert written(sample) == "".join(reference(c) + "\n" for c in sample)
+
+
+def test_sequence_lines_equal_the_reference_formatting():
+    terms = [(0, 0), (1, -1), (7, 13), (5000, 7 ** 900)]
+    assert list(cli._sequence_lines(terms, "jsonl")) == \
+        [json.dumps({"n": n, "value": v}) for n, v in terms]
+    assert list(cli._sequence_lines(terms, "csv")) == \
+        ["n,value"] + [f"{n},{v}" for n, v in terms]
+    assert list(cli._sequence_lines(terms, "plain")) == \
+        [f"{n} {v}" for n, v in terms]
 
 
 @pytest.mark.parametrize("width", [1, 99, 999, 3 * cli.CHUNK_CHARS])

@@ -5,6 +5,7 @@ from arndt.compositions import (ANTIPALINDROMIC, ARNDT, Family, flip_class,
                                 is_k_block_arndt,
                                 is_reduced_ap_representative)
 from arndt.counting import compositions_of
+from reference_predicates import assert_kernels_agree
 
 
 def test_is_arndt():
@@ -103,3 +104,13 @@ def test_family_rejects_a_k_that_is_not_an_int(kind, k):
     # stream and the predicate disagreed; only an int k is a parameter.
     with pytest.raises(ValueError, match=f"family '{kind}' needs an integer k"):
         Family(kind, k)
+
+
+def test_kernels_equal_the_reference_predicates_on_every_composition():
+    truths = set()
+    for n in range(15):
+        for comp in compositions_of(n):
+            assert_kernels_agree(comp)
+            truths.add((is_arndt(comp), is_antipalindromic(comp),
+                        is_reduced_ap_representative(comp)))
+    assert len(truths) > 3  # both answers of every predicate were compared

@@ -110,6 +110,14 @@ def test_pruned_streams_equal_the_filtered_stream():
                 [c for c in every if family.member(c)], (n, str(family))
 
 
+def test_reduced_ap_walk_equals_the_filtered_stream_to_18():
+    # The walk starts each first-half part at 2, the least part a smaller
+    # mirror fits opposite; gated beyond the other kinds' range.
+    for n in range(17, 19):
+        assert list(family_members(n, REDUCED_AP)) == \
+            [c for c in compositions_of(n) if REDUCED_AP.member(c)], n
+
+
 def test_pruned_streams_never_walk_every_composition(monkeypatch):
     def refuse(n, cap=None):
         raise AssertionError("the exhaustive stream was walked")

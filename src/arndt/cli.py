@@ -153,11 +153,9 @@ def cmd_table(args, parser) -> int:
                 for n in range(args.n + 1))
     elif args.method == "formula":
         if args.kind == "parts":
-            rows = formulas.parts_triangle_by_recurrence(args.n).rows().items()
+            rows = formulas.parts_rows_by_recurrence(args.n)
         else:
-            rows = ((n, {m: v for m in range(n + 1)
-                         if (v := formulas.last_count(n, m))})
-                    for n in range(args.n + 1))
+            rows = ((n, formulas.last_row(n)) for n in range(args.n + 1))
     else:
         gf = (catalog.series_gf(catalog.parts_series(family), family.k)
               if args.kind == "parts" else catalog.gf_last_part())

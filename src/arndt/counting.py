@@ -5,17 +5,17 @@ there are no generating functions and no closed forms here, and nothing is
 imported from the series or formula routes.  It is the ground truth that
 those two routes are checked against.
 
-compositions_of is the exhaustive reference: it touches all 2^(n-1)
-compositions of weight n.  family_members streams one family's members.
-For a family whose condition is a bound on each part set by the part before
-it (Arndt, k-Arndt, k-block Arndt), a depth-first search enters only the
-prefixes that the bound allows, so it walks little more than the members.
-For a family whose condition is on mirrored pairs (anti-palindromic, and the
-reduced representatives of its flip classes), a depth-first search of each
-length decides every second-half part by its mirror.  Only the unrestricted
-family reads the exhaustive stream.  All paths yield in the same order and
-test every composition with the family's predicate; tally counts their
-statistic in C, with Counter.
+compositions_of yields all 2^(n-1) compositions of weight n;
+family_members streams one family's members.  For a family whose condition
+is a bound on each part set by the part before it (Arndt, k-Arndt, k-block
+Arndt; none for compositions_of), a depth-first search enters only the
+prefixes that the bound allows, and joins a prefix that leaves little
+weight in C to the stored members of that weight.  For a family whose
+condition is on mirrored pairs (anti-palindromic, and the reduced
+representatives of its flip classes), a depth-first search of each length
+decides every second-half part by its mirror.  Only the unrestricted family
+reads compositions_of.  All paths yield in the same order and test every
+composition with the family's predicate; tally counts their statistic in C.
 
 Counts are exact Python ints (unbounded).  A default cap refuses weights
 beyond BRUTE_FORCE_CAP on every path unless the caller raises it;
@@ -59,34 +59,26 @@ def compositions_of(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tu
 
     Pass cap=None (or a larger value) to enumerate past the default cap.
     """
-    check_weight(n, cap)
-    if n == 0:
-        yield ()
-        return
-    # Successor rule: strip trailing 1s, decrement the new last part, and
-    # append the stripped weight plus one as a single part.
-    cur = [n]
-    while True:
-        yield tuple(cur)
-        tail = 0
-        while cur and cur[-1] == 1:
-            tail += cur.pop()
-        if not cur:
-            return
-        cur[-1] -= 1
-        cur.append(tail + 1)
+    yield from _descend(n, (1, 0), cap, {})
 
 
-def _descend(n: int, bound: Tuple[int, int],
-             cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
+# A prefix that ends a block with at most this much weight left is finished
+# from the stored members of that weight: at most 2^TAIL_WEIGHT - 1 tails.
+TAIL_WEIGHT = 12
+
+
+def _descend(n: int, bound: Tuple[int, int], cap: Optional[int],
+             tails: Dict[int, List[tuple]]) -> Iterator[tuple]:
     """Yield the compositions of n in which every part at an index j with
     j % period != 0 is at most the part before it minus drop, for bound =
-    (period, drop), in the decreasing lex order of compositions_of.
+    (period, drop), in decreasing lex order.
 
     Depth first, largest part first: a prefix is extended by the largest
     part that its bound and the weight left allow.  Backtracking lowers the
     last part by one, and drops it where it cannot go lower, or where no
-    part may follow it.  Weights are guarded as in compositions_of.
+    part may follow it.  A nonempty prefix whose length is a multiple of
+    period, with r <= TAIL_WEIGHT left, is followed by exactly tails[r], the
+    members of weight r; one dict serves the whole stream, filled on use.
     """
     check_weight(n, cap)
     if n == 0:
@@ -96,16 +88,21 @@ def _descend(n: int, bound: Tuple[int, int],
     parts: List[int] = []
     rest = n  # weight not yet placed
     while True:
-        top = rest if len(parts) % period == 0 \
-            else min(rest, parts[-1] - drop)
-        if top >= 1:
-            parts.append(top)
-            rest -= top
-            if rest:
-                continue
-            yield tuple(parts)
-        else:  # a lower last part would only lower the bound after it
-            rest += parts.pop()
+        ends_block = len(parts) % period == 0
+        if ends_block and parts and rest <= TAIL_WEIGHT:
+            if rest not in tails:
+                tails[rest] = list(_descend(rest, bound, None, tails))
+            yield from map(tuple(parts).__add__, tails[rest])
+        else:
+            top = rest if ends_block else min(rest, parts[-1] - drop)
+            if top < 1:  # a lower last part would only lower the bound after it
+                rest += parts.pop()
+            else:
+                parts.append(top)
+                rest -= top
+                if rest:
+                    continue
+                yield tuple(parts)
         while parts and parts[-1] == 1:
             rest += parts.pop()
         if not parts:
@@ -185,7 +182,7 @@ def family_members(n: int, family: Family,
     Every composition still passes family.member.
     """
     if family.bound is not None:
-        stream = _descend(n, family.bound, cap)
+        stream = _descend(n, family.bound, cap, {})
     elif family.mirror is not None:
         stream = _mirrored(n, family.mirror, cap)
     else:

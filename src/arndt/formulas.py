@@ -12,7 +12,7 @@ established in the verification suite.
 from __future__ import annotations
 
 from math import factorial, prod
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 
 class CountTriangle:
@@ -43,9 +43,6 @@ class CountTriangle:
     def row_sum(self, n: int) -> int:
         self._check(n)
         return sum(self._rows.get(n, {}).values())
-
-    def rows(self) -> Dict[int, Dict[int, int]]:
-        return {n: self.row(n) for n in range(self.max_row + 1)}
 
     def __repr__(self):
         return f"CountTriangle(rows 0..{self.max_row})"
@@ -118,28 +115,33 @@ def parts_count_positive(n: int, m: int) -> int:
                for l in range(upper // 2 + 1))
 
 
-def parts_triangle_by_recurrence(max_n: int,
-                                 max_m: Optional[int] = None) -> CountTriangle:
-    """Rows 0..max_n of the parts triangle from the three-term recurrence.
+def parts_rows_by_recurrence(max_n: int, max_m: Optional[int] = None
+                             ) -> Iterator[Tuple[int, Dict[int, int]]]:
+    """(n, row n) of the parts triangle for n = 0..max_n, each as soon as it
+    is computed; only three rows are kept, so the caller must not change one.
 
-    Seeds: count 1 at (0, 0); column m = 1 is identically 1 for n >= 1;
-    for n >= 3 and m >= 2,
+    Seeds: count 1 at (0, 0); column m = 1 is identically 1 for n >= 1; rows
+    before row 0 are empty.  For m >= 2, with zero cells left out,
     a(n,m) = a(n-1,m) + a(n-2,m) - a(n-3,m) + a(n-3,m-2).
     max_m caps the columns (the recurrence never reads above column m).
     """
-    rows: Dict[int, Dict[int, int]] = {}
+    before = ({}, {}, {})  # rows n-3, n-2 and n-1
     for n in range(max_n + 1):
         row: Dict[int, int] = {0: 1} if n == 0 else {1: 1}
-        hi = n if max_m is None else min(n, max_m)
-        for m in range(2, hi + 1):
-            if n < 3:
-                continue
-            v = (rows[n - 1].get(m, 0) + rows[n - 2].get(m, 0)
-                 - rows[n - 3].get(m, 0) + rows[n - 3].get(m - 2, 0))
+        back3, back2, back1 = before
+        for m in range(2, (n if max_m is None else min(n, max_m)) + 1):
+            v = (back1.get(m, 0) + back2.get(m, 0)
+                 - back3.get(m, 0) + back3.get(m - 2, 0))
             if v:
                 row[m] = v
-        rows[n] = row
-    return CountTriangle(rows, max_n)
+        yield n, row
+        before = (back2, back1, row)
+
+
+def parts_triangle_by_recurrence(max_n: int,
+                                 max_m: Optional[int] = None) -> CountTriangle:
+    """Rows 0..max_n of the parts triangle, from parts_rows_by_recurrence."""
+    return CountTriangle(dict(parts_rows_by_recurrence(max_n, max_m)), max_n)
 
 
 def wz_residual(n: int, m: int, triangle: CountTriangle) -> int:
@@ -181,6 +183,11 @@ def last_count(n: int, m: int) -> int:
     if v >= 1:
         total += 1 if v == 1 else fibonacci(v - 1)
     return total
+
+
+def last_row(n: int) -> Dict[int, int]:
+    """Row n of the last-part triangle, {m: last_count(n, m)} without zeros."""
+    return {m: v for m in range(n + 1) if (v := last_count(n, m))}
 
 
 def last_count_at_most(n: int, k: int) -> int:

@@ -400,9 +400,7 @@ def check_last_closed_forms(lim: Limits):
     max_n = lim.upto(40)
     rows = _integer_rows("gf_last_part", catalog.gf_last_part(), max_n)
     for n in range(max_n + 1):
-        yield ("last_count row {} vs series", n), \
-            {m: v for m in range(n + 1) if (v := formulas.last_count(n, m))}, \
-            rows[n]
+        yield ("last_count row {} vs series", n), formulas.last_row(n), rows[n]
     for m in range(1, 9):
         for n in range(2 * m + 2, max_n + 1):
             yield ("last_count({}, {}) vs shifted-Fibonacci identity", n, m), \

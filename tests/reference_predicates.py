@@ -1,6 +1,7 @@
-"""The membership predicates as generator expressions over indices, as they
-were before their loops moved into map over operator functions: the
-reference that the kernels in arndt.compositions are gated against."""
+"""References for the fast paths: the membership predicates as generator
+expressions over indices, which the kernels in arndt.compositions are gated
+against, and the successor-rule composition stream, which the walks of
+arndt.counting are gated against."""
 
 from arndt.compositions import (is_antipalindromic, is_arndt, is_k_arndt,
                                 is_reduced_ap_representative)
@@ -35,3 +36,22 @@ def assert_kernels_agree(comp):
         reference_is_reduced_ap_representative(comp), comp
     for k in KERNEL_K:
         assert is_k_arndt(comp, k) == reference_is_k_arndt(comp, k), (comp, k)
+
+
+def reference_compositions_of(n):
+    """Every composition of n once, in decreasing lex order, by the
+    successor rule: strip trailing 1s, decrement the new last part, and
+    append the stripped weight plus one as a single part."""
+    if n == 0:
+        yield ()
+        return
+    cur = [n]
+    while True:
+        yield tuple(cur)
+        tail = 0
+        while cur and cur[-1] == 1:
+            tail += cur.pop()
+        if not cur:
+            return
+        cur[-1] -= 1
+        cur.append(tail + 1)

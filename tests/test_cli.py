@@ -118,7 +118,7 @@ ROW_0 = {"csv": "n,m,count\n0,0,1\n", "jsonl": '{"n": 0, "counts": {"0": 1}}\n'}
 
 @pytest.mark.parametrize("fmt", sorted(ROW_0))
 @pytest.mark.parametrize("method, owner, name", [
-    ("brute", counting, "tally"), ("formula", formulas, "last_count")],
+    ("brute", counting, "tally"), ("formula", formulas, "last_row")],
     ids=["brute", "formula"])
 def test_table_streams_its_rows(capsys, monkeypatch, fmt, method, owner,
                                 name):
@@ -138,6 +138,26 @@ def test_table_streams_its_rows(capsys, monkeypatch, fmt, method, owner,
     assert code == 0
     assert seen == [ROW_0[fmt]]
     assert seen[0] + rest == whole
+
+
+@pytest.mark.parametrize("fmt", sorted(ROW_0))
+def test_formula_parts_table_streams_its_rows(capsys, monkeypatch, fmt):
+    argv = ("table", "parts", "--N", "3", "--method", "formula", "--format",
+            fmt)
+    _, whole, _ = run(capsys, *argv)
+    real = formulas.parts_rows_by_recurrence
+
+    def spy(max_n):
+        rows = real(max_n)
+        yield next(rows)
+        # row 0 is on stdout before row 1 is computed
+        assert capsys.readouterr().out == ROW_0[fmt]
+        yield from rows
+
+    monkeypatch.setattr(formulas, "parts_rows_by_recurrence", spy)
+    code, rest, _ = run(capsys, *argv)
+    assert code == 0
+    assert ROW_0[fmt] + rest == whole
 
 
 def test_table_past_the_cap_writes_and_tallies_nothing(capsys, monkeypatch):

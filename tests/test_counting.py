@@ -1,13 +1,16 @@
+from itertools import islice
+
 import pytest
 
 from conftest import ARNDT_OF_6, TABLE_LAST, TABLE_PARTS
+from reference_predicates import reference_compositions_of
 from arndt import counting
-from arndt.compositions import (ANTIPALINDROMIC, ARNDT, FAMILY_KINDS,
-                                REDUCED_AP, Family, is_arndt)
+from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
+                                FAMILY_KINDS, REDUCED_AP, Family, is_arndt)
 from arndt.counting import (BruteForceCapExceeded, compositions_of,
                             count_by_last, count_by_parts, family_members,
                             reduced_antipalindromic, total_last, total_parts)
-from arndt.formulas import CountTriangle
+from arndt.formulas import CountTriangle, fibonacci
 from arndt.verify import _SAMPLE_K
 
 # Every family kind, the parameterised ones at the k values verify samples.
@@ -90,7 +93,7 @@ def test_total_last():
 def test_family_members_is_the_filtered_stream(family):
     for n in range(13):
         assert list(family_members(n, family)) == \
-            [c for c in compositions_of(n) if family.member(c)]
+            [c for c in reference_compositions_of(n) if family.member(c)]
     with pytest.raises(BruteForceCapExceeded):
         next(family_members(29, family))
 
@@ -104,8 +107,9 @@ PRUNED = [ARNDT] + [Family("k-arndt", k) for k in range(-4, 5)] + \
 
 def test_pruned_streams_equal_the_filtered_stream():
     for n in range(17):
-        every = list(compositions_of(n))
-        for family in PRUNED:
+        every = list(reference_compositions_of(n))
+        assert list(compositions_of(n)) == every, n
+        for family in PRUNED + [ALL_COMPOSITIONS]:
             assert list(family_members(n, family)) == \
                 [c for c in every if family.member(c)], (n, str(family))
 
@@ -115,12 +119,69 @@ def test_reduced_ap_walk_equals_the_filtered_stream_to_18():
     # mirror fits opposite; gated beyond the other kinds' range.
     for n in range(17, 19):
         assert list(family_members(n, REDUCED_AP)) == \
-            [c for c in compositions_of(n) if REDUCED_AP.member(c)], n
+            [c for c in reference_compositions_of(n)
+             if REDUCED_AP.member(c)], n
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_walks_equal_the_reference_past_the_tail_weight(n):
+    # (stream, membership test); compositions_of is the family "all".
+    streams = [(compositions_of(n), None)] + \
+        [(family_members(n, family), family.member)
+         for family in (ARNDT, Family("k-arndt", -3))]
+    reference = reference_compositions_of(n)
+    # One pass over the reference, a chunk at a time, for every stream.
+    while chunk := list(islice(reference, 4096)):
+        for stream, member in streams:
+            want = chunk if member is None else list(filter(member, chunk))
+            assert list(islice(stream, len(want))) == want
+    assert [next(stream, None) for stream, _ in streams] == [None] * 3
+
+
+def test_member_counts_at_raised_caps():
+    assert sum(1 for _ in family_members(27, ARNDT)) == fibonacci(27)
+    assert sum(1 for _ in family_members(29, ARNDT, cap=29)) == fibonacci(29)
+
+
+def spy_walks(monkeypatch):
+    """Record (weight, tails dict) of every walk counting._descend starts."""
+    walks = []
+    descend = counting._descend
+
+    def spy(n, bound, cap, tails):
+        walks.append((n, tails))
+        return descend(n, bound, cap, tails)
+
+    monkeypatch.setattr(counting, "_descend", spy)
+    return walks
+
+
+@pytest.mark.parametrize("family", [ARNDT, Family("k-arndt", -3),
+                                    Family("block-arndt", 3),
+                                    ALL_COMPOSITIONS], ids=str)
+def test_each_tail_weight_is_walked_once_per_stream(monkeypatch, family):
+    walks = spy_walks(monkeypatch)
+    assert sum(1 for _ in family_members(16, family)) > 0
+    (top, tails), inner = walks[0], walks[1:]
+    assert top == 16 and inner
+    weights = [weight for weight, _ in inner]
+    assert max(weights) <= counting.TAIL_WEIGHT
+    assert len(set(weights)) == len(weights)
+    assert all(shared is tails for _, shared in inner)
+    assert sorted(tails) == sorted(weights)
+    if family == ALL_COMPOSITIONS:
+        assert sorted(weights) == list(range(1, counting.TAIL_WEIGHT + 1))
+
+
+def test_first_composition_comes_before_any_tail(monkeypatch):
+    walks = spy_walks(monkeypatch)
+    assert next(compositions_of(40, cap=None)) == (40,)
+    assert walks == [(40, {})]
 
 
 def test_pruned_streams_never_walk_every_composition(monkeypatch):
     def refuse(n, cap=None):
-        raise AssertionError("the exhaustive stream was walked")
+        raise AssertionError("the stream of every composition was read")
 
     monkeypatch.setattr(counting, "compositions_of", refuse)
     for family in PRUNED:

@@ -181,7 +181,7 @@ def test_first_composition_comes_before_any_tail(monkeypatch):
 
 def test_pruned_streams_never_walk_every_composition(monkeypatch):
     def refuse(n, cap=None):
-        raise AssertionError("the stream of every composition was read")
+        raise AssertionError("the exhaustive stream was walked")
 
     monkeypatch.setattr(counting, "compositions_of", refuse)
     for family in PRUNED:

@@ -9,10 +9,12 @@ stdout carries data, stderr carries diagnostics.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, repeat, starmap, tee
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import catalog, counting, formulas, verify
@@ -78,14 +80,21 @@ class _PartText(dict):
         return text
 
 
-def _write_compositions(comps: Iterable[tuple], fmt: str):
-    """Write one line per composition, in the given format.  The parts of a
-    line are looked up and joined in C, with no Python frame per line; the
-    writer adds each line's opening and closing."""
+def _write_compositions(blocks: Iterable[tuple], fmt: str):
+    """Write a line per member of each (prefix, tails) block of
+    counting.family_blocks, in the given format: the prefix's text, made
+    once, joined in C to the text of each tail, made once per tail list and
+    call (the empty tail's is "").  The writer adds opening and closing."""
     opening, separator, closing = _COMPOSITION_SHAPES[fmt]
-    bodies = map(separator.join,
-                 map(map, repeat(_PartText().__getitem__), comps))
-    _write_lines(bodies, opening, closing)
+    part_text = _PartText().__getitem__
+    tail_texts = functools.cache(lambda tails: [
+        separator.join(["", *map(part_text, tail)]) for tail in tails])
+    prefixes, tails = tee(blocks)  # drawn in step: tee holds one block
+    prefix_texts = map(separator.join, map(map, repeat(part_text),
+                                           map(itemgetter(0), prefixes)))
+    lines = map(map, map(getattr, prefix_texts, repeat("__add__")),
+                map(tail_texts, map(itemgetter(1), tails)))
+    _write_lines(chain.from_iterable(lines), opening, closing)
 
 
 def _write_triangle(rows: Iterable[Tuple[int, Dict[int, int]]], fmt: str):
@@ -132,9 +141,8 @@ def _sequence_lines(values: Iterable[Tuple[int, int]],
 
 
 def cmd_enumerate(args, parser) -> int:
-    family = _family(args, parser)
-    members = counting.family_members(args.n, family, args.max_n)
-    _write_compositions(members, args.format)
+    blocks = counting.family_blocks(args.n, _family(args, parser), args.max_n)
+    _write_compositions(blocks, args.format)
     return 0
 
 

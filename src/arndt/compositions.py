@@ -119,7 +119,7 @@ def check_k(what: str, name: str, takes_k: bool, k) -> None:
 # prefix bound or None, mirror rule or None).
 # A prefix bound maps k to (period, drop): the kind's members are exactly the
 # compositions in which every part at an index j with j % period != 0 is at
-# most the part before it minus drop.
+# most the part before it minus drop ((1, 0) bounds no part).
 # A mirror rule is for the kinds that constrain mirrored pairs, which no
 # prefix decides: once the length l is fixed, a part p at an index
 # i >= l - l//2 is decided by its mirror m = c[l-1-i].  The rule maps (p, m)
@@ -134,7 +134,7 @@ FAMILY_KINDS = {
                         lambda p, m: p - (p == m)),
     "reduced-ap": (is_reduced_ap_representative, False, None,
                    lambda p, m: min(p, m - 1)),
-    "all": (lambda comp: True, False, None, None),
+    "all": (lambda comp: True, False, lambda k: (1, 0), None),
 }
 
 

@@ -6,16 +6,16 @@ imported from the series or formula routes.  It is the ground truth that
 those two routes are checked against.
 
 compositions_of yields all 2^(n-1) compositions of weight n;
-family_members streams one family's members.  For a family whose condition
-is a bound on each part set by the part before it (Arndt, k-Arndt, k-block
-Arndt; none for compositions_of), a depth-first search enters only the
-prefixes that the bound allows, and joins a prefix that leaves little
-weight in C to the stored members of that weight.  For a family whose
-condition is on mirrored pairs (anti-palindromic, and the reduced
-representatives of its flip classes), a depth-first search of each length
-decides every second-half part by its mirror.  Only the unrestricted family
-reads compositions_of.  All paths yield in the same order and test every
-composition with the family's predicate; tally counts their statistic in C.
+family_members streams one family's members, and family_blocks the same as
+(prefix, tails) blocks.  A family whose condition bounds each part by the
+one before it (Arndt, k-Arndt, k-block Arndt; no part for compositions_of)
+is walked depth first over the prefixes that the bound allows, and a prefix
+that leaves little weight is paired with the stored members of that weight.
+A family whose condition is on mirrored pairs is walked one length at a
+time.  All paths yield in the same order.  The family's predicate tests
+each walked prefix, each stored tail once, and each mirrored member: no
+pair or block spans a block end, so a prefix and a tail that pass join to a
+member.  tally counts the members' statistic in C.
 
 Counts are exact Python ints (unbounded).  A default cap refuses weights
 beyond BRUTE_FORCE_CAP on every path unless the caller raises it;
@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from itertools import chain, repeat
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 # The two predicates are bound here as well, so that calls made through this
 # module's names can be counted from outside (benchmarks/spans.py does).
-from .compositions import (ARNDT, REDUCED_AP, Family,  # noqa: F401
-                           is_arndt, is_reduced_ap_representative)
+from .compositions import (ALL_COMPOSITIONS, ARNDT, REDUCED_AP,  # noqa: F401
+                           Family, is_arndt, is_reduced_ap_representative)
 
 BRUTE_FORCE_CAP = 28
 
@@ -59,40 +60,46 @@ def compositions_of(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tu
 
     Pass cap=None (or a larger value) to enumerate past the default cap.
     """
-    yield from _descend(n, (1, 0), cap, {})
+    yield from family_members(n, ALL_COMPOSITIONS, cap)
 
 
 # A prefix that ends a block with at most this much weight left is finished
 # from the stored members of that weight: at most 2^TAIL_WEIGHT - 1 tails.
 TAIL_WEIGHT = 12
+WHOLE = ((),)  # the tails of a member that the walk finishes by itself
 
 
-def _descend(n: int, bound: Tuple[int, int], cap: Optional[int],
-             tails: Dict[int, List[tuple]]) -> Iterator[tuple]:
-    """Yield the compositions of n in which every part at an index j with
-    j % period != 0 is at most the part before it minus drop, for bound =
-    (period, drop), in decreasing lex order.
+class Stored(list):
+    """The members of one weight for one stream, hashed by identity: a
+    writer keys what it makes of them on the list."""
+    __hash__ = object.__hash__
+
+
+def _descend(n: int, family: Family, cap: Optional[int],
+             tails: Dict[int, Stored]) -> Iterator[tuple]:
+    """Yield as blocks, in decreasing lex order, the members of weight n of
+    a family with prefix bound (period, drop): in them every part at an
+    index j with j % period != 0 is at most the part before it minus drop.
 
     Depth first, largest part first: a prefix is extended by the largest
     part that its bound and the weight left allow.  Backtracking lowers the
     last part by one, and drops it where it cannot go lower, or where no
     part may follow it.  A nonempty prefix whose length is a multiple of
-    period, with r <= TAIL_WEIGHT left, is followed by exactly tails[r], the
-    members of weight r; one dict serves the whole stream, filled on use.
-    """
+    period, with r <= TAIL_WEIGHT left, comes with tails[r], the members of
+    weight r (one dict serves the stream, filled on use); one of weight n
+    with WHOLE.  Only prefixes that pass family.member are yielded."""
     check_weight(n, cap)
-    if n == 0:
-        yield ()
-        return
-    period, drop = bound
+    period, drop = family.bound
     parts: List[int] = []
     rest = n  # weight not yet placed
     while True:
         ends_block = len(parts) % period == 0
-        if ends_block and parts and rest <= TAIL_WEIGHT:
-            if rest not in tails:
-                tails[rest] = list(_descend(rest, bound, None, tails))
-            yield from map(tuple(parts).__add__, tails[rest])
+        if rest == 0 or ends_block and parts and rest <= TAIL_WEIGHT:
+            if rest and rest not in tails:
+                tails[rest] = Stored(_joined(
+                    _descend(rest, family, None, tails)))
+            if family.member(prefix := tuple(parts)):
+                yield prefix, tails[rest] if rest else WHOLE
         else:
             top = rest if ends_block else min(rest, parts[-1] - drop)
             if top < 1:  # a lower last part would only lower the bound after it
@@ -100,9 +107,7 @@ def _descend(n: int, bound: Tuple[int, int], cap: Optional[int],
             else:
                 parts.append(top)
                 rest -= top
-                if rest:
-                    continue
-                yield tuple(parts)
+                continue
         while parts and parts[-1] == 1:
             rest += parts.pop()
         if not parts:
@@ -172,22 +177,30 @@ def _mirrored(n: int, allow: Callable[[int, int], int],
                              for length in range(1, n + 1)), reverse=True)
 
 
+def family_blocks(n: int, family: Family,
+                  cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
+    """The members of a family at weight n, in the order of compositions_of,
+    as (prefix, tails) blocks: the prefix joined to each tail, in order.  A
+    walked family's tails are WHOLE or a Stored list, shared by every block
+    with that weight left; a mirrored family's members come with WHOLE."""
+    if family.mirror is None:
+        return _descend(n, family, cap, {})
+    return zip(family_members(n, family, cap), repeat(WHOLE))
+
+
+def _joined(blocks: Iterable[tuple]) -> Iterator[tuple]:
+    return chain.from_iterable(map(p.__add__, tails) for p, tails in blocks)
+
+
 def family_members(n: int, family: Family,
                    cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
     """The members of a family at weight n, in the order of compositions_of:
-    the one stream that every brute-force count and `enumerate` read.
-
-    A family with a prefix bound is walked by _descend, one with a mirror
-    rule by _mirrored, and the unrestricted family reads compositions_of.
-    Every composition still passes family.member.
-    """
-    if family.bound is not None:
-        stream = _descend(n, family.bound, cap, {})
-    elif family.mirror is not None:
-        stream = _mirrored(n, family.mirror, cap)
-    else:
-        stream = compositions_of(n, cap)
-    return filter(family.member, stream)
+    a mirrored family's filtered walk, or the blocks of family_blocks joined
+    in C.  family.member passed each prefix and stored tail, so each member,
+    as member(p + t) == member(p) and member(t) when period divides len(p)."""
+    if family.mirror is not None:
+        return filter(family.member, _mirrored(n, family.mirror, cap))
+    return _joined(family_blocks(n, family, cap))
 
 
 # Statistic name -> its value on one composition.  The empty composition has
@@ -220,19 +233,13 @@ def total_parts(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> int:
 
 
 def total_last(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> int:
-    """Sum of the last part over all Arndt compositions of n.
-
-    The empty composition contributes 0.
-    """
+    """Sum of the last part over all Arndt compositions of n (0 for ())."""
     return sum(m * c for m, c in tally(n, ARNDT, "last", cap).items())
 
 
 def reduced_antipalindromic(n: int,
                             cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
-    """The canonical representative of each flip class of weight n.
-
-    These are the compositions of n whose mirrored pairs all descend from the
-    left; that picks exactly one member per flip class of anti-palindromic
-    compositions.
-    """
+    """The canonical representative of each flip class of weight n: the
+    compositions of n whose mirrored pairs all descend from the left, one
+    per flip class of anti-palindromic compositions."""
     return family_members(n, REDUCED_AP, cap)

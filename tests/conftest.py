@@ -1,9 +1,56 @@
-"""Frozen reference data shared by the test modules.
+"""Frozen reference data shared by the test modules, and the reference
+composition streams shared as session fixtures.
 
 The two triangles are the published tables of counts for weights 0..10; the
 composition lists are the published worked examples.  Everything else in the
 tests is computed by an independent route before being asserted.
 """
+
+import pytest
+
+from arndt.compositions import ALL_COMPOSITIONS, ARNDT, Family
+from reference_predicates import reference_compositions_of
+
+# Every family with a prefix bound, at the k values its walk is gated on.
+PREFIX_BOUND = [ARNDT] + [Family("k-arndt", k) for k in range(-4, 5)] + \
+    [Family("block-arndt", k) for k in range(1, 6)]
+# The families whose walk joins prefixes to stored tails.
+BLOCK_WALKED = PREFIX_BOUND + [ALL_COMPOSITIONS]
+
+
+def block_period(family):
+    """Every how many parts the walk of a family in BLOCK_WALKED ends a
+    block: the period of its prefix bound."""
+    return family.bound[0]
+
+
+class Reference:
+    """The reference stream of weight n as a list, `every`, and the members
+    of each family among it, each list made once."""
+
+    def __init__(self, n):
+        self.n = n
+        self.every = list(reference_compositions_of(n))
+        self._members = {}
+
+    def members(self, family):
+        if family not in self._members:
+            self._members[family] = list(filter(family.member, self.every))
+        return self._members[family]
+
+
+@pytest.fixture(scope="session")
+def references_to_16():
+    """The Reference of each weight 0..16, index n."""
+    return [Reference(n) for n in range(17)]
+
+
+@pytest.fixture(scope="session", params=range(17, 21))
+def reference_past_16(request):
+    """The Reference of n = 17..20.  pytest runs the tests that take it
+    grouped by n, so each is built once and one is held at a time."""
+    return Reference(request.param)
+
 
 # Arndt compositions of n with m parts, rows 0..10 (zero cells omitted).
 TABLE_PARTS = {

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import TABLE_LAST, TABLE_PARTS
 from arndt import cli, counting, formulas, verify
+from arndt.compositions import ALL_COMPOSITIONS
 
 
 def run(capsys, *argv):
@@ -74,13 +75,13 @@ def test_enumerate_cap(capsys):
 
 
 def test_enumerate_streams_its_output(capsys, monkeypatch):
-    def compositions_of(n, cap):
-        yield (3,)
+    def descend(n, family, cap, tails):
+        yield (3,), counting.WHOLE
         # the first member is printed before the second is generated
         assert capsys.readouterr().out == "(3)\n"
-        yield (2, 1)
+        yield (2,), counting.Stored([(1,)])
 
-    monkeypatch.setattr(counting, "compositions_of", compositions_of)
+    monkeypatch.setattr(counting, "_descend", descend)
     code, out, _ = run(capsys, "enumerate", "--n", "3", "--family", "all")
     assert code == 0
     assert out == "(2,1)\n"
@@ -348,20 +349,39 @@ def sampled_two_digit_compositions(count, n=20, seed=20):
     return out
 
 
+def one_member_blocks(comps):
+    return [(comp, counting.WHOLE) for comp in comps]
+
+
 @pytest.mark.parametrize("fmt", cli.FORMAT_CHOICES)
 def test_composition_lines_equal_the_reference_formatting(capsys, fmt):
     reference = REFERENCE_LINE[fmt]
 
-    def written(comps):
-        cli._write_compositions(iter(comps), fmt)
+    def written(blocks):
+        cli._write_compositions(iter(blocks), fmt)
         return capsys.readouterr().out
 
     for n in range(15):  # n = 0 is the empty composition
         comps = list(counting.compositions_of(n))
-        assert written(comps) == "".join(reference(c) + "\n"
-                                         for c in comps), n
+        for blocks in (one_member_blocks(comps),
+                       counting.family_blocks(n, ALL_COMPOSITIONS)):
+            assert written(blocks) == "".join(reference(c) + "\n"
+                                              for c in comps), n
     sample = sampled_two_digit_compositions(500)
-    assert written(sample) == "".join(reference(c) + "\n" for c in sample)
+    assert written(one_member_blocks(sample)) == \
+        "".join(reference(c) + "\n" for c in sample)
+
+
+def test_tail_texts_are_made_once_per_call(capsys):
+    # The same stored tails, and fresh ones, written in each format in turn:
+    # a tail's text kept from an earlier call has that call's separator.
+    comps = list(counting.compositions_of(13))
+    kept = list(counting.family_blocks(13, ALL_COMPOSITIONS))
+    for fmt in ("plain", "csv", "jsonl", "plain"):
+        for blocks in (kept, counting.family_blocks(13, ALL_COMPOSITIONS)):
+            cli._write_compositions(iter(blocks), fmt)
+            assert capsys.readouterr().out == \
+                "".join(REFERENCE_LINE[fmt](c) + "\n" for c in comps), fmt
 
 
 def test_sequence_lines_equal_the_reference_formatting():

@@ -5,6 +5,7 @@ from arndt.compositions import (ANTIPALINDROMIC, ARNDT, Family, flip_class,
                                 is_k_block_arndt,
                                 is_reduced_ap_representative)
 from arndt.counting import compositions_of
+from conftest import BLOCK_WALKED, block_period
 from reference_predicates import assert_kernels_agree
 
 
@@ -114,3 +115,16 @@ def test_kernels_equal_the_reference_predicates_on_every_composition():
             truths.add((is_arndt(comp), is_antipalindromic(comp),
                         is_reduced_ap_representative(comp)))
     assert len(truths) > 3  # both answers of every predicate were compared
+
+
+@pytest.mark.parametrize("family", BLOCK_WALKED, ids=str)
+def test_a_composition_splits_at_each_block_end(family, references_to_16):
+    # At every cut after a multiple of the period, no pair or block spans
+    # the cut: member(p + t) == member(p) and member(t).  This is what lets
+    # the walk test each prefix and each stored tail once, not each member.
+    comps = [c for reference in references_to_16[:15] for c in reference.every]
+    members = set(filter(family.member, comps))
+    step = block_period(family)
+    assert [(c[:j], c[j:]) for c in comps for j in range(step, len(c), step)
+            if (c in members) != (c[:j] in members and c[j:] in members)
+            ] == []

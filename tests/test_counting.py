@@ -1,15 +1,17 @@
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
-from conftest import ARNDT_OF_6, TABLE_LAST, TABLE_PARTS
+from conftest import (ARNDT_OF_6, PREFIX_BOUND, TABLE_LAST, TABLE_PARTS,
+                      block_period)
 from reference_predicates import reference_compositions_of
 from arndt import counting
 from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
                                 FAMILY_KINDS, REDUCED_AP, Family, is_arndt)
-from arndt.counting import (BruteForceCapExceeded, compositions_of,
-                            count_by_last, count_by_parts, family_members,
-                            reduced_antipalindromic, total_last, total_parts)
+from arndt.counting import (WHOLE, BruteForceCapExceeded, compositions_of,
+                            count_by_last, count_by_parts, family_blocks,
+                            family_members, reduced_antipalindromic,
+                            total_last, total_parts)
 from arndt.formulas import CountTriangle, fibonacci
 from arndt.verify import _SAMPLE_K
 
@@ -90,10 +92,10 @@ def test_total_last():
 
 
 @pytest.mark.parametrize("family", EVERY_FAMILY, ids=str)
-def test_family_members_is_the_filtered_stream(family):
-    for n in range(13):
-        assert list(family_members(n, family)) == \
-            [c for c in reference_compositions_of(n) if family.member(c)]
+def test_family_members_is_the_filtered_stream(family, references_to_16):
+    for reference in references_to_16[:13]:
+        assert list(family_members(reference.n, family)) == \
+            reference.members(family)
     with pytest.raises(BruteForceCapExceeded):
         next(family_members(29, family))
 
@@ -101,17 +103,16 @@ def test_family_members_is_the_filtered_stream(family):
 # Every family with a prefix bound, at the k values its pruned stream is
 # gated on, and the two families with a mirror rule.
 MIRRORED = [ANTIPALINDROMIC, REDUCED_AP]
-PRUNED = [ARNDT] + [Family("k-arndt", k) for k in range(-4, 5)] + \
-    [Family("block-arndt", k) for k in range(1, 6)] + MIRRORED
+PRUNED = PREFIX_BOUND + MIRRORED
 
 
-def test_pruned_streams_equal_the_filtered_stream():
-    for n in range(17):
-        every = list(reference_compositions_of(n))
-        assert list(compositions_of(n)) == every, n
+def test_pruned_streams_equal_the_filtered_stream(references_to_16):
+    for reference in references_to_16:
+        n = reference.n
+        assert list(compositions_of(n)) == reference.every, n
         for family in PRUNED + [ALL_COMPOSITIONS]:
             assert list(family_members(n, family)) == \
-                [c for c in every if family.member(c)], (n, str(family))
+                reference.members(family), (n, str(family))
 
 
 def test_reduced_ap_walk_equals_the_filtered_stream_to_18():
@@ -123,19 +124,48 @@ def test_reduced_ap_walk_equals_the_filtered_stream_to_18():
              if REDUCED_AP.member(c)], n
 
 
-@pytest.mark.parametrize("n", range(17, 21))
-def test_walks_equal_the_reference_past_the_tail_weight(n):
-    # (stream, membership test); compositions_of is the family "all".
-    streams = [(compositions_of(n), None)] + \
-        [(family_members(n, family), family.member)
-         for family in (ARNDT, Family("k-arndt", -3))]
-    reference = reference_compositions_of(n)
-    # One pass over the reference, a chunk at a time, for every stream.
-    while chunk := list(islice(reference, 4096)):
-        for stream, member in streams:
-            want = chunk if member is None else list(filter(member, chunk))
-            assert list(islice(stream, len(want))) == want
-    assert [next(stream, None) for stream, _ in streams] == [None] * 3
+def assert_same_stream(got, want):
+    """got yields what want yields, compared a chunk at a time."""
+    got, want = iter(got), iter(want)
+    while chunk := list(islice(want, 4096)):
+        assert list(islice(got, len(chunk))) == chunk
+    assert next(got, None) is None
+
+
+def test_walks_equal_the_reference_past_the_tail_weight(reference_past_16):
+    n = reference_past_16.n
+    assert_same_stream(compositions_of(n), reference_past_16.every)
+    for family in (ARNDT, Family("k-arndt", -3)):
+        assert_same_stream(family_members(n, family),
+                           reference_past_16.members(family))
+
+
+def joined_in_python(n, family):
+    """The blocks of family_blocks(n, family), each prefix joined to each of
+    its tails in Python, a list per block.  A prefix must pass family.member,
+    and one that comes with stored tails must end a block, so that none of
+    the family's pairs or blocks spans it and a tail."""
+    for prefix, tails in family_blocks(n, family):
+        assert family.member(prefix), prefix
+        if tails is not WHOLE:
+            assert prefix and len(prefix) % block_period(family) == 0, prefix
+        yield [prefix + tail for tail in tails]
+
+
+def test_block_streams_join_to_the_filtered_stream(references_to_16):
+    for reference in references_to_16:
+        for family in PRUNED + [ALL_COMPOSITIONS]:
+            assert list(chain.from_iterable(joined_in_python(
+                reference.n, family))) == reference.members(family), \
+                (reference.n, str(family))
+
+
+def test_block_streams_join_to_the_reference_past_the_tail_weight(
+        reference_past_16):
+    n = reference_past_16.n
+    for family in (ALL_COMPOSITIONS, ARNDT, Family("k-arndt", -3)):
+        assert_same_stream(chain.from_iterable(joined_in_python(n, family)),
+                           reference_past_16.members(family))
 
 
 def test_member_counts_at_raised_caps():
@@ -148,9 +178,9 @@ def spy_walks(monkeypatch):
     walks = []
     descend = counting._descend
 
-    def spy(n, bound, cap, tails):
+    def spy(n, family, cap, tails):
         walks.append((n, tails))
-        return descend(n, bound, cap, tails)
+        return descend(n, family, cap, tails)
 
     monkeypatch.setattr(counting, "_descend", spy)
     return walks

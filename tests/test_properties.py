@@ -1,6 +1,7 @@
 """Hypothesis properties against independent oracles: the predicate kernels
-against their generator-expression references on arbitrary int tuples, and
-the bijection against pairs laid out by hand."""
+against their generator-expression references on arbitrary int tuples, the
+split of a member at a block end, and the bijection against pairs laid out
+by hand."""
 
 import pytest
 
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from arndt.bijection import arndt_to_reduced_ap, reduced_ap_to_arndt
 from arndt.compositions import is_arndt, is_reduced_ap_representative
+from conftest import BLOCK_WALKED, block_period
 from reference_predicates import assert_kernels_agree
 
 MOST_WEIGHT = 500
@@ -18,6 +20,16 @@ MOST_WEIGHT = 500
 def test_kernels_equal_the_reference_predicates_on_int_tuples(comp):
     # Odd lengths, repeated parts and parts below 1 included.
     assert_kernels_agree(comp)
+
+
+@given(st.sampled_from(BLOCK_WALKED),
+       st.lists(st.integers(1, 12), max_size=12).map(tuple),
+       st.lists(st.integers(1, 12), max_size=12).map(tuple))
+def test_members_split_at_each_block_end(family, prefix, tail):
+    # A prefix cut back to a whole number of blocks, then any tail.
+    prefix = prefix[:len(prefix) - len(prefix) % block_period(family)]
+    assert family.member(prefix + tail) == \
+        (family.member(prefix) and family.member(tail))
 
 
 @st.composite

@@ -13,8 +13,7 @@ import functools
 import json
 import sys
 from importlib import resources
-from itertools import chain, islice, repeat, starmap, tee
-from operator import itemgetter
+from itertools import chain, islice, starmap
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import catalog, counting, formulas, verify
@@ -87,14 +86,16 @@ def _write_compositions(blocks: Iterable[tuple], fmt: str):
     call (the empty tail's is "").  The writer adds opening and closing."""
     opening, separator, closing = _COMPOSITION_SHAPES[fmt]
     part_text = _PartText().__getitem__
-    tail_texts = functools.cache(lambda tails: [
-        separator.join(["", *map(part_text, tail)]) for tail in tails])
-    prefixes, tails = tee(blocks)  # drawn in step: tee holds one block
-    prefix_texts = map(separator.join, map(map, repeat(part_text),
-                                           map(itemgetter(0), prefixes)))
-    lines = map(map, map(getattr, prefix_texts, repeat("__add__")),
-                map(tail_texts, map(itemgetter(1), tails)))
-    _write_lines(chain.from_iterable(lines), opening, closing)
+    # Room for the TAIL_WEIGHT lists and WHOLE that a walked stream shares.
+    tail_texts = functools.lru_cache(counting.TAIL_WEIGHT + 1)(
+        lambda tails: [separator.join(["", *map(part_text, tail)])
+                       for tail in tails])
+
+    def lines(prefix, tails):
+        return map(separator.join(map(part_text, prefix)).__add__,
+                   tail_texts(tails))
+
+    _write_lines(chain.from_iterable(starmap(lines, blocks)), opening, closing)
 
 
 def _write_triangle(rows: Iterable[Tuple[int, Dict[int, int]]], fmt: str):

@@ -11,11 +11,12 @@ family_members streams one family's members, and family_blocks the same as
 one before it (Arndt, k-Arndt, k-block Arndt; no part for compositions_of)
 is walked depth first over the prefixes that the bound allows, and a prefix
 that leaves little weight is paired with the stored members of that weight.
-A family whose condition is on mirrored pairs is walked one length at a
-time.  All paths yield in the same order.  The family's predicate tests
-each walked prefix, each stored tail once, and each mirrored member: no
-pair or block spans a block end, so a prefix and a tail that pass join to a
-member.  tally counts the members' statistic in C.
+A family whose condition is on mirrored pairs is walked over prefixes with
+the lengths each allows, each finished for those lengths and sorted in C.
+All paths yield in the same order.  The family's predicate tests each
+walked prefix, each stored tail once, and each mirrored member: no pair or
+block spans a block end, so a prefix and a tail that pass join to a member.
+tally counts a block at a time, each tail list in C.
 
 Counts are exact Python ints (unbounded).  A default cap refuses weights
 beyond BRUTE_FORCE_CAP on every path unless the caller raises it;
@@ -24,9 +25,10 @@ check_weight is that one guard.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
-from itertools import chain, repeat
+from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 # The two predicates are bound here as well, so that calls made through this
@@ -116,27 +118,22 @@ def _descend(n: int, family: Family, cap: Optional[int],
         rest += 1
 
 
-def _mirrored_length(n: int, length: int,
-                     allow: Callable[[int, int], int]) -> Iterator[tuple]:
-    """Yield, in decreasing lex order, the compositions of n with `length`
-    parts whose parts at indices i >= length - length//2 are each allowed
-    opposite their mirror c[length-1-i] by the mirror rule `allow`.
-
-    Depth first, largest part first, as in _descend.  A part leaves 1 for
-    each later slot and 1 more for each later pair, whose parts differ; the
-    last part takes the whole rest or the prefix is a dead end.  A first-half
-    part is at least the least part that a mirror is allowed opposite (2
-    under p < m).  Backtracking lowers the deepest part that can go lower
-    and drops the parts after it.
-    """
+def _mirrored_length(parts: List[int], rest: int, length: int,
+                     allow: Callable[[int, int], int],
+                     least: int) -> Iterator[tuple]:
+    """Yield, in decreasing lex order, the extensions of `parts` by weight
+    rest to `length` parts whose parts at indices i >= length - length//2
+    are allowed opposite their mirror by the mirror rule `allow`, and whose
+    first-half parts are at least `least`.  Depth first, largest part first:
+    a part leaves 1 for each later slot and 1 more for each later pair, and
+    the last takes the whole rest or the prefix is a dead end.  Backtracking
+    lowers the deepest part past the prefix that can go lower."""
     pairs = length // 2
     free = length - pairs  # parts below this index have no mirror yet
     last = length - 1
-    least = next((x for x in range(1, n + 1) if allow(n, x) >= 1), n + 1)
-    parts: List[int] = []
-    rest = n  # weight not yet placed
+    parts = list(parts)
+    i = fixed = len(parts)  # the index of the next part
     while True:
-        i = len(parts)
         top = rest - (last - i)
         if i >= free:
             top = allow(top, parts[last - i])
@@ -144,48 +141,72 @@ def _mirrored_length(n: int, length: int,
             top -= pairs - 1 - i
         if top >= (least if i < pairs else 1) and (i < last or top == rest):
             parts.append(top)
-            rest -= top
             if i < last:
+                rest -= top
+                i += 1
                 continue
             yield tuple(parts)
-            rest += parts.pop()
-        while parts:
-            j = len(parts) - 1
-            lower = parts[j] - 1
-            if j >= free:
-                lower = allow(lower, parts[last - j])
-            if lower >= (least if j < pairs else 1):
-                rest += parts[j] - lower
-                parts[j] = lower
+            parts.pop()
+        while i > fixed:
+            i -= 1
+            lower = parts[i] - 1
+            if i >= free:
+                lower = allow(lower, parts[last - i])
+            if lower >= (least if i < pairs else 1):
+                rest += parts[i] - lower
+                parts[i] = lower
+                i += 1
                 break
             rest += parts.pop()
         else:
             return
 
 
-def _mirrored(n: int, allow: Callable[[int, int], int],
+def _mirrored(n: int, family: Family,
               cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
-    """Yield the compositions of n whose mirrored parts pass the mirror rule
-    `allow`, in the order of compositions_of: heapq.merge interleaves the
-    walks of each length lazily.  Weights are guarded as in compositions_of.
-    """
+    """Yield as blocks, in decreasing lex order, the members of weight n of
+    a family with a mirror rule.  Depth first, largest part first, over
+    prefixes with the lengths they allow, as in _mirrored_length; a new part
+    is tested against its mirror or `least` only.  A nonempty prefix with at
+    most TAIL_WEIGHT left is finished for each length it allows, the runs
+    sorted into one in C, and its tails are the members, prefix stripped."""
     check_weight(n, cap)
-    if n == 0:
-        yield ()
-        return
-    yield from heapq.merge(*(_mirrored_length(n, length, allow)
-                             for length in range(1, n + 1)), reverse=True)
+    allow, member = family.mirror, family.member
+    least = next((x for x in range(1, n + 1) if allow(n, x) >= 1), n + 1)
+
+    def walk(parts: tuple, rest: int, lengths: List[int]) -> Iterator[tuple]:
+        i = len(parts)
+        for x in range(rest, 0, -1):
+            fits = [l for l in lengths
+                    if (x == rest if l == i + 1 else
+                        x <= rest - (l - 1 - i) - max(0, l // 2 - 1 - i))
+                    and (x >= least if i < l // 2 else
+                         i < l - l // 2 or allow(x, parts[l - 1 - i]) == x)]
+            prefix, left = (*parts, x), rest - x
+            if not fits or not left and not member(prefix):
+                continue
+            if left > TAIL_WEIGHT:
+                yield from walk(prefix, left, fits)
+            elif not left:
+                yield prefix, WHOLE
+            elif tails := Stored(map(itemgetter(slice(i + 1, None)), filter(
+                    member, sorted(chain.from_iterable(
+                        _mirrored_length(prefix, left, length, allow, least)
+                        for length in fits), reverse=True)))):
+                yield prefix, tails
+
+    yield from walk((), n, list(range(1, n + 1))) if n else [((), WHOLE)]
 
 
 def family_blocks(n: int, family: Family,
                   cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
     """The members of a family at weight n, in the order of compositions_of,
-    as (prefix, tails) blocks: the prefix joined to each tail, in order.  A
-    walked family's tails are WHOLE or a Stored list, shared by every block
-    with that weight left; a mirrored family's members come with WHOLE."""
+    as (prefix, tails) blocks: the prefix joined to each tail, in order.
+    Tails are WHOLE or a Stored list, which a walked family shares among
+    its blocks with that weight left, and a mirrored one makes per block."""
     if family.mirror is None:
         return _descend(n, family, cap, {})
-    return zip(family_members(n, family, cap), repeat(WHOLE))
+    return _mirrored(n, family, cap)
 
 
 def _joined(blocks: Iterable[tuple]) -> Iterator[tuple]:
@@ -195,24 +216,31 @@ def _joined(blocks: Iterable[tuple]) -> Iterator[tuple]:
 def family_members(n: int, family: Family,
                    cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
     """The members of a family at weight n, in the order of compositions_of:
-    a mirrored family's filtered walk, or the blocks of family_blocks joined
-    in C.  family.member passed each prefix and stored tail, so each member,
-    as member(p + t) == member(p) and member(t) when period divides len(p)."""
-    if family.mirror is not None:
-        return filter(family.member, _mirrored(n, family.mirror, cap))
+    the blocks of family_blocks joined in C.  Each is a member: a mirrored
+    tail was tested joined, and member(p + t) == member(p) and member(t)
+    for a walked prefix p, whose length its period divides."""
     return _joined(family_blocks(n, family, cap))
 
 
-# Statistic name -> its value on one composition.  The empty composition has
-# last part 0.
-STATISTICS = {"parts": len, "last": lambda comp: comp[-1] if comp else 0}
+# Statistic name -> (its value on one composition, what a block's prefix
+# adds to it for each tail).  The empty composition has last part 0.
+STATISTICS = {"parts": (len, len),
+              "last": (lambda comp: comp[-1] if comp else 0, lambda p: 0)}
 
 
 def tally(n: int, family: Family, statistic: str,
           cap: Optional[int] = BRUTE_FORCE_CAP) -> Dict[int, int]:
-    """Family members of weight n tallied by a statistic from STATISTICS."""
-    return dict(Counter(map(STATISTICS[statistic],
-                            family_members(n, family, cap))))
+    """Family members of weight n tallied by a statistic from STATISTICS, a
+    tail list counted once in C and shifted per block by its prefix."""
+    value, shift = STATISTICS[statistic]
+    counted = lru_cache(TAIL_WEIGHT + 1)(
+        lambda tails: Counter(map(value, tails)).items())
+    row: Counter = Counter()
+    for prefix, tails in family_blocks(n, family, cap):
+        add = shift(prefix)
+        row.update({value(prefix): 1} if tails is WHOLE else
+                   {m + add: count for m, count in counted(tails)})
+    return dict(row)
 
 
 def count_by_parts(n: int, family: Family = ARNDT,

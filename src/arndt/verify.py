@@ -130,17 +130,12 @@ def check_stream(lim: Limits):
 
 @_check("counting", "fibonacci-totals")
 def check_fibonacci_totals(lim: Limits):
-    """Brute-force Arndt counts by parts and by last part both sum to F(n),
-    tallied in one pass over the members of each weight."""
+    """Brute-force Arndt counts by parts and by last part both sum to F(n)."""
     for n in range(1, lim.upto(22) + 1):
-        rows = {statistic: {} for statistic in counting.STATISTICS}
-        for comp in counting.family_members(n, ARNDT):
-            for statistic, value in counting.STATISTICS.items():
-                row, m = rows[statistic], value(comp)
-                row[m] = row.get(m, 0) + 1
-        for statistic, row in rows.items():
+        for statistic in counting.STATISTICS:
             yield ("{} total at {} vs F(n)", statistic, n), \
-                sum(row.values()), formulas.fibonacci(n)
+                sum(counting.tally(n, ARNDT, statistic).values()), \
+                formulas.fibonacci(n)
 
 
 @_check("counting", "reduced-ap-rows")

@@ -1,7 +1,10 @@
 """References for the fast paths: the membership predicates as generator
 expressions over indices, which the kernels in arndt.compositions are gated
-against, and the successor-rule composition stream, which the walks of
-arndt.counting are gated against."""
+against, and the successor-rule composition stream and the per-length
+mirrored walks merged in order, which the walks of arndt.counting are gated
+against."""
+
+import heapq
 
 from arndt.compositions import (is_antipalindromic, is_arndt, is_k_arndt,
                                 is_reduced_ap_representative)
@@ -55,3 +58,53 @@ def reference_compositions_of(n):
             return
         cur[-1] -= 1
         cur.append(tail + 1)
+
+
+def reference_mirrored_length(n, length, allow):
+    """The compositions of n with `length` parts whose parts at indices
+    i >= length - length//2 are each allowed opposite their mirror by the
+    mirror rule `allow`, in decreasing lex order: depth first, largest part
+    first, a part leaving 1 for each later slot and 1 more for each later
+    pair, a first-half part at least the least part a mirror is allowed
+    opposite."""
+    pairs = length // 2
+    free = length - pairs
+    last = length - 1
+    least = next((x for x in range(1, n + 1) if allow(n, x) >= 1), n + 1)
+    parts = []
+    rest = n
+    while True:
+        i = len(parts)
+        top = rest - (last - i)
+        if i >= free:
+            top = allow(top, parts[last - i])
+        elif i < pairs:
+            top -= pairs - 1 - i
+        if top >= (least if i < pairs else 1) and (i < last or top == rest):
+            parts.append(top)
+            rest -= top
+            if i < last:
+                continue
+            yield tuple(parts)
+            rest += parts.pop()
+        while parts:
+            j = len(parts) - 1
+            lower = parts[j] - 1
+            if j >= free:
+                lower = allow(lower, parts[last - j])
+            if lower >= (least if j < pairs else 1):
+                rest += parts[j] - lower
+                parts[j] = lower
+                break
+            rest += parts.pop()
+        else:
+            return
+
+
+def reference_mirrored(n, family):
+    """The members of weight n of a family with a mirror rule, in
+    decreasing lex order: heapq.merge over the walks of each length."""
+    if n == 0:
+        return iter([()])
+    return heapq.merge(*(reference_mirrored_length(n, length, family.mirror)
+                         for length in range(1, n + 1)), reverse=True)

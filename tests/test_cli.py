@@ -1,6 +1,8 @@
 import io
 import json
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -382,6 +384,42 @@ def test_tail_texts_are_made_once_per_call(capsys):
             cli._write_compositions(iter(blocks), fmt)
             assert capsys.readouterr().out == \
                 "".join(REFERENCE_LINE[fmt](c) + "\n" for c in comps), fmt
+
+
+# The tails of every block that fresh_tail_blocks makes.
+TAILS_OF_5 = list(counting.compositions_of(5))
+
+
+def fresh_tail_blocks(count, alive):
+    """count blocks, each a prefix with a fresh Stored list of TAILS_OF_5.
+    Before it makes each list, it appends to alive how many of the lists
+    made so far are still referenced."""
+    made = []
+    for i in range(count):
+        alive.append(sum(ref() is not None for ref in made))
+        tails = counting.Stored(TAILS_OF_5)
+        made.append(weakref.ref(tails))
+        yield (i % 7 + 1, i % 3 + 1), tails
+
+
+def test_tail_caches_hold_a_bounded_number_of_lists(capsys, monkeypatch):
+    # A mirrored stream's tail lists are fresh per block: neither the
+    # writer nor tally may keep each of them.
+    members = [prefix + tail for prefix, tails in fresh_tail_blocks(1000, [])
+               for tail in tails]
+    for fmt in cli.FORMAT_CHOICES:
+        alive = []
+        cli._write_compositions(fresh_tail_blocks(1000, alive), fmt)
+        assert capsys.readouterr().out == \
+            "".join(REFERENCE_LINE[fmt](c) + "\n" for c in members), fmt
+        assert max(alive) <= counting.TAIL_WEIGHT + 1, fmt
+    for statistic, value in (("parts", len), ("last", lambda c: c[-1])):
+        alive = []
+        monkeypatch.setattr(counting, "family_blocks",
+                            lambda *args: fresh_tail_blocks(1000, alive))
+        assert counting.tally(12, ALL_COMPOSITIONS, statistic) == \
+            dict(Counter(map(value, members))), statistic
+        assert max(alive) <= counting.TAIL_WEIGHT + 1, statistic
 
 
 def test_sequence_lines_equal_the_reference_formatting():

@@ -1,16 +1,17 @@
+from collections import Counter
 from itertools import chain, islice
 
 import pytest
 
 from conftest import (ARNDT_OF_6, PREFIX_BOUND, TABLE_LAST, TABLE_PARTS,
                       block_period)
-from reference_predicates import reference_compositions_of
+from reference_predicates import reference_compositions_of, reference_mirrored
 from arndt import counting
 from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
                                 FAMILY_KINDS, REDUCED_AP, Family, is_arndt)
 from arndt.counting import (WHOLE, BruteForceCapExceeded, compositions_of,
                             count_by_last, count_by_parts, family_blocks,
-                            family_members, reduced_antipalindromic,
+                            family_members, reduced_antipalindromic, tally,
                             total_last, total_parts)
 from arndt.formulas import CountTriangle, fibonacci
 from arndt.verify import _SAMPLE_K
@@ -132,6 +133,16 @@ def assert_same_stream(got, want):
     assert next(got, None) is None
 
 
+def test_mirrored_streams_equal_the_merged_length_walks():
+    # The per-length walks merged in order, which the mirrored walk
+    # replaced; the two tests above compare the filtered stream, to the
+    # same weights.
+    for family, most in ((ANTIPALINDROMIC, 16), (REDUCED_AP, 18)):
+        for n in range(most + 1):
+            assert_same_stream(family_members(n, family),
+                               reference_mirrored(n, family))
+
+
 def test_walks_equal_the_reference_past_the_tail_weight(reference_past_16):
     n = reference_past_16.n
     assert_same_stream(compositions_of(n), reference_past_16.every)
@@ -142,14 +153,25 @@ def test_walks_equal_the_reference_past_the_tail_weight(reference_past_16):
 
 def joined_in_python(n, family):
     """The blocks of family_blocks(n, family), each prefix joined to each of
-    its tails in Python, a list per block.  A prefix must pass family.member,
-    and one that comes with stored tails must end a block, so that none of
-    the family's pairs or blocks spans it and a tail."""
+    its tails in Python, a list per block.  A walked family's prefix must
+    pass family.member, and one that comes with stored tails must end a
+    block, so that none of the family's pairs or blocks spans it and a
+    tail.  A mirrored family's prefix is no member in general: it must be
+    nonempty past weight 0 and come with a nonempty list of at most
+    2^(TAIL_WEIGHT-1) tails, and each member it joins to must pass
+    family.member."""
     for prefix, tails in family_blocks(n, family):
-        assert family.member(prefix), prefix
-        if tails is not WHOLE:
-            assert prefix and len(prefix) % block_period(family) == 0, prefix
-        yield [prefix + tail for tail in tails]
+        members = [prefix + tail for tail in tails]
+        if family.mirror is None:
+            assert family.member(prefix), prefix
+            if tails is not WHOLE:
+                assert prefix and len(prefix) % block_period(family) == 0, \
+                    prefix
+        else:
+            assert prefix or n == 0, tails
+            assert 0 < len(tails) <= 2 ** (counting.TAIL_WEIGHT - 1), prefix
+            assert all(map(family.member, members)), prefix
+        yield members
 
 
 def test_block_streams_join_to_the_filtered_stream(references_to_16):
@@ -166,6 +188,32 @@ def test_block_streams_join_to_the_reference_past_the_tail_weight(
     for family in (ALL_COMPOSITIONS, ARNDT, Family("k-arndt", -3)):
         assert_same_stream(chain.from_iterable(joined_in_python(n, family)),
                            reference_past_16.members(family))
+
+
+# The statistics as tallied member by member, the reference for tally.
+MEMBER_STATISTICS = {"parts": len, "last": lambda comp: comp[-1] if comp else 0}
+
+
+def member_tally(members, statistic):
+    return dict(Counter(map(MEMBER_STATISTICS[statistic], members)))
+
+
+def test_tally_equals_the_member_tally():
+    assert set(MEMBER_STATISTICS) == set(counting.STATISTICS)
+    for n in range(17):
+        for family in PRUNED + [ALL_COMPOSITIONS]:
+            for statistic in MEMBER_STATISTICS:
+                assert tally(n, family, statistic) == member_tally(
+                    family_members(n, family), statistic), \
+                    (n, str(family), statistic)
+
+
+def test_tally_equals_the_member_tally_past_16(reference_past_16):
+    for family in (ALL_COMPOSITIONS, ARNDT, Family("k-arndt", -3)):
+        for statistic in MEMBER_STATISTICS:
+            assert tally(reference_past_16.n, family, statistic) == \
+                member_tally(reference_past_16.members(family), statistic), \
+                (str(family), statistic)
 
 
 def test_member_counts_at_raised_caps():

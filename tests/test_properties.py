@@ -1,7 +1,8 @@
 """Hypothesis properties against independent oracles: the predicate kernels
 against their generator-expression references on arbitrary int tuples, the
-split of a member at a block end, and the bijection against pairs laid out
-by hand."""
+split of a member at a block end, the mirrored block walks against the
+merged per-length walks, and the bijection against pairs laid out by
+hand."""
 
 import pytest
 
@@ -9,9 +10,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from arndt.bijection import arndt_to_reduced_ap, reduced_ap_to_arndt
-from arndt.compositions import is_arndt, is_reduced_ap_representative
+from arndt.compositions import (ANTIPALINDROMIC, REDUCED_AP, is_arndt,
+                                is_reduced_ap_representative)
+from arndt.counting import family_blocks
 from conftest import BLOCK_WALKED, block_period
-from reference_predicates import assert_kernels_agree
+from reference_predicates import assert_kernels_agree, reference_mirrored
 
 MOST_WEIGHT = 500
 
@@ -30,6 +33,33 @@ def test_members_split_at_each_block_end(family, prefix, tail):
     prefix = prefix[:len(prefix) - len(prefix) % block_period(family)]
     assert family.member(prefix + tail) == \
         (family.member(prefix) and family.member(tail))
+
+
+@st.composite
+def small_compositions(draw, most=14):
+    """A composition of weight at most `most`, drawn a part at a time."""
+    parts, left = [], draw(st.integers(0, most))
+    while left:
+        parts.append(draw(st.integers(1, left)))
+        left -= parts[-1]
+    return tuple(parts)
+
+
+@given(st.sampled_from([ANTIPALINDROMIC, REDUCED_AP]), small_compositions())
+def test_mirrored_blocks_hold_the_members_in_order(family, comp):
+    # Blocks in decreasing prefix order, each prefix nonempty past weight 0
+    # and its tails decreasing, join to the merged per-length walks; a
+    # composition of that weight is among them just when it is a member.
+    n = sum(comp)
+    blocks = list(family_blocks(n, family))
+    prefixes = [prefix for prefix, _ in blocks]
+    assert prefixes == sorted(set(prefixes), reverse=True)
+    assert all(prefixes) or n == 0
+    for _, tails in blocks:
+        assert list(tails) == sorted(set(tails), reverse=True)
+    members = [prefix + tail for prefix, tails in blocks for tail in tails]
+    assert members == list(reference_mirrored(n, family))
+    assert (comp in members) == family.member(comp)
 
 
 @st.composite

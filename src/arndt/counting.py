@@ -12,7 +12,7 @@ one before it (Arndt, k-Arndt, k-block Arndt; no part for compositions_of)
 is walked depth first over the prefixes that the bound allows, and a prefix
 that leaves little weight is paired with the stored members of that weight.
 A family whose condition is on mirrored pairs is walked over prefixes with
-the lengths each allows, each finished for those lengths and sorted in C.
+their allowed lengths, each block finished per length and sorted in C.
 All paths yield in the same order.  The family's predicate tests each
 walked prefix, each stored tail once, and each mirrored member: no pair or
 block spans a block end, so a prefix and a tail that pass join to a member.

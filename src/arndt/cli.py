@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 from importlib import resources
-from itertools import chain, islice, starmap
+from itertools import chain, islice, repeat, starmap
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import catalog, counting, formulas, verify
@@ -212,16 +212,12 @@ def _bfile_values(name: str, count: int) -> List[Tuple[int, int]]:
     if name == "last-sum":
         return [(n, formulas.total_last_closed(n)) for n in range(1, count + 1)]
     # parts-triangle-flat: row n >= 1 runs over m = 1..(2n + 1) // 3, the
-    # most parts an Arndt composition of n can have, so build only the rows
-    # that cover `count` terms.
-    rows, terms = 0, 0
-    while terms < count:
-        rows += 1
-        terms += (2 * rows + 1) // 3
-    triangle = formulas.parts_triangle_by_recurrence(rows)
-    flat = [triangle.get(n, m) for n in range(1, rows + 1)
-            for m in range(1, (2 * n + 1) // 3 + 1)]
-    return list(enumerate(flat[:count], start=1))
+    # most parts an Arndt composition of n can have; rows are drawn only
+    # until `count` terms are out.
+    flat = chain.from_iterable(
+        map(row.get, range(1, (2 * n + 1) // 3 + 1), repeat(0))
+        for n, row in formulas.parts_rows_by_recurrence(count) if n)
+    return list(enumerate(islice(flat, count), start=1))
 
 
 def cmd_bfile(args, parser) -> int:

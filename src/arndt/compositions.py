@@ -117,6 +117,8 @@ def check_k(what: str, name: str, takes_k: bool, k) -> None:
 
 # Family kind -> (membership predicate, whether the kind takes a parameter k,
 # prefix bound or None, mirror rule or None).
+# The predicate defines the kind.  counting builds the members from the bound
+# or the mirror rule alone, and the tests hold those walks to the predicate.
 # A prefix bound maps k to (period, drop): the kind's members are exactly the
 # compositions in which every part at an index j with j % period != 0 is at
 # most the part before it minus drop ((1, 0) bounds no part).

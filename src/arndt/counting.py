@@ -13,10 +13,11 @@ is walked depth first over the prefixes that the bound allows, and a prefix
 that leaves little weight is paired with the stored members of that weight.
 A family whose condition is on mirrored pairs is walked over prefixes with
 their allowed lengths, each block finished per length and sorted in C.
-All paths yield in the same order.  The family's predicate tests each
-walked prefix, each stored tail once, and each mirrored member: no pair or
-block spans a block end, so a prefix and a tail that pass join to a member.
-tally counts a block at a time, each tail list in C.
+All paths yield in the same order.  The bound or the mirror rule alone
+builds the members: no walk calls a predicate.  The predicates in
+compositions define the families, and the tests hold every walk to the
+predicate-filtered stream.  tally counts a block at a time, each tail list
+in C.
 
 Counts are exact Python ints (unbounded).  A default cap refuses weights
 beyond BRUTE_FORCE_CAP on every path unless the caller raises it;
@@ -28,11 +29,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-# The two predicates are bound here as well, so that calls made through this
-# module's names can be counted from outside (benchmarks/spans.py does).
+# The two predicates are bound here only so that benchmarks/spans.py can
+# patch these names; nothing in this module calls them.
 from .compositions import (ALL_COMPOSITIONS, ARNDT, REDUCED_AP,  # noqa: F401
                            Family, is_arndt, is_reduced_ap_representative)
 
@@ -89,7 +89,8 @@ def _descend(n: int, family: Family, cap: Optional[int],
     part may follow it.  A nonempty prefix whose length is a multiple of
     period, with r <= TAIL_WEIGHT left, comes with tails[r], the members of
     weight r (one dict serves the stream, filled on use); one of weight n
-    with WHOLE.  Only prefixes that pass family.member are yielded."""
+    with WHOLE.  Every prefix the bound allows is a member, and so is its
+    join to a tail: a block end is never bounded by the part before it."""
     check_weight(n, cap)
     period, drop = family.bound
     parts: List[int] = []
@@ -100,8 +101,7 @@ def _descend(n: int, family: Family, cap: Optional[int],
             if rest and rest not in tails:
                 tails[rest] = Stored(_joined(
                     _descend(rest, family, None, tails)))
-            if family.member(prefix := tuple(parts)):
-                yield prefix, tails[rest] if rest else WHOLE
+            yield tuple(parts), tails[rest] if rest else WHOLE
         else:
             top = rest if ends_block else min(rest, parts[-1] - drop)
             if top < 1:  # a lower last part would only lower the bound after it
@@ -121,8 +121,8 @@ def _descend(n: int, family: Family, cap: Optional[int],
 def _mirrored_length(parts: List[int], rest: int, length: int,
                      allow: Callable[[int, int], int],
                      least: int) -> Iterator[tuple]:
-    """Yield, in decreasing lex order, the extensions of `parts` by weight
-    rest to `length` parts whose parts at indices i >= length - length//2
+    """Yield, in decreasing lex order, the tails of weight rest that extend
+    `parts` to `length` parts whose parts at indices i >= length - length//2
     are allowed opposite their mirror by the mirror rule `allow`, and whose
     first-half parts are at least `least`.  Depth first, largest part first:
     a part leaves 1 for each later slot and 1 more for each later pair, and
@@ -145,7 +145,7 @@ def _mirrored_length(parts: List[int], rest: int, length: int,
                 rest -= top
                 i += 1
                 continue
-            yield tuple(parts)
+            yield tuple(parts[fixed:])
             parts.pop()
         while i > fixed:
             i -= 1
@@ -167,11 +167,12 @@ def _mirrored(n: int, family: Family,
     """Yield as blocks, in decreasing lex order, the members of weight n of
     a family with a mirror rule.  Depth first, largest part first, over
     prefixes with the lengths they allow, as in _mirrored_length; a new part
-    is tested against its mirror or `least` only.  A nonempty prefix with at
-    most TAIL_WEIGHT left is finished for each length it allows, the runs
-    sorted into one in C, and its tails are the members, prefix stripped."""
+    is tested against its mirror or `least` only, so a prefix that leaves
+    nothing is a member once a length fits it.  A nonempty prefix with at
+    most TAIL_WEIGHT left is finished for each length it allows, and its
+    tails are those runs sorted into one in C."""
     check_weight(n, cap)
-    allow, member = family.mirror, family.member
+    allow = family.mirror
     least = next((x for x in range(1, n + 1) if allow(n, x) >= 1), n + 1)
 
     def walk(parts: tuple, rest: int, lengths: List[int]) -> Iterator[tuple]:
@@ -183,16 +184,15 @@ def _mirrored(n: int, family: Family,
                     and (x >= least if i < l // 2 else
                          i < l - l // 2 or allow(x, parts[l - 1 - i]) == x)]
             prefix, left = (*parts, x), rest - x
-            if not fits or not left and not member(prefix):
+            if not fits:
                 continue
             if left > TAIL_WEIGHT:
                 yield from walk(prefix, left, fits)
             elif not left:
                 yield prefix, WHOLE
-            elif tails := Stored(map(itemgetter(slice(i + 1, None)), filter(
-                    member, sorted(chain.from_iterable(
-                        _mirrored_length(prefix, left, length, allow, least)
-                        for length in fits), reverse=True)))):
+            elif tails := Stored(sorted(chain.from_iterable(
+                    _mirrored_length(prefix, left, length, allow, least)
+                    for length in fits), reverse=True)):
                 yield prefix, tails
 
     yield from walk((), n, list(range(1, n + 1))) if n else [((), WHOLE)]
@@ -202,6 +202,7 @@ def family_blocks(n: int, family: Family,
                   cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
     """The members of a family at weight n, in the order of compositions_of,
     as (prefix, tails) blocks: the prefix joined to each tail, in order.
+    The family's bound or mirror rule builds them; no predicate is called.
     Tails are WHOLE or a Stored list, which a walked family shares among
     its blocks with that weight left, and a mirrored one makes per block."""
     if family.mirror is None:
@@ -216,9 +217,7 @@ def _joined(blocks: Iterable[tuple]) -> Iterator[tuple]:
 def family_members(n: int, family: Family,
                    cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
     """The members of a family at weight n, in the order of compositions_of:
-    the blocks of family_blocks joined in C.  Each is a member: a mirrored
-    tail was tested joined, and member(p + t) == member(p) and member(t)
-    for a walked prefix p, whose length its period divides."""
+    the blocks of family_blocks joined in C."""
     return _joined(family_blocks(n, family, cap))
 
 

@@ -62,9 +62,6 @@ class BivariatePolynomial:
     def terms(self):
         return self._coeffs.items()
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def constant(self) -> int:
         return self.coefficient(0, 0)
 

@@ -309,18 +309,19 @@ def test_bfile_parts_triangle_flat_builds_only_needed_rows(capsys,
         assert out == "".join(f"{i} {v}\n"
                               for i, v in enumerate(flat[:count], start=1))
 
-    built = []
-    real = formulas.parts_triangle_by_recurrence
+    drawn = []
+    real = formulas.parts_rows_by_recurrence
 
     def spy(max_n, max_m=None):
-        built.append(max_n)
-        return real(max_n, max_m)
+        for n, row in real(max_n, max_m):
+            drawn.append(n)
+            yield n, row
 
-    monkeypatch.setattr(formulas, "parts_triangle_by_recurrence", spy)
+    monkeypatch.setattr(formulas, "parts_rows_by_recurrence", spy)
     code, out, _ = run(capsys, "bfile", "parts-triangle-flat", "--N", "2000")
     assert code == 0
     assert len(out.splitlines()) == 2000
-    assert built and max(built) <= 80
+    assert drawn and len(drawn) <= 80
 
 
 def test_bfile_empty(capsys):

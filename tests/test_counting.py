@@ -216,6 +216,33 @@ def test_tally_equals_the_member_tally_past_16(reference_past_16):
                 (str(family), statistic)
 
 
+def test_streams_call_no_predicate(monkeypatch, references_to_16):
+    # The bound or the mirror rule alone builds every stream: with
+    # Family.member refusing each call, the streams still equal the
+    # references built before it was patched.
+    families = PRUNED + [ALL_COMPOSITIONS]
+    references = references_to_16[:13]
+    members = {(r.n, f): r.members(f) for r in references for f in families}
+    blocks = {(r.n, f): [(p, list(t)) for p, t in family_blocks(r.n, f)]
+              for r in references for f in families}
+
+    def refuse(self, comp):
+        raise AssertionError("a stream called Family.member")
+
+    monkeypatch.setattr(Family, "member", refuse)
+    for reference in references:
+        n = reference.n
+        assert list(compositions_of(n)) == reference.every, n
+        for family in families:
+            want = members[n, family]
+            assert [(p, list(t)) for p, t in family_blocks(n, family)] == \
+                blocks[n, family], (n, str(family))
+            assert list(family_members(n, family)) == want, (n, str(family))
+            for statistic in MEMBER_STATISTICS:
+                assert tally(n, family, statistic) == \
+                    member_tally(want, statistic), (n, str(family), statistic)
+
+
 def test_member_counts_at_raised_caps():
     assert sum(1 for _ in family_members(27, ARNDT)) == fibonacci(27)
     assert sum(1 for _ in family_members(29, ARNDT, cap=29)) == fibonacci(29)

@@ -1,20 +1,22 @@
 """Hypothesis properties against independent oracles: the predicate kernels
 against their generator-expression references on arbitrary int tuples, the
-split of a member at a block end, the mirrored block walks against the
-merged per-length walks, and the bijection against pairs laid out by
-hand."""
+split of a member at a block end, the prefix-bound walks at any k against
+the predicate-filtered stream, the mirrored block walks against the merged
+per-length walks, and the bijection against pairs laid out by hand."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arndt.bijection import arndt_to_reduced_ap, reduced_ap_to_arndt
-from arndt.compositions import (ANTIPALINDROMIC, REDUCED_AP, is_arndt,
-                                is_reduced_ap_representative)
-from arndt.counting import family_blocks
+from arndt.compositions import (ANTIPALINDROMIC, REDUCED_AP, Family,
+                                is_arndt, is_reduced_ap_representative)
+from arndt.counting import family_blocks, family_members
 from conftest import BLOCK_WALKED, block_period
-from reference_predicates import assert_kernels_agree, reference_mirrored
+from reference_predicates import (assert_kernels_agree,
+                                  reference_compositions_of,
+                                  reference_mirrored)
 
 MOST_WEIGHT = 500
 
@@ -33,6 +35,16 @@ def test_members_split_at_each_block_end(family, prefix, tail):
     prefix = prefix[:len(prefix) - len(prefix) % block_period(family)]
     assert family.member(prefix + tail) == \
         (family.member(prefix) and family.member(tail))
+
+
+@settings(deadline=None)
+@given(st.one_of(st.builds(Family, st.just("k-arndt"), st.integers(-12, 12)),
+                 st.builds(Family, st.just("block-arndt"), st.integers(1, 12))),
+       st.integers(0, 12))
+def test_bound_walks_equal_the_filtered_stream_at_any_k(family, n):
+    # k well past the -4..4 and 1..5 that the fixed gates walk.
+    assert list(family_members(n, family)) == \
+        [c for c in reference_compositions_of(n) if family.member(c)]
 
 
 @st.composite

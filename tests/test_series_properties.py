@@ -1,5 +1,6 @@
-"""Property tests of RationalGF.expand: den * expand(num / den) == num, and
-the expansion equals the sparse reference it replaced."""
+"""Property tests of RationalGF.expand: den * expand(num / den) == num, the
+expansion equals the sparse reference it replaced, and a product expands to
+the product of the two expansions."""
 
 import pytest
 
@@ -37,3 +38,10 @@ def test_den_times_expansion_is_num(f, order):
     want = sparse_expand(f, order)
     assert series.as_polynomial() == BivariatePolynomial(want)
     assert {n: series.row(n) for n in range(order + 1)} == rows_of(want, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_gfs(), small_gfs(), st.integers(0, 8))
+def test_product_expands_to_the_product_of_the_expansions(f, g, order):
+    want = f.expand(order).as_polynomial() * g.expand(order).as_polynomial()
+    assert (f * g).expand(order).as_polynomial() == want.truncate_x(order)

@@ -14,7 +14,7 @@ import json
 import sys
 from importlib import resources
 from itertools import chain, islice, repeat, starmap
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import catalog, counting, formulas, verify
 from .compositions import ARNDT, FAMILY_KINDS, Family
@@ -45,7 +45,8 @@ def _family(args, parser) -> Family:
 
 
 # The characters one write of _write_lines aims at: larger chunks raise the
-# peak memory (by 1.3 MB at 4096 composition lines) and gain no time.
+# peak memory (by 1.3 MB at 4096 composition lines) and gain no time.  An
+# item may be a whole block of lines, so one chunk may exceed it.
 CHUNK_CHARS = 1 << 15
 # Format -> (opening, separator, closing) of a composition's line; the jsonl
 # line is json.dumps of the parts as a list.
@@ -53,49 +54,54 @@ _COMPOSITION_SHAPES = {"plain": ("(", ",", ")"), "csv": ("", ",", ""),
                        "jsonl": ("[", ", ", "]")}
 
 
-def _write_lines(lines: Iterable[str], opening: str = "", closing: str = ""):
-    """Write lines to stdout, each between opening and closing and followed
-    by a newline, one write per chunk.  The first chunk is one line and each
-    next one at most twice the last, so a stream's first line is out before
-    its second is computed; chunks stop growing at about CHUNK_CHARS, judged
-    by the mean length of the last chunk's lines."""
+def _write_lines(lines: Iterable[str]):
+    """Write items to stdout, each followed by a newline, one write per
+    chunk; an item may hold several lines.  The first chunk is one item and
+    each next one at most twice the last, so a stream's first item is out
+    before its second is computed; chunks stop growing at about CHUNK_CHARS,
+    judged by the mean length of the last chunk's items."""
     lines = iter(lines)
-    between = closing + "\n" + opening
     size = 1
     while True:
         chunk = list(islice(lines, size))
         if not chunk:
             return
-        text = f"{opening}{between.join(chunk)}{closing}\n"
+        text = "\n".join(chunk) + "\n"
         sys.stdout.write(text)
         size = max(1, min(2 * size, size * CHUNK_CHARS // len(text)))
 
 
-class _PartText(dict):
-    """part -> str(part), each made once: a stream repeats few parts."""
+class _Texts(dict):
+    """key -> make(key), each made once: a stream repeats few parts, and
+    few tails."""
 
-    def __missing__(self, part: int) -> str:
-        self[part] = text = str(part)
+    def __init__(self, make: Callable[..., str]):
+        self.make = make
+
+    def __missing__(self, key) -> str:
+        self[key] = text = self.make(key)
         return text
 
 
 def _write_compositions(blocks: Iterable[tuple], fmt: str):
     """Write a line per member of each (prefix, tails) block of
-    counting.family_blocks, in the given format: the prefix's text, made
-    once, joined in C to the text of each tail, made once per tail list and
-    call (the empty tail's is "").  The writer adds opening and closing."""
+    counting.family_blocks, in the given format: head + tail text + closing,
+    where head is opening + prefix text, a block joined in C as one item.
+    Each part's and tail's text is made once per call (the empty tail's is
+    ""), and each tail list's texts once per list and call."""
     opening, separator, closing = _COMPOSITION_SHAPES[fmt]
-    part_text = _PartText().__getitem__
+    part_text = _Texts(str).__getitem__
+    tail_text = _Texts(lambda tail: separator.join(
+        ["", *map(part_text, tail)])).__getitem__
     # Room for the TAIL_WEIGHT lists and WHOLE that a walked stream shares.
     tail_texts = functools.lru_cache(counting.TAIL_WEIGHT + 1)(
-        lambda tails: [separator.join(["", *map(part_text, tail)])
-                       for tail in tails])
+        lambda tails: list(map(tail_text, tails)))
 
-    def lines(prefix, tails):
-        return map(separator.join(map(part_text, prefix)).__add__,
-                   tail_texts(tails))
+    def text(prefix, tails):
+        head = opening + separator.join(map(part_text, prefix))
+        return head + (closing + "\n" + head).join(tail_texts(tails)) + closing
 
-    _write_lines(chain.from_iterable(starmap(lines, blocks)), opening, closing)
+    _write_lines(starmap(text, blocks))
 
 
 def _write_triangle(rows: Iterable[Tuple[int, Dict[int, int]]], fmt: str):

@@ -12,12 +12,12 @@ one before it (Arndt, k-Arndt, k-block Arndt; no part for compositions_of)
 is walked depth first over the prefixes that the bound allows, and a prefix
 that leaves little weight is paired with the stored members of that weight.
 A family whose condition is on mirrored pairs is walked over prefixes with
-their allowed lengths, each block finished per length and sorted in C.
-All paths yield in the same order.  The bound or the mirror rule alone
-builds the members: no walk calls a predicate.  The predicates in
-compositions define the families, and the tests hold every walk to the
-predicate-filtered stream.  tally counts a block at a time, each tail list
-in C.
+their allowed lengths, each block finished per length into a list (the last
+two parts in one loop) and sorted in C.  All paths yield in the same order.
+The bound or the mirror rule alone builds the members: no walk calls a
+predicate.  The predicates in compositions define the families, and the
+tests hold every walk to the predicate-filtered stream.  tally counts a
+block at a time, each tail list in C.
 
 Counts are exact Python ints (unbounded).  A default cap refuses weights
 beyond BRUTE_FORCE_CAP on every path unless the caller raises it;
@@ -120,38 +120,47 @@ def _descend(n: int, family: Family, cap: Optional[int],
 
 def _mirrored_length(parts: List[int], rest: int, length: int,
                      allow: Callable[[int, int], int],
-                     least: int) -> Iterator[tuple]:
-    """Yield, in decreasing lex order, the tails of weight rest that extend
+                     least: int) -> List[tuple]:
+    """The tails of weight rest, in decreasing lex order, that extend
     `parts` to `length` parts whose parts at indices i >= length - length//2
     are allowed opposite their mirror by the mirror rule `allow`, and whose
-    first-half parts are at least `least`.  Depth first, largest part first:
-    a part leaves 1 for each later slot and 1 more for each later pair, and
-    the last takes the whole rest or the prefix is a dead end.  Backtracking
-    lowers the deepest part past the prefix that can go lower."""
+    first-half parts are at least `least`, as one list.  Depth first, largest
+    part first: a part leaves 1 for each later slot and 1 more for each later
+    pair, and the last two, where both have a mirror, are x and rest - x in
+    one loop.  A rule is p != m or p < m: parts meet their mirror m in
+    comparisons, not calls.  Backtracking stays past the prefix."""
+    above = allow(2, 1) == 2  # whether parts above their mirror are allowed
     pairs = length // 2
     free = length - pairs  # parts below this index have no mirror yet
     last = length - 1
     parts = list(parts)
     i = fixed = len(parts)  # the index of the next part
+    tails: List[tuple] = []
     while True:
         top = rest - (last - i)
         if i >= free:
-            top = allow(top, parts[last - i])
+            m = parts[last - i]
+            top = top - (top == m) if above else top if top < m else m - 1
         elif i < pairs:
             top -= pairs - 1 - i
-        if top >= (least if i < pairs else 1) and (i < last or top == rest):
+        if i == last - 1 >= free:  # x opposite parts[1], rest - x parts[0]
+            head, skip, spare = tuple(parts[fixed:]), parts[1], rest - parts[0]
+            for x in range(top, 0 if above else max(0, spare), -1):
+                if x != skip and x != spare:
+                    tails.append(head + (x, rest - x))
+        elif top >= (least if i < pairs else 1) and (i < last or top == rest):
             parts.append(top)
             if i < last:
                 rest -= top
                 i += 1
                 continue
-            yield tuple(parts[fixed:])
+            tails.append(tuple(parts[fixed:]))
             parts.pop()
         while i > fixed:
             i -= 1
             lower = parts[i] - 1
             if i >= free:
-                lower = allow(lower, parts[last - i])
+                lower -= lower == parts[last - i]
             if lower >= (least if i < pairs else 1):
                 rest += parts[i] - lower
                 parts[i] = lower
@@ -159,7 +168,7 @@ def _mirrored_length(parts: List[int], rest: int, length: int,
                 break
             rest += parts.pop()
         else:
-            return
+            return tails
 
 
 def _mirrored(n: int, family: Family,

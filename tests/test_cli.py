@@ -8,7 +8,7 @@ import pytest
 
 from conftest import TABLE_LAST, TABLE_PARTS
 from arndt import cli, counting, formulas, verify
-from arndt.compositions import ALL_COMPOSITIONS
+from arndt.compositions import ALL_COMPOSITIONS, ANTIPALINDROMIC, REDUCED_AP
 
 
 def run(capsys, *argv):
@@ -373,6 +373,45 @@ def test_composition_lines_equal_the_reference_formatting(capsys, fmt):
     sample = sampled_two_digit_compositions(500)
     assert written(one_member_blocks(sample)) == \
         "".join(reference(c) + "\n" for c in sample)
+
+
+@pytest.mark.parametrize("fmt", cli.FORMAT_CHOICES)
+def test_mirrored_block_lines_equal_the_reference_formatting(capsys, fmt):
+    # A mirrored stream's blocks carry a fresh tail list each, of tails
+    # that recur from block to block.
+    for family in (ANTIPALINDROMIC, REDUCED_AP):
+        for n in range(15):
+            cli._write_compositions(counting.family_blocks(n, family), fmt)
+            assert capsys.readouterr().out == "".join(
+                REFERENCE_LINE[fmt](c) + "\n"
+                for c in counting.compositions_of(n) if family.member(c)), \
+                (str(family), n)
+
+
+class CountedTail(tuple):
+    """A tail that counts how often any tail of its kind is iterated."""
+    iterations = 0
+
+    def __iter__(self):
+        CountedTail.iterations += 1
+        return super().__iter__()
+
+
+def test_one_text_is_made_per_distinct_tail(capsys):
+    blocks = [(prefix, tails if tails is counting.WHOLE else
+               counting.Stored(map(CountedTail, tails)))
+              for prefix, tails in counting.family_blocks(16, ANTIPALINDROMIC)]
+    members = [prefix + tail for prefix, tails in blocks for tail in tails]
+    distinct = {tail for _, tails in blocks if tails is not counting.WHOLE
+                for tail in tails}
+    # 2,787 distinct tails among 7,473: one text per tail would be more.
+    assert len(distinct) < sum(len(t) for _, t in blocks) // 2
+    for fmt in cli.FORMAT_CHOICES:
+        CountedTail.iterations = 0
+        cli._write_compositions(iter(blocks), fmt)
+        assert capsys.readouterr().out == \
+            "".join(REFERENCE_LINE[fmt](c) + "\n" for c in members), fmt
+        assert CountedTail.iterations == len(distinct), fmt
 
 
 def test_tail_texts_are_made_once_per_call(capsys):

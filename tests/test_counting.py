@@ -116,6 +116,15 @@ def test_pruned_streams_equal_the_filtered_stream(references_to_16):
                 reference.members(family), (n, str(family))
 
 
+def test_the_first_block_is_the_one_part_member():
+    # The writer writes a block as one item, and the first item of a
+    # stream alone: so the first block must be one line.
+    for n in range(17):
+        for family in PRUNED + [ALL_COMPOSITIONS]:
+            assert next(family_blocks(n, family)) == \
+                ((n,) if n else (), WHOLE), (n, str(family))
+
+
 def test_reduced_ap_walk_equals_the_filtered_stream_to_18():
     # The walk starts each first-half part at 2, the least part a smaller
     # mirror fits opposite; gated beyond the other kinds' range.
@@ -137,7 +146,7 @@ def test_mirrored_streams_equal_the_merged_length_walks():
     # The per-length walks merged in order, which the mirrored walk
     # replaced; the two tests above compare the filtered stream, to the
     # same weights.
-    for family, most in ((ANTIPALINDROMIC, 16), (REDUCED_AP, 18)):
+    for family, most in ((ANTIPALINDROMIC, 19), (REDUCED_AP, 22)):
         for n in range(most + 1):
             assert_same_stream(family_members(n, family),
                                reference_mirrored(n, family))

@@ -22,14 +22,11 @@ def reduced_ap_to_arndt(comp) -> tuple:
     if not is_reduced_ap_representative(comp):
         raise ValueError(f"{comp!r} is not a reduced anti-palindromic "
                          "representative")
-    l = len(comp)
-    out = []
-    for i in range(l // 2):
-        out.append(comp[i])
-        out.append(comp[l - 1 - i])
-    if l % 2:
-        out.append(comp[l // 2])
-    return tuple(out)
+    h = len(comp) // 2
+    out = [0] * (2 * h)
+    out[::2] = comp[:h]
+    out[1::2] = comp[::-1][:h]
+    return (*out, *comp[h:len(comp) - h])
 
 
 def arndt_to_reduced_ap(comp) -> tuple:
@@ -40,11 +37,5 @@ def arndt_to_reduced_ap(comp) -> tuple:
     """
     if not is_arndt(comp):
         raise ValueError(f"{comp!r} is not an Arndt composition")
-    l = len(comp)
-    out = [0] * l
-    for i in range(l // 2):
-        out[i] = comp[2 * i]
-        out[l - 1 - i] = comp[2 * i + 1]
-    if l % 2:
-        out[l // 2] = comp[-1]
-    return tuple(out)
+    h = len(comp) // 2
+    return (*comp[0:2 * h:2], *comp[2 * h:], *comp[1:2 * h:2][::-1])

@@ -11,7 +11,7 @@ established in the verification suite.
 
 from __future__ import annotations
 
-from math import factorial, prod
+from math import comb
 from typing import Dict, Iterator, Optional, Tuple
 
 
@@ -77,13 +77,12 @@ def gen_binomial(p: int, q: int) -> int:
 
     Valid for negative p, so gen_binomial(-1, 0) == 1 and
     gen_binomial(-1, 1) == -1.  Returns 0 for q < 0 and for 0 <= p < q
-    (the falling factorial crosses zero).
+    (the falling factorial crosses zero).  For p < 0 it uses upper negation,
+    C(p, q) = (-1)^q C(q-p-1, q) (Graham et al., Concrete Mathematics, 5.14).
     """
     if q < 0:
         return 0
-    if q == 0:
-        return 1
-    return prod(p - i for i in range(q)) // factorial(q)
+    return comb(p, q) if p >= 0 else (-1) ** q * comb(q - p - 1, q)
 
 
 def parts_count_alternating(n: int, m: int) -> int:

@@ -3,7 +3,7 @@ series expansion.
 
 Coefficients are plain ints: every catalog GF has integer coefficients over
 a denominator with constant term 1, so expansion never divides; any other
-exact input expands through one rational division.  Integrality of
+exact input expands in ints, one division per cell.  Integrality of
 combinatorial answers is asserted at extraction time, never assumed.
 Rational arithmetic is plain cross-multiplication with no gcd normalisation:
 the catalog writes each GF over its natural denominator, so degrees stay
@@ -21,6 +21,7 @@ when every stored term has deg_y == 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Tuple
 
 DEFAULT_ORDER = 64
@@ -36,8 +37,8 @@ class BivariatePolynomial:
         for (i, j), v in (coeffs or {}).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent ({i}, {j})")
-            if v:
-                clean[(i, j)] = v
+            if v:  # an integral Fraction is stored as its int
+                clean[(i, j)] = v if v.denominator != 1 else v.numerator
         self._coeffs = clean
 
     @classmethod
@@ -218,17 +219,24 @@ class RationalGF:
     def expand(self, order: int) -> TruncatedSeries:
         """Exact coefficients up to x-order (and y-order) `order`.
 
+        Coefficients are made ints by the lcm of their denominators; with d
+        den's constant term, x -> d x, y -> d y and den / d make den monic.
         Row n is num's row n minus v * (row n - i, shifted up by j) for each
-        den term v x^i y^j, divided by den's constant term: den * c == num.
+        other den term v x^i y^j, and cell (n, m) is divided by d^(n+m+1) at
+        the end; a catalog expansion (d == 1) is all ints.
         """
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
-        d00 = self.den.constant()
+        scale = lcm(*(v.denominator for poly in (self.num, self.den)
+                      for _, v in poly.terms()))
+        d = int(self.den.constant() * scale)
         num: List[dict] = [{} for _ in range(order + 1)]
         for (i, j), v in self.num.truncate_x(order).terms():
-            num[i][j] = v
-        shifts = [(i, j, v) for (i, j), v in self.den.terms() if i]
-        same_row = [(j, v) for (i, j), v in self.den.terms() if not i and j]
+            num[i][j] = int(v * scale) * d ** (i + j)
+        den = [(i, j, int(v * scale) * d ** (i + j - 1))
+               for (i, j), v in self.den.terms() if i or j]
+        shifts = [(i, j, v) for i, j, v in den if i]
+        same_row = [(j, v) for i, j, v in den if not i]
         rows: List[list] = []
         for n in range(order + 1):
             live = [(rows[n - i], j, v) for i, j, v in shifts if i <= n]
@@ -238,11 +246,13 @@ class RationalGF:
             for p, j, v in live:
                 for m, c in enumerate(p[:max(0, top + 1 - j)], j):
                     row[m] -= v * c
-            if same_row or d00 != 1:  # i == 0 terms read lower m of this row
+            if same_row:  # i == 0 terms read lower m of this row
                 for m in range(top + 1):
-                    s = row[m] - sum(v * row[m - j] for j, v in same_row if j <= m)
-                    row[m] = s if d00 == 1 else Fraction(s) / d00
+                    row[m] -= sum(v * row[m - j] for j, v in same_row if j <= m)
             rows.append(row)
+        if d != 1:
+            rows = [[Fraction(e, d ** (n + m + 1)) for m, e in enumerate(row)]
+                    for n, row in enumerate(rows)]
         return TruncatedSeries(order, rows)
 
     def diff_y_at_1(self) -> "RationalGF":

@@ -1,10 +1,13 @@
 """References for the fast paths: the membership predicates as generator
 expressions over indices, which the kernels in arndt.compositions are gated
-against, and the successor-rule composition stream and the per-length
-mirrored walks merged in order, which the walks of arndt.counting are gated
-against."""
+against; the successor-rule composition stream and the per-length mirrored
+walks merged in order, which the walks of arndt.counting are gated against;
+the falling-factorial binomial, which arndt.formulas.gen_binomial is gated
+against; and the bijection's maps as loops over index pairs, which the
+slicing maps of arndt.bijection are gated against."""
 
 import heapq
+from math import factorial, prod
 
 from arndt.compositions import (is_antipalindromic, is_arndt, is_k_arndt,
                                 is_reduced_ap_representative)
@@ -108,3 +111,36 @@ def reference_mirrored(n, family):
         return iter([()])
     return heapq.merge(*(reference_mirrored_length(n, length, family.mirror)
                          for length in range(1, n + 1)), reverse=True)
+
+
+def reference_gen_binomial(p, q):
+    """The falling factorial p(p-1)...(p-q+1) over q!, and 0 for q < 0."""
+    if q < 0:
+        return 0
+    return prod(p - i for i in range(q)) // factorial(q)
+
+
+def reference_reduced_ap_to_arndt(comp):
+    """The i-th outermost pair (comp[i], comp[l-1-i]) becomes the i-th
+    adjacent pair; an odd length's middle part goes last."""
+    l = len(comp)
+    out = []
+    for i in range(l // 2):
+        out.append(comp[i])
+        out.append(comp[l - 1 - i])
+    if l % 2:
+        out.append(comp[l // 2])
+    return tuple(out)
+
+
+def reference_arndt_to_reduced_ap(comp):
+    """The i-th adjacent pair (comp[2i], comp[2i+1]) lands at positions i
+    and l-1-i; a trailing unpaired part becomes the middle."""
+    l = len(comp)
+    out = [0] * l
+    for i in range(l // 2):
+        out[i] = comp[2 * i]
+        out[l - 1 - i] = comp[2 * i + 1]
+    if l % 2:
+        out[l // 2] = comp[-1]
+    return tuple(out)

@@ -1,8 +1,11 @@
 import pytest
 
 from arndt.bijection import arndt_to_reduced_ap, reduced_ap_to_arndt
-from arndt.compositions import is_arndt, is_reduced_ap_representative
-from arndt.counting import compositions_of, reduced_antipalindromic
+from arndt.compositions import ARNDT, is_arndt, is_reduced_ap_representative
+from arndt.counting import (compositions_of, family_members,
+                            reduced_antipalindromic)
+from reference_predicates import (reference_arndt_to_reduced_ap,
+                                  reference_reduced_ap_to_arndt)
 
 
 def test_worked_example():
@@ -37,3 +40,15 @@ def test_bijectivity(n):
     arndt_set = {c for c in compositions_of(n) if is_arndt(c)}
     assert len(set(image)) == len(image)
     assert set(image) == arndt_set
+
+
+def test_slicing_maps_equal_the_loop_maps():
+    reduced = [c for n in range(17) for c in reduced_antipalindromic(n)]
+    arndt = [c for n in range(17) for c in family_members(n, ARNDT)]
+    assert len(reduced) + len(arndt) == 5168
+    for comp in reduced:
+        assert reduced_ap_to_arndt(comp) == \
+            reference_reduced_ap_to_arndt(comp), comp
+    for comp in arndt:
+        assert arndt_to_reduced_ap(comp) == \
+            reference_arndt_to_reduced_ap(comp), comp

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import TABLE_LAST, TABLE_PARTS
+from reference_predicates import reference_gen_binomial
 from arndt.catalog import gf_arndt, gf_last_part
 from arndt.counting import total_last, total_parts
 from arndt.formulas import (fibonacci, fibonacci_from_alternating_sum,
@@ -30,6 +31,12 @@ def test_gen_binomial():
     assert gen_binomial(-1, 1) == -1
     assert gen_binomial(-1, 2) == 1
     assert gen_binomial(-3, 2) == 6
+
+
+def test_gen_binomial_equals_the_falling_factorial():
+    for p in range(-60, 61):
+        for q in range(-3, 61):
+            assert gen_binomial(p, q) == reference_gen_binomial(p, q), (p, q)
 
 
 def test_parts_count_alternating_values():

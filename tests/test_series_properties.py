@@ -1,6 +1,9 @@
 """Property tests of RationalGF.expand: den * expand(num / den) == num, the
-expansion equals the sparse reference it replaced, and a product expands to
-the product of the two expansions."""
+expansion equals the sparse reference it replaced, for any exact
+coefficients too, and a product expands to the product of the two
+expansions."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -35,6 +38,36 @@ def test_den_times_expansion_is_num(f, order):
     assert product.truncate_x(order) == f.num.truncate_x(order)
     if f.den.constant() == 1:
         assert all(type(v) is int for _, v in series.as_polynomial().terms())
+    want = sparse_expand(f, order)
+    assert series.as_polynomial() == BivariatePolynomial(want)
+    assert {n: series.row(n) for n in range(order + 1)} == rows_of(want, order)
+
+
+_pairs = st.tuples(st.integers(0, 3), st.integers(0, 3))
+# ints, integral Fractions and Fractions that are not integers
+_exact = st.one_of(_coeffs, _coeffs.map(Fraction),
+                   st.builds(Fraction, _coeffs, st.sampled_from((2, 3, 4))))
+
+
+@st.composite
+def exact_gfs(draw):
+    """Any exponents up to 3; the denominator has terms x^0 y^j, j > 0,
+    only when `same_row` is drawn, and a constant term that is not 1 in
+    most draws."""
+    same_row = draw(st.booleans())
+    num = draw(st.dictionaries(_pairs, _exact, max_size=6))
+    den = draw(st.dictionaries(
+        _pairs.filter(lambda e: e[0] or (same_row and e[1])), _exact,
+        max_size=5))
+    constant = draw(st.sampled_from((1, -1, 2, -2, 3, -3, 6, 9)))
+    den[(0, 0)] = draw(st.sampled_from((int, Fraction)))(constant)
+    return RationalGF(BivariatePolynomial(num), BivariatePolynomial(den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_gfs(), st.integers(0, 8))
+def test_any_exact_input_expands_as_the_sparse_reference(f, order):
+    series = f.expand(order)
     want = sparse_expand(f, order)
     assert series.as_polynomial() == BivariatePolynomial(want)
     assert {n: series.row(n) for n in range(order + 1)} == rows_of(want, order)

@@ -3,6 +3,7 @@ it can reach, against the sparse full-square expansion it replaced."""
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -45,6 +46,30 @@ def test_same_row_terms_and_dividing_constants(den, constant, num):
         assert series.as_polynomial() == BivariatePolynomial(cut(full, order))
         assert {n: series.row(n) for n in range(order + 1)} == \
             rows_of(cut(full, order), order)
+
+
+@pytest.mark.parametrize(
+    "gf", [pytest.param(gf, id=name) for name, gf in verify._catalog_gfs()])
+def test_catalog_expansions_hold_only_ints(gf):
+    assert all(type(c) is int for row in gf.expand(40).rows for c in row)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    two = BivariatePolynomial({(0, 0): Fraction(4, 2)}).constant()
+    half = BivariatePolynomial({(0, 0): Fraction(1, 2)}).constant()
+    assert type(two) is int and two == 2
+    assert type(half) is Fraction and half == Fraction(1, 2)
+
+
+# 1 / (1 - x - x y), once with integral Fractions and once over 2 / 2.
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2)])
+def test_constant_term_one_after_scaling_expands_to_ints(scale):
+    gf = RationalGF(BivariatePolynomial({(0, 0): scale}),
+                    BivariatePolynomial({(0, 0): scale, (1, 0): -scale,
+                                         (1, 1): -scale}))
+    series = gf.expand(12)
+    assert all(type(c) is int for row in series.rows for c in row)
+    assert series.row(12) == {m: comb(12, m) for m in range(13)}
 
 
 def test_rows_stop_where_they_can_reach():

@@ -1,5 +1,6 @@
 """RationalGF.expand, which stores rows and fills each row only as far as
-it can reach, against the sparse full-square expansion it replaced."""
+it can reach, against the sparse full-square expansion it replaced; and the
+ints that polynomials and catalog expansions hold."""
 
 from fractions import Fraction
 from itertools import product
@@ -24,6 +25,7 @@ def test_expand_equals_the_sparse_reference(gf):
         series = gf.expand(order)
         assert series.as_polynomial() == BivariatePolynomial(want), order
         assert series.integer_rows() == rows_of(want, order), order
+        assert all(type(c) is int for row in series.rows for c in row), order
 
 
 # Denominators with a term x^0 y^j, j > 0, which reads lower y-degrees of
@@ -46,12 +48,6 @@ def test_same_row_terms_and_dividing_constants(den, constant, num):
         assert series.as_polynomial() == BivariatePolynomial(cut(full, order))
         assert {n: series.row(n) for n in range(order + 1)} == \
             rows_of(cut(full, order), order)
-
-
-@pytest.mark.parametrize(
-    "gf", [pytest.param(gf, id=name) for name, gf in verify._catalog_gfs()])
-def test_catalog_expansions_hold_only_ints(gf):
-    assert all(type(c) is int for row in gf.expand(40).rows for c in row)
 
 
 def test_integral_coefficients_are_stored_as_ints():

@@ -99,7 +99,7 @@ def gf_k_arndt(k: int) -> RationalGF:
     x^(3+k) y^2 for k >= 0 becomes x^2 y^2 + x^3 y^2 - x^(2-k) y^2 for k < 0,
     where pairs whose second part is at most -k impose no constraint.
     """
-    check_k("series", "k-arndt", True, k)
+    check_k("series", "k-arndt", k)
     num = _poly((0, 0, 1), (2, 0, -1)) * _poly((0, 0, 1), (1, 0, -1), (1, 1, 1))
     if k >= 0:
         den = _poly((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1),
@@ -117,7 +117,7 @@ def gf_k_arndt_total(k: int) -> RationalGF:
     (1 - x^2)/(1 - x - 2x^2 + x^(2-k)) for k < 0.  k = 0 is the Fibonacci
     generating function (1 - x^2)/(1 - x - x^2).
     """
-    check_k("series", "k-arndt", True, k)
+    check_k("series", "k-arndt", k)
     num = _poly((0, 0, 1), (2, 0, -1))
     if k >= 0:
         den = _poly((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1),
@@ -134,7 +134,7 @@ def gf_distinct_parts(j: int) -> RationalGF:
     j = 0.  These are the strictly decreasing blocks a k-block Arndt
     composition is assembled from.
     """
-    check_k("series", "distinct-parts", True, j)
+    check_k("series", "distinct-parts", j)
     num = _poly((j * (j + 1) // 2, j, 1))
     den = BivariatePolynomial.one()
     for l in range(1, j + 1):
@@ -146,18 +146,17 @@ def gf_k_block(k: int) -> RationalGF:
     """k-block Arndt compositions by weight and number of parts, k >= 1.
 
     (sum_{j=0..k-1} J_j) / (1 - J_k) in the distinct-parts series
-    J_j = gf_distinct_parts(j): a run of complete descending k-blocks
-    followed by one shorter descending block.  Over the common denominator
-    D_k = prod_{l=1..k} (1 - x^l) of the J_j this is
-    sum_j J_j.num prod_{j<l<=k} (1 - x^l) / (D_k - J_k.num).
+    J_j = gf_distinct_parts(j) = x^(j(j+1)/2) y^j / D_j: a run of complete
+    descending k-blocks followed by one shorter descending block.  Over the
+    common denominator D_k = prod_{l=1..k} (1 - x^l) of the J_j this is
+    sum_j x^(j(j+1)/2) y^j prod_{j<l<=k} (1 - x^l) / (D_k - x^(k(k+1)/2) y^k)
     """
-    check_k("series", "block-arndt", True, k)
-    full = gf_distinct_parts(k)
-    num, tail = BivariatePolynomial.zero(), BivariatePolynomial.one()
+    check_k("series", "block-arndt", k)
+    num, den = BivariatePolynomial.zero(), BivariatePolynomial.one()
     for j in reversed(range(k)):
-        tail = tail * _poly((0, 0, 1), (j + 1, 0, -1))
-        num = num + gf_distinct_parts(j).num * tail
-    return RationalGF(num, full.den - full.num)
+        den = den * _poly((0, 0, 1), (j + 1, 0, -1))
+        num = num + _poly((j * (j + 1) // 2, j, 1)) * den
+    return RationalGF(num, den - _poly((k * (k + 1) // 2, k, 1)))
 
 
 def gf_compositions() -> RationalGF:
@@ -167,20 +166,20 @@ def gf_compositions() -> RationalGF:
     return RationalGF(num, den)
 
 
-# Series name -> (constructor in this module, whether it takes k, whether it
-# is a sequence in x alone).  Constructors are looked up by name on every
-# call, so replacing one in this module replaces it for every caller.
+# Series name -> (constructor in this module, whether it is a sequence in x
+# alone); compositions.TAKES_K names those that take k.  Constructors are
+# looked up by name on every call, so replacing one replaces it for all.
 SERIES = {
-    "arndt": ("gf_arndt", False, False),
-    "antipalindromic": ("gf_antipalindromic", False, False),
-    "reduced-ap": ("gf_reduced_ap", False, False),
-    "last-part": ("gf_last_part", False, False),
-    "total-parts": ("gf_total_parts", False, True),
-    "total-last": ("gf_total_last", False, True),
-    "k-arndt": ("gf_k_arndt", True, False),
-    "block-arndt": ("gf_k_block", True, False),
-    "distinct-parts": ("gf_distinct_parts", True, False),
-    "compositions": ("gf_compositions", False, False),
+    "arndt": ("gf_arndt", False),
+    "antipalindromic": ("gf_antipalindromic", False),
+    "reduced-ap": ("gf_reduced_ap", False),
+    "last-part": ("gf_last_part", False),
+    "total-parts": ("gf_total_parts", True),
+    "total-last": ("gf_total_last", True),
+    "k-arndt": ("gf_k_arndt", False),
+    "block-arndt": ("gf_k_block", False),
+    "distinct-parts": ("gf_distinct_parts", False),
+    "compositions": ("gf_compositions", False),
 }
 
 
@@ -188,10 +187,9 @@ def series_gf(name: str, k: Optional[int] = None) -> RationalGF:
     """The GF of a SERIES entry; pass k exactly when the entry takes one,
     and then an int, or get a ValueError (the rule of compositions.check_k).
     """
-    constructor, takes_k, _ = SERIES[name]
-    check_k("series", name, takes_k, k)
-    make = globals()[constructor]
-    return make(k) if takes_k else make()
+    make = globals()[SERIES[name][0]]
+    check_k("series", name, k)
+    return make() if k is None else make(k)
 
 
 def parts_series(family: Family) -> str:

@@ -17,7 +17,7 @@ from itertools import chain, islice, repeat, starmap
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import catalog, counting, formulas, verify
-from .compositions import ARNDT, FAMILY_KINDS, Family
+from .compositions import ARNDT, FAMILY_KINDS, TAKES_K, Family
 from .counting import BRUTE_FORCE_CAP, BruteForceCapExceeded
 from .series import DEFAULT_ORDER
 
@@ -180,14 +180,14 @@ def cmd_table(args, parser) -> int:
 
 
 def cmd_series(args, parser) -> int:
-    univariate = catalog.SERIES[args.name][2]
+    univariate = catalog.SERIES[args.name][1]
     try:
         gf = catalog.series_gf(args.name, args.k)
     except ValueError as exc:
         parser.error(str(exc))
     if args.format == "bfile" and not univariate:
         sequences = ", ".join(name for name, entry in catalog.SERIES.items()
-                              if entry[2])
+                              if entry[1])
         parser.error("the bfile format applies only to univariate "
                      f"sequences ({sequences})")
     series = gf.expand(args.n)
@@ -274,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "integer compositions.")
     sub = parser.add_subparsers(dest="command", required=True)
     size = _int_at_least(0)
-    k_kinds = "/".join(kind for kind, entry in FAMILY_KINDS.items()
-                       if entry[1])
+    k_kinds = "/".join(kind for kind in TAKES_K if kind in FAMILY_KINDS)
 
     p = sub.add_parser("enumerate",
                        help="list the members of a family at one weight")

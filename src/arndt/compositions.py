@@ -33,7 +33,7 @@ against reversed(comp) gives each mirrored pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import gt, ne, sub
+from operator import gt, lt, ne, sub
 from typing import Callable, Optional, Tuple
 
 
@@ -57,7 +57,7 @@ def is_k_block_arndt(comp, k: int) -> bool:
     does not fall on a multiple of k.
     """
     if k < 1:  # check_k owns the bound and its message
-        check_k("family", "block-arndt", True, k)
+        check_k("family", "block-arndt", k)
     return all(comp[j] > comp[j + 1]
                for j in range(len(comp) - 1) if (j + 1) % k)
 
@@ -97,46 +97,43 @@ def flip_class(comp) -> set:
     return out
 
 
-# Family kind or series name -> the smallest k it accepts, where there is
-# one: a block holds at least one part, a partition at least zero parts.
-K_AT_LEAST = {"block-arndt": 1, "distinct-parts": 0}
+# Family kind or series name -> its least k, None for any int; an absent
+# name takes no k.  A block holds at least one part, a partition at least 0.
+TAKES_K = {"k-arndt": None, "block-arndt": 1, "distinct-parts": 0}
 
 
-def check_k(what: str, name: str, takes_k: bool, k) -> None:
-    """The one k rule of families and series: a k exactly when `name` takes
-    one, and then an int (not a bool) no smaller than K_AT_LEAST[name].
+def check_k(what: str, name: str, k) -> None:
+    """The one k rule of families and series: a k exactly when `name` is in
+    TAKES_K, and then an int (not a bool) no smaller than its least k.
     `what` is "family" or "series"."""
-    if not takes_k and k is not None:
-        raise ValueError(f"{what} {name!r} takes no parameter k")
-    if takes_k and type(k) is not int:
+    if name not in TAKES_K:
+        if k is not None:
+            raise ValueError(f"{what} {name!r} takes no parameter k")
+    elif type(k) is not int:
         raise ValueError(f"{what} {name!r} needs an integer k")
-    least = K_AT_LEAST.get(name)
-    if least is not None and k < least:
-        raise ValueError(f"{what} {name!r} needs k >= {least}")
+    elif TAKES_K[name] is not None and k < TAKES_K[name]:
+        raise ValueError(f"{what} {name!r} needs k >= {TAKES_K[name]}")
 
 
-# Family kind -> (membership predicate, whether the kind takes a parameter k,
-# prefix bound or None, mirror rule or None).
+# Family kind -> (membership predicate, prefix bound or None, mirror
+# comparison or None).
 # The predicate defines the kind.  counting builds the members from the bound
-# or the mirror rule alone, and the tests hold those walks to the predicate.
+# or the comparison alone, and the tests hold those walks to the predicate.
 # A prefix bound maps k to (period, drop): the kind's members are exactly the
 # compositions in which every part at an index j with j % period != 0 is at
 # most the part before it minus drop ((1, 0) bounds no part).
-# A mirror rule is for the kinds that constrain mirrored pairs, which no
-# prefix decides: once the length l is fixed, a part p at an index
-# i >= l - l//2 is decided by its mirror m = c[l-1-i].  The rule maps (p, m)
-# to the largest part at most p allowed opposite m (below 1 if none): p != m
-# for anti-palindromic, p < m for reduced representatives.  A mirror rule
-# never allows p == m, so a mirrored pair weighs at least 3.
+# A mirror comparison is for the kinds that constrain mirrored pairs, which
+# no prefix decides: with the length l fixed, a part p at an index
+# i >= l - l//2 is allowed opposite its mirror m = c[l-1-i] when mirror(p, m)
+# holds: p != m for anti-palindromic, p < m for reduced representatives.
+# Neither allows p == m, so a mirrored pair weighs at least 3.
 FAMILY_KINDS = {
-    "arndt": (is_arndt, False, lambda k: (2, 1), None),
-    "k-arndt": (is_k_arndt, True, lambda k: (2, k + 1), None),
-    "block-arndt": (is_k_block_arndt, True, lambda k: (k, 1), None),
-    "antipalindromic": (is_antipalindromic, False, None,
-                        lambda p, m: p - (p == m)),
-    "reduced-ap": (is_reduced_ap_representative, False, None,
-                   lambda p, m: min(p, m - 1)),
-    "all": (lambda comp: True, False, lambda k: (1, 0), None),
+    "arndt": (is_arndt, lambda k: (2, 1), None),
+    "k-arndt": (is_k_arndt, lambda k: (2, k + 1), None),
+    "block-arndt": (is_k_block_arndt, lambda k: (k, 1), None),
+    "antipalindromic": (is_antipalindromic, None, ne),
+    "reduced-ap": (is_reduced_ap_representative, None, lt),
+    "all": (lambda comp: True, lambda k: (1, 0), None),
 }
 
 
@@ -154,15 +151,15 @@ class Family:
     # (period, drop) from the kind's prefix bound at this k, or None.
     bound: Optional[Tuple[int, int]] = field(init=False, repr=False,
                                              compare=False)
-    # The kind's mirror rule, or None.
-    mirror: Optional[Callable[[int, int], int]] = field(
+    # The kind's mirror comparison, or None.
+    mirror: Optional[Callable[[int, int], bool]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        test, takes_k, bound, mirror = FAMILY_KINDS[self.kind]
-        check_k("family", self.kind, takes_k, self.k)
+        test, bound, mirror = FAMILY_KINDS[self.kind]
+        check_k("family", self.kind, self.k)
         object.__setattr__(self, "_test", test)
         object.__setattr__(self, "bound",
                            None if bound is None else bound(self.k))

@@ -14,7 +14,7 @@ that leaves little weight is paired with the stored members of that weight.
 A family whose condition is on mirrored pairs is walked over prefixes with
 their allowed lengths, each block finished per length into a list (the last
 two parts in one loop) and sorted in C.  All paths yield in the same order.
-The bound or the mirror rule alone builds the members: no walk calls a
+The bound or the mirror comparison alone builds the members: no walk calls a
 predicate.  The predicates in compositions define the families, and the
 tests hold every walk to the predicate-filtered stream.  tally counts a
 block at a time, each tail list in C.
@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 # The two predicates are bound here only so that benchmarks/spans.py can
 # patch these names; nothing in this module calls them.
@@ -119,17 +119,15 @@ def _descend(n: int, family: Family, cap: Optional[int],
 
 
 def _mirrored_length(parts: List[int], rest: int, length: int,
-                     allow: Callable[[int, int], int],
-                     least: int) -> List[tuple]:
+                     above: bool, least: int) -> List[tuple]:
     """The tails of weight rest, in decreasing lex order, that extend
     `parts` to `length` parts whose parts at indices i >= length - length//2
-    are allowed opposite their mirror by the mirror rule `allow`, and whose
-    first-half parts are at least `least`, as one list.  Depth first, largest
-    part first: a part leaves 1 for each later slot and 1 more for each later
-    pair, and the last two, where both have a mirror, are x and rest - x in
-    one loop.  A rule is p != m or p < m: parts meet their mirror m in
-    comparisons, not calls.  Backtracking stays past the prefix."""
-    above = allow(2, 1) == 2  # whether parts above their mirror are allowed
+    differ from their mirror m, and are below it unless `above` (p != m or
+    p < m), and whose first-half parts are at least `least`, as one list.
+    Depth first, largest part first: a part leaves 1 for each later slot and
+    1 more for each later pair, and the last two, where both have a mirror,
+    are x and rest - x in one loop.  Parts meet their mirror in comparisons,
+    not calls.  Backtracking stays past the prefix."""
     pairs = length // 2
     free = length - pairs  # parts below this index have no mirror yet
     last = length - 1
@@ -174,15 +172,16 @@ def _mirrored_length(parts: List[int], rest: int, length: int,
 def _mirrored(n: int, family: Family,
               cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
     """Yield as blocks, in decreasing lex order, the members of weight n of
-    a family with a mirror rule.  Depth first, largest part first, over
-    prefixes with the lengths they allow, as in _mirrored_length; a new part
-    is tested against its mirror or `least` only, so a prefix that leaves
-    nothing is a member once a length fits it.  A nonempty prefix with at
-    most TAIL_WEIGHT left is finished for each length it allows, and its
-    tails are those runs sorted into one in C."""
+    a family with a mirror comparison.  Depth first, largest part first,
+    over prefixes with the lengths they allow, as in _mirrored_length; a new
+    part is tested against its mirror or `least` only, so a prefix that
+    leaves nothing is a member once a length fits it.  A nonempty prefix
+    with at most TAIL_WEIGHT left is finished for each length it allows, and
+    its tails are those runs sorted into one in C."""
     check_weight(n, cap)
-    allow = family.mirror
-    least = next((x for x in range(1, n + 1) if allow(n, x) >= 1), n + 1)
+    mirror = family.mirror
+    above = mirror(2, 1)  # whether parts above their mirror are allowed
+    least = 2 - above  # the least part opposite which another is allowed
 
     def walk(parts: tuple, rest: int, lengths: List[int]) -> Iterator[tuple]:
         i = len(parts)
@@ -191,7 +190,7 @@ def _mirrored(n: int, family: Family,
                     if (x == rest if l == i + 1 else
                         x <= rest - (l - 1 - i) - max(0, l // 2 - 1 - i))
                     and (x >= least if i < l // 2 else
-                         i < l - l // 2 or allow(x, parts[l - 1 - i]) == x)]
+                         i < l - l // 2 or mirror(x, parts[l - 1 - i]))]
             prefix, left = (*parts, x), rest - x
             if not fits:
                 continue
@@ -200,7 +199,7 @@ def _mirrored(n: int, family: Family,
             elif not left:
                 yield prefix, WHOLE
             elif tails := Stored(sorted(chain.from_iterable(
-                    _mirrored_length(prefix, left, length, allow, least)
+                    _mirrored_length(prefix, left, length, above, least)
                     for length in fits), reverse=True)):
                 yield prefix, tails
 
@@ -211,7 +210,7 @@ def family_blocks(n: int, family: Family,
                   cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
     """The members of a family at weight n, in the order of compositions_of,
     as (prefix, tails) blocks: the prefix joined to each tail, in order.
-    The family's bound or mirror rule builds them; no predicate is called.
+    The family's bound or mirror comparison builds them, not a predicate.
     Tails are WHOLE or a Stored list, which a walked family shares among
     its blocks with that weight left, and a mirrored one makes per block."""
     if family.mirror is None:

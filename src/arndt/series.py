@@ -146,7 +146,8 @@ class TruncatedSeries:
     def coefficient(self, n: int, m: int = 0) -> int:
         if n > self.order or m > self.order:
             raise LookupError(f"({n}, {m}) beyond truncation order {self.order}")
-        return self.row(n).get(m, 0)
+        row = self.rows[n] if n >= 0 else ()
+        return row[m] if 0 <= m < len(row) else 0
 
     def row(self, n: int) -> Dict[int, int]:
         """Nonzero coefficients of x^n, keyed by y-degree."""

@@ -161,15 +161,15 @@ def check_antipalindromic_doubling(lim: Limits):
 # series engine
 
 
-# The k each catalog constructor that takes one is checked at.
-_SAMPLE_K = {"gf_k_arndt": (-3, -1, 0, 1, 3), "gf_k_block": (1, 2, 3, 4),
-             "gf_distinct_parts": (0, 1, 2, 3)}
+# The k each series or family kind that takes one is checked at.
+_SAMPLE_K = {"k-arndt": (-3, -1, 0, 1, 3), "block-arndt": (1, 2, 3, 4),
+             "distinct-parts": (0, 1, 2, 3)}
 
 
 def _series(name: str, k: Optional[int] = None) -> Tuple[str, RationalGF]:
     """A catalog series, labelled by its constructor call."""
-    constructor, takes_k, _ = catalog.SERIES[name]
-    label = f"{constructor}({k})" if takes_k else constructor
+    constructor, _ = catalog.SERIES[name]
+    label = constructor if k is None else f"{constructor}({k})"
     return label, catalog.series_gf(name, k)
 
 
@@ -184,8 +184,7 @@ def _integer_rows(name: str, gf: RationalGF, order: int):
 
 def _catalog_gfs() -> List[Tuple[str, RationalGF]]:
     return [_series(name, k)
-            for name, (constructor, takes_k, _) in catalog.SERIES.items()
-            for k in (_SAMPLE_K[constructor] if takes_k else (None,))]
+            for name in catalog.SERIES for k in _SAMPLE_K.get(name, (None,))]
 
 
 @_check("series", "round-trip")

@@ -1,7 +1,8 @@
 """References for the fast paths: the membership predicates as generator
 expressions over indices, which the kernels in arndt.compositions are gated
 against; the successor-rule composition stream and the per-length mirrored
-walks merged in order, which the walks of arndt.counting are gated against;
+walks merged in order, each walk by its own mirror rule, which the walks of
+arndt.counting are gated against;
 the falling-factorial binomial, which arndt.formulas.gen_binomial is gated
 against; and the bijection's maps as loops over index pairs, which the
 slicing maps of arndt.bijection are gated against."""
@@ -63,6 +64,14 @@ def reference_compositions_of(n):
         cur.append(tail + 1)
 
 
+# The mirror rules of the reference walks, kept apart from the comparisons
+# in arndt.compositions.FAMILY_KINDS that the walks under test read: each
+# maps a part p and its mirror m to the largest part at most p allowed
+# opposite m (below 1 if none).
+MIRROR_RULES = {"antipalindromic": lambda p, m: p - (p == m),
+                "reduced-ap": lambda p, m: min(p, m - 1)}
+
+
 def reference_mirrored_length(n, length, allow):
     """The compositions of n with `length` parts whose parts at indices
     i >= length - length//2 are each allowed opposite their mirror by the
@@ -105,11 +114,13 @@ def reference_mirrored_length(n, length, allow):
 
 
 def reference_mirrored(n, family):
-    """The members of weight n of a family with a mirror rule, in
-    decreasing lex order: heapq.merge over the walks of each length."""
+    """The members of weight n of a family with a mirror rule in
+    MIRROR_RULES, in decreasing lex order: heapq.merge over the walks of
+    each length."""
     if n == 0:
         return iter([()])
-    return heapq.merge(*(reference_mirrored_length(n, length, family.mirror)
+    allow = MIRROR_RULES[family.kind]
+    return heapq.merge(*(reference_mirrored_length(n, length, allow)
                          for length in range(1, n + 1)), reverse=True)
 
 

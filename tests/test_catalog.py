@@ -7,7 +7,8 @@ from arndt.catalog import (gf_antipalindromic, gf_arndt, gf_distinct_parts,
                            gf_k_block_reference, gf_k_block_total_reference,
                            gf_last_part, gf_reduced_ap, gf_total_last,
                            gf_total_parts)
-from arndt.compositions import ANTIPALINDROMIC, REDUCED_AP, Family
+from arndt.compositions import (ANTIPALINDROMIC, FAMILY_KINDS, REDUCED_AP,
+                                TAKES_K, Family)
 from arndt.counting import count_by_last, count_by_parts
 from arndt.series import BivariatePolynomial, RationalGF
 from arndt.verify import _SAMPLE_K
@@ -148,6 +149,25 @@ def _k_block_by_gf_arithmetic(k):
     return partial / (RationalGF(one, one) - gf_distinct_parts(k))
 
 
+def _k_block_from_distinct_parts(k):
+    """gf_k_block assembled from the series J_j = gf_distinct_parts(j): each
+    J_j.num for j < k times prod_{j<l<=k} (1 - x^l), over J_k.den - J_k.num.
+    The construction that builds D_k = J_k.den once is gated against it."""
+    full = gf_distinct_parts(k)
+    num, tail = BivariatePolynomial.zero(), BivariatePolynomial.one()
+    for j in reversed(range(k)):
+        tail = tail * BivariatePolynomial({(0, 0): 1, (j + 1, 0): -1})
+        num = num + gf_distinct_parts(j).num * tail
+    return RationalGF(num, full.den - full.num)
+
+
+def test_k_block_equals_the_distinct_parts_assembly():
+    for k in range(1, 13):
+        gf, want = gf_k_block(k), _k_block_from_distinct_parts(k)
+        assert gf.num == want.num, k
+        assert gf.den == want.den, k
+
+
 def test_k_block_equals_rational_assembly():
     for k in range(1, 10):
         assert gf_k_block(k).series_equal(_k_block_by_gf_arithmetic(k)), k
@@ -163,8 +183,8 @@ def test_k_block_natural_denominator():
 
 
 def test_catalog_coefficients_are_ints():
-    for name, (constructor, takes_k, _) in catalog.SERIES.items():
-        for k in (_SAMPLE_K[constructor] if takes_k else (None,)):
+    for name in catalog.SERIES:
+        for k in _SAMPLE_K.get(name, (None,)):
             series = catalog.series_gf(name, k).expand(16)
             coeffs = series.as_polynomial().terms()
             assert coeffs, (name, k)
@@ -173,8 +193,7 @@ def test_catalog_coefficients_are_ints():
 
 @pytest.mark.parametrize("name", list(catalog.SERIES))
 def test_series_gf_takes_k_exactly_when_the_entry_does(name):
-    _, takes_k, _ = catalog.SERIES[name]
-    if takes_k:
+    if name in TAKES_K:
         for k in (None, 1.5, "2", True):
             with pytest.raises(ValueError,
                                match=f"^series '{name}' needs an integer k$"):
@@ -206,3 +225,11 @@ def test_the_lower_bound_of_k_has_one_message(name, least):
                            match=f"^series '{name}' needs k >= {least}$"):
             make(least - 1)
     assert catalog.series_gf(name, least).expand(3).integer_rows()
+
+
+def test_every_name_that_takes_k_is_a_family_kind_or_a_series():
+    assert set(TAKES_K) <= set(FAMILY_KINDS) | set(catalog.SERIES)
+
+
+def test_verify_samples_k_for_exactly_the_series_that_take_it():
+    assert set(_SAMPLE_K) == set(catalog.SERIES) & set(TAKES_K)

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import TABLE_LAST, TABLE_PARTS
 from arndt import cli, counting, formulas, verify
-from arndt.compositions import ALL_COMPOSITIONS, ANTIPALINDROMIC, REDUCED_AP
+from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC,
+                                FAMILY_KINDS, REDUCED_AP, TAKES_K)
 
 
 def run(capsys, *argv):
@@ -641,3 +642,15 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "catalog", "--max-n", "8")
     assert code == 1
     assert "FAIL" in out and "gf_arndt" in out
+
+
+def test_enumerate_help_names_the_family_kinds_that_take_k(capsys,
+                                                           monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside the help line
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["enumerate", "--help"])
+    assert exit_.value.code == 0
+    line, = [line for line in capsys.readouterr().out.splitlines()
+             if line.lstrip().startswith("--k K")]
+    named = line.split("parameter for ", 1)[1].split("/")
+    assert sorted(named) == sorted(set(FAMILY_KINDS) & set(TAKES_K))

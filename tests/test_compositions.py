@@ -1,8 +1,10 @@
+from operator import lt, ne
+
 import pytest
 
-from arndt.compositions import (ANTIPALINDROMIC, ARNDT, Family, flip_class,
-                                is_antipalindromic, is_arndt, is_k_arndt,
-                                is_k_block_arndt,
+from arndt.compositions import (ANTIPALINDROMIC, ARNDT, FAMILY_KINDS, Family,
+                                flip_class, is_antipalindromic, is_arndt,
+                                is_k_arndt, is_k_block_arndt,
                                 is_reduced_ap_representative)
 from arndt.counting import compositions_of
 from conftest import BLOCK_WALKED, block_period
@@ -128,3 +130,11 @@ def test_a_composition_splits_at_each_block_end(family, references_to_16):
     assert [(c[:j], c[j:]) for c in comps for j in range(step, len(c), step)
             if (c in members) != (c[:j] in members and c[j:] in members)
             ] == []
+
+
+def test_every_mirror_is_a_comparison_the_walk_implements():
+    # counting._mirrored_length compares a part with its mirror in line, as
+    # p != m, or as p < m where parts above their mirror are refused.
+    mirrors = [mirror for _, _, mirror in FAMILY_KINDS.values() if mirror]
+    assert mirrors
+    assert all(mirror is ne or mirror is lt for mirror in mirrors), mirrors

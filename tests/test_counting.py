@@ -17,11 +17,8 @@ from arndt.formulas import CountTriangle, fibonacci
 from arndt.verify import _SAMPLE_K
 
 # Every family kind, the parameterised ones at the k values verify samples.
-_KIND_K = {"k-arndt": _SAMPLE_K["gf_k_arndt"],
-           "block-arndt": _SAMPLE_K["gf_k_block"]}
-EVERY_FAMILY = [Family(kind, k)
-                for kind, (_, takes_k, *_) in FAMILY_KINDS.items()
-                for k in (_KIND_K[kind] if takes_k else (None,))]
+EVERY_FAMILY = [Family(kind, k) for kind in FAMILY_KINDS
+                for k in _SAMPLE_K.get(kind, (None,))]
 
 
 def test_compositions_of_4_order():

@@ -1,5 +1,6 @@
 """RationalGF.expand, which stores rows and fills each row only as far as
-it can reach, against the sparse full-square expansion it replaced; and the
+it can reach, against the sparse full-square expansion it replaced; the
+stored cell that TruncatedSeries.coefficient reads, against row(n); and the
 ints that polynomials and catalog expansions hold."""
 
 from fractions import Fraction
@@ -73,6 +74,17 @@ def test_rows_stop_where_they_can_reach():
     assert sum(len(row) for row in univariate.rows) <= 801
     for n, row in enumerate(gf_arndt().expand(40).rows):
         assert len(row) <= n + 1, n
+
+
+@pytest.mark.parametrize(
+    "gf", [pytest.param(gf, id=name) for name, gf in verify._catalog_gfs()])
+def test_coefficient_reads_the_cell_of_its_row(gf):
+    order = 24
+    series = gf.expand(order)
+    for n in range(-2, order + 1):
+        row = series.row(n)
+        for m in range(-2, order + 1):
+            assert series.coefficient(n, m) == row.get(m, 0), (n, m)
 
 
 def test_negative_indices_read_zero():

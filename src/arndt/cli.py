@@ -126,7 +126,7 @@ def _grid_lines(rows: List[Tuple[int, Dict[int, int]]]) -> Iterator[str]:
     """An aligned grid; each row runs to its last nonzero column."""
     max_m = max((max(row) for _, row in rows if row), default=0)
     width = max([len(str(max_m)), len("n\\m")]
-                + [len(str(v)) for _, row in rows for v in row.values()])
+                + [len(str(v)) for n, row in rows for v in (n, *row.values())])
     yield "  ".join(["n\\m".rjust(width)]
                     + [str(m).rjust(width) for m in range(max_m + 1)])
     for n, row in rows:

@@ -19,9 +19,9 @@ predicate.  The predicates in compositions define the families, and the
 tests hold every walk to the predicate-filtered stream.  tally counts a
 block at a time, each tail list in C.
 
-Counts are exact Python ints (unbounded).  A default cap refuses weights
-beyond BRUTE_FORCE_CAP on every path unless the caller raises it;
-check_weight is that one guard.
+Counts are exact Python ints (unbounded).  check_weight refuses weights
+beyond a cap, BRUTE_FORCE_CAP by default, on every path; only
+compositions_of, family_blocks, family_members and tally let a caller set it.
 """
 
 from __future__ import annotations
@@ -169,8 +169,7 @@ def _mirrored_length(parts: List[int], rest: int, length: int,
             return tails
 
 
-def _mirrored(n: int, family: Family,
-              cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
+def _mirrored(n: int, family: Family, cap: Optional[int]) -> Iterator[tuple]:
     """Yield as blocks, in decreasing lex order, the members of weight n of
     a family with a mirror comparison.  Depth first, largest part first,
     over prefixes with the lengths they allow, as in _mirrored_length; a new
@@ -250,31 +249,28 @@ def tally(n: int, family: Family, statistic: str,
     return dict(row)
 
 
-def count_by_parts(n: int, family: Family = ARNDT,
-                   cap: Optional[int] = BRUTE_FORCE_CAP) -> Dict[int, int]:
+def count_by_parts(n: int, family: Family = ARNDT) -> Dict[int, int]:
     """Family members of weight n tallied by number of parts."""
-    return tally(n, family, "parts", cap)
+    return tally(n, family, "parts")
 
 
-def count_by_last(n: int, family: Family = ARNDT,
-                  cap: Optional[int] = BRUTE_FORCE_CAP) -> Dict[int, int]:
+def count_by_last(n: int, family: Family = ARNDT) -> Dict[int, int]:
     """Family members of weight n tallied by last part (0 for the empty one)."""
-    return tally(n, family, "last", cap)
+    return tally(n, family, "last")
 
 
-def total_parts(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> int:
+def total_parts(n: int) -> int:
     """Sum of the number of parts over all Arndt compositions of n."""
-    return sum(m * c for m, c in tally(n, ARNDT, "parts", cap).items())
+    return sum(m * c for m, c in tally(n, ARNDT, "parts").items())
 
 
-def total_last(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> int:
+def total_last(n: int) -> int:
     """Sum of the last part over all Arndt compositions of n (0 for ())."""
-    return sum(m * c for m, c in tally(n, ARNDT, "last", cap).items())
+    return sum(m * c for m, c in tally(n, ARNDT, "last").items())
 
 
-def reduced_antipalindromic(n: int,
-                            cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
+def reduced_antipalindromic(n: int) -> Iterator[tuple]:
     """The canonical representative of each flip class of weight n: the
     compositions of n whose mirrored pairs all descend from the left, one
     per flip class of anti-palindromic compositions."""
-    return family_members(n, REDUCED_AP, cap)
+    return family_members(n, REDUCED_AP)

@@ -1,8 +1,8 @@
 """Acceptance gate: every release-blocking property, one test per criterion.
 
 Each test prints a single PASS line (visible under pytest -s or in the
-captured output); a failing assertion marks the criterion red.  Tolerances
-are fixed here and nowhere else.
+captured output); a failing assertion marks the criterion red.  The
+tolerances are stated here independently of the ones verify states.
 """
 
 import math

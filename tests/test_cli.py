@@ -254,6 +254,18 @@ def test_series_arndt_order_zero(capsys):
     assert parse_plain_triangle(out) == {0: {0: 1}}
 
 
+def test_grid_label_column_fits_the_largest_n(capsys):
+    # every cell is 0 or 1, so only the row labels 1000 and 1001 need width 4
+    code, out, _ = run(capsys, "series", "distinct-parts", "--k", "1",
+                       "--N", "1001")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1003
+    label_ends = {line.index(line.split()[0]) + len(line.split()[0])
+                  for line in lines}
+    assert label_ends == {4}
+
+
 def test_series_k_arndt_negative(capsys):
     code, out, _ = run(capsys, "series", "k-arndt", "--k", "-3", "--N", "4")
     assert code == 0

@@ -1,8 +1,8 @@
 import pytest
 
-from arndt import asymptotics, catalog, formulas
+from arndt import asymptotics, catalog, formulas, verify
 from arndt.series import BivariatePolynomial, RationalGF
-from arndt.verify import Limits, run_checks
+from arndt.verify import run_checks
 
 
 def test_all_checks_pass_at_reduced_scale():
@@ -41,10 +41,52 @@ def test_unknown_scope():
         run_checks("nonsense")
 
 
-def test_limits_clamp():
-    assert Limits(None).upto(40) == 40
-    assert Limits(10).upto(40) == 10
-    assert Limits(50).upto(40) == 40
+@pytest.mark.parametrize("max_n, want", [(None, 40), (10, 10), (50, 40)])
+def test_max_n_clamps_each_default_range(monkeypatch, max_n, want):
+    monkeypatch.setattr(verify, "CHECKS",
+                        [("spy", "range", lambda upto: upto(40))])
+    [result] = run_checks("all", max_n)
+    assert result.cases == want
+
+
+# The comparisons each check makes at its default range; a change to a
+# range or to what a check compares shows here.
+DEFAULT_CASES = {
+    "compositions.family-coincidences": 36864,
+    "compositions.flip-classes": 2862,
+    "counting.stream": 52,
+    "counting.fibonacci-totals": 44,
+    "counting.reduced-ap-rows": 15,
+    "counting.antipalindromic-doubling": 53,
+    "series.round-trip": 20,
+    "series.integrality": 20,
+    "series.expand-linearity": 1352,
+    "series.poly-associativity": 10,
+    "catalog.brute-agreement": 214,
+    "catalog.reduced-equals-arndt": 2,
+    "catalog.derivative-identities": 2,
+    "catalog.block-references": 6,
+    "catalog.k-arndt-y1": 11,
+    "catalog.block2-equals-arndt": 31,
+    "formulas.four-way-agreement": 876,
+    "formulas.wz-residual": 943,
+    "formulas.row-sums": 80,
+    "formulas.fibonacci-double-sums": 80,
+    "formulas.last-closed-forms": 977,
+    "formulas.totals": 122,
+    "bijection.round-trip-bijective": 20334,
+    "asymptotics.fibonacci-gf": 20,
+    "asymptotics.total-parts-gf": 4,
+    "asymptotics.parts-count-ratio": 2,
+    "asymptotics.last-count-ratio": 3,
+    "asymptotics.expected-values": 4,
+}
+
+
+def test_each_check_compares_its_pinned_cases_at_the_default_range():
+    results = run_checks("all")
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    assert {r.name: r.cases for r in results} == DEFAULT_CASES
 
 
 def test_corrupted_catalog_is_caught(monkeypatch):

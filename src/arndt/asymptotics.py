@@ -13,7 +13,6 @@ stay exact (Fraction) and only their limits are floating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .formulas import fibonacci, total_last_closed, total_parts_closed
@@ -28,19 +27,22 @@ EXPECTED_LAST_LIMIT = math.sqrt(5)
 _ROOT_TOLERANCE = 1e-8
 
 
-@dataclass(frozen=True)
 class PoleSpec:
     """Growth base beta and multiplicity nu of the pole at 1/beta."""
 
-    beta: float
-    multiplicity: int = 1
+    __slots__ = ("beta", "multiplicity")
 
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"growth base must be positive, got {self.beta}")
-        if self.multiplicity < 1:
-            raise ValueError(
-                f"multiplicity must be >= 1, got {self.multiplicity}")
+    def __init__(self, beta: float, multiplicity: int = 1):
+        if beta <= 0:
+            raise ValueError(f"growth base must be positive, got {beta}")
+        if multiplicity < 1:
+            raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
+        self.beta = beta
+        self.multiplicity = multiplicity
+
+    def __repr__(self):
+        return (f"PoleSpec(beta={self.beta!r}, "
+                f"multiplicity={self.multiplicity!r})")
 
 
 def dominant_asymptotic(gf: RationalGF, pole: PoleSpec, n: int) -> float:

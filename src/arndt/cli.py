@@ -122,11 +122,20 @@ def _write_triangle(rows: Iterable[Tuple[int, Dict[int, int]]], fmt: str):
             write(json.dumps({"n": n, "counts": counts}) + "\n")
 
 
+def _grid_width(rows: List[Tuple[int, Dict[int, int]]], max_m: int) -> int:
+    """The width of the widest text in the grid of _grid_lines: of a label,
+    or of the largest or the most negative cell, as no other int's text is
+    longer."""
+    cells = [end(row.values()) for _, row in rows if row for end in (max, min)]
+    widest = [max_m, *(n for n, _ in rows)] + (
+        [max(cells), min(cells)] if cells else [])
+    return max(len("n\\m"), *(len(str(v)) for v in widest))
+
+
 def _grid_lines(rows: List[Tuple[int, Dict[int, int]]]) -> Iterator[str]:
     """An aligned grid; each row runs to its last nonzero column."""
     max_m = max((max(row) for _, row in rows if row), default=0)
-    width = max([len(str(max_m)), len("n\\m")]
-                + [len(str(v)) for n, row in rows for v in (n, *row.values())])
+    width = _grid_width(rows, max_m)
     yield "  ".join(["n\\m".rjust(width)]
                     + [str(m).rjust(width) for m in range(max_m + 1)])
     for n, row in rows:
@@ -212,38 +221,42 @@ def _load_reference(name: str) -> Tuple[dict, Dict[int, int]]:
     return meta, prefix
 
 
-def _bfile_values(name: str, count: int) -> List[Tuple[int, int]]:
-    if name == "arndt-total":
-        return [(n, formulas.fibonacci(n)) for n in range(1, count + 1)]
-    if name == "last-sum":
-        return [(n, formulas.total_last_closed(n)) for n in range(1, count + 1)]
-    # parts-triangle-flat: row n >= 1 runs over m = 1..(2n + 1) // 3, the
-    # most parts an Arndt composition of n can have; rows are drawn only
-    # until `count` terms are out.
+def _bfile_values(name: str, count: int) -> Iterable[Tuple[int, object]]:
+    """(n, term n) for n = 1..count, each drawn when it is needed; a closed
+    form's terms are given as their decimal text."""
+    if name != "parts-triangle-flat":
+        return formulas.closed_form_texts(name, count)
+    # Row n >= 1 runs over m = 1..(2n + 1) // 3, the most parts an Arndt
+    # composition of n can have; rows are drawn only until `count` terms are
+    # out.
     flat = chain.from_iterable(
         map(row.get, range(1, (2 * n + 1) // 3 + 1), repeat(0))
         for n, row in formulas.parts_rows_by_recurrence(count) if n)
-    return list(enumerate(islice(flat, count), start=1))
+    return enumerate(islice(flat, count), start=1)
 
 
 def cmd_bfile(args, parser) -> int:
     values = _bfile_values(args.sequence, args.n)
-    _write_lines(_sequence_lines(values, "plain"))
     if not args.check:
+        _write_lines(_sequence_lines(values, "plain"))
         return 0
     meta, prefix = _load_reference(args.sequence)
-    compared = 0
-    for n, v in values:
-        if n not in prefix:
-            continue
-        if prefix[n] != v:
+    covered = []  # the terms that the prefix covers, checked once written
+
+    def keep(term):
+        if term[0] in prefix:
+            covered.append(term)
+        return term
+
+    _write_lines(_sequence_lines(map(keep, values), "plain"))
+    for n, v in covered:
+        if str(prefix[n]) != str(v):
             print(f"error: {args.sequence} differs from {meta['a_number']} "
                   f"at index {n}: computed {v}, reference {prefix[n]}",
                   file=sys.stderr)
             return 3
-        compared += 1
-    print(f"checked {compared} terms against the {meta['a_number']} prefix: OK",
-          file=sys.stderr)
+    print(f"checked {len(covered)} terms against the {meta['a_number']} "
+          "prefix: OK", file=sys.stderr)
     return 0
 
 
@@ -331,11 +344,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact terms may run past the interpreter's limit on the digits of an
+    # int's text (0 where there is none); the limit stays on for the parsing
+    # of user input above.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, parser)
     except BruteForceCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry():

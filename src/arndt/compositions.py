@@ -32,7 +32,6 @@ against reversed(comp) gives each mirrored pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import gt, lt, ne, sub
 from typing import Callable, Optional, Tuple
 
@@ -137,38 +136,45 @@ FAMILY_KINDS = {
 }
 
 
-@dataclass(frozen=True)
 class Family:
     """A composition family: a kind from FAMILY_KINDS, with the integer k
     that kind requires.  Kind 'all' is the unrestricted family (every
-    composition is a member).
+    composition is a member).  Families are equal, and hash alike, when
+    their kind and k are.
     """
 
-    kind: str
-    k: Optional[int] = None
-    # The kind's predicate, looked up once: member() runs per composition.
-    _test: Callable = field(init=False, repr=False, compare=False)
-    # (period, drop) from the kind's prefix bound at this k, or None.
-    bound: Optional[Tuple[int, int]] = field(init=False, repr=False,
-                                             compare=False)
-    # The kind's mirror comparison, or None.
-    mirror: Optional[Callable[[int, int], bool]] = field(
-        init=False, repr=False, compare=False)
+    __slots__ = ("kind", "k", "_test", "bound", "mirror")
 
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        test, bound, mirror = FAMILY_KINDS[self.kind]
-        check_k("family", self.kind, self.k)
-        object.__setattr__(self, "_test", test)
-        object.__setattr__(self, "bound",
-                           None if bound is None else bound(self.k))
-        object.__setattr__(self, "mirror", mirror)
+    def __init__(self, kind: str, k: Optional[int] = None):
+        if kind not in FAMILY_KINDS:
+            raise ValueError(f"unknown family kind {kind!r}")
+        test, bound, mirror = FAMILY_KINDS[kind]
+        check_k("family", kind, k)
+        self.kind = kind
+        self.k = k
+        # The kind's predicate, looked up once: member() runs per composition.
+        self._test = test
+        # (period, drop) from the kind's prefix bound at this k, or None.
+        self.bound: Optional[Tuple[int, int]] = (
+            None if bound is None else bound(k))
+        # The kind's mirror comparison, or None.
+        self.mirror: Optional[Callable[[int, int], bool]] = mirror
 
     def member(self, comp) -> bool:
         if self.k is None:
             return self._test(comp)
         return self._test(comp, self.k)
+
+    def __eq__(self, other):
+        if type(other) is not Family:
+            return NotImplemented
+        return (self.kind, self.k) == (other.kind, other.k)
+
+    def __hash__(self):
+        return hash((self.kind, self.k))
+
+    def __repr__(self):
+        return f"Family(kind={self.kind!r}, k={self.k!r})"
 
     def __str__(self):
         if self.k is None:

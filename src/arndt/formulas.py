@@ -3,15 +3,21 @@
 Everything here is exact integer arithmetic: Fibonacci/Lucas caches,
 generalised binomial sums, the three-term recurrence triangle (held in this
 module's CountTriangle), and the Fibonacci and Lucas closed forms for the
-last-part statistic and for the totals.  This route imports neither the
-brute-force nor the series modules: no composition is enumerated and no
-generating function is expanded here.  Agreement with those two routes is
-established in the verification suite.
+last-part statistic and for the totals.  The one exception is the text of
+long b-file terms: closed_form_texts runs the Fibonacci and Lucas
+recurrences in exact decimal arithmetic, under this module's _EXACT context,
+because a Decimal prints in time linear in its digits where an int takes
+quadratic time; only the text leaves this module.  This route imports
+neither the brute-force nor the series modules: no composition is
+enumerated and no generating function is expanded here.  Agreement with
+those two routes is established in the verification suite.
 """
 
 from __future__ import annotations
 
+import decimal
 from math import comb
+from operator import add
 from typing import Dict, Iterator, Optional, Tuple
 
 
@@ -185,8 +191,21 @@ def last_count(n: int, m: int) -> int:
 
 
 def last_row(n: int) -> Dict[int, int]:
-    """Row n of the last-part triangle, {m: last_count(n, m)} without zeros."""
-    return {m: v for m in range(n + 1) if (v := last_count(n, m))}
+    """Row n of the last-part triangle, {m: last_count(n, m)} without zeros.
+
+    The row is built whole from last_count's two kernels, each a slice of
+    the Fibonacci cache: for m = 1..n the first kernel at n - m runs
+    F(n-3), ..., F(0), 0, 1, and the second at n - 2m runs F(n-3), F(n-5),
+    ..., F(1 or 2), then 1 when n is odd.
+    """
+    if n == 0:
+        return {0: 1}
+    fibonacci(n)  # the cache now holds every index read below
+    cells = ([1, 0] + _FIB[:max(n - 2, 0)])[n - 1::-1]
+    if n >= 3:
+        second = _FIB[n - 3:0:-2] + [1] * (n % 2)
+        cells[:len(second)] = map(add, cells, second)
+    return {m: v for m, v in enumerate(cells, 1) if v}
 
 
 def last_count_at_most(n: int, k: int) -> int:
@@ -241,3 +260,33 @@ def total_last_closed(n: int) -> int:
     if n == 0:
         return 0
     return lucas(n) - (n % 2 == 0)
+
+
+# The exact context of closed_form_texts: no sum of integers is rounded at
+# this precision and exponent range, and Inexact is trapped to prove it.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+           decimal.Overflow, decimal.Inexact])
+
+# B-file sequence -> (s(0), s(1), amount taken off the even terms) of
+# closed_form_texts: the Arndt totals are F(n), and the sums of last parts
+# are L(n) - 1 at even n >= 2 and L(n) at odd n, as in total_last_closed.
+_TEXT_RECURRENCES = {"arndt-total": (0, 1, 0), "last-sum": (2, 1, 1)}
+
+
+def closed_form_texts(sequence: str, count: int) -> Iterator[Tuple[int, str]]:
+    """(n, decimal text of term n) for n = 1..count of "arndt-total"
+    (fibonacci(n)) or "last-sum" (total_last_closed(n)), each as soon as it
+    is computed.
+
+    The recurrence s(n) = s(n-1) + s(n-2) runs in Decimal under _EXACT,
+    whose methods do every operation, so no term depends on the thread's
+    current context.
+    """
+    before, term, even_drop = map(decimal.Decimal,
+                                  _TEXT_RECURRENCES[sequence])
+    for n in range(1, count + 1):
+        yield n, str(_EXACT.subtract(term, even_drop)
+                     if even_drop and n % 2 == 0 else term)
+        before, term = term, _EXACT.add(before, term)

@@ -157,9 +157,18 @@ class TruncatedSeries:
 
     def integer_rows(self, require_nonnegative: bool = True
                      ) -> Dict[int, Dict[int, int]]:
-        """All rows as ints, raising if any coefficient fails integrality."""
+        """All rows as ints, raising if any coefficient fails integrality.
+
+        A row of ints, nonnegative where required, passes by a check in C;
+        any other row is gone through cell by cell, which makes an integral
+        Fraction an int and names the first cell that fails.
+        """
         rows = {n: self.row(n) for n in range(self.order + 1)}
         for n, row in rows.items():
+            cells = row.values()
+            if set(map(type, cells)) <= {int} and not (
+                    require_nonnegative and min(cells, default=0) < 0):
+                continue
             for m, v in row.items():
                 if v.denominator != 1:
                     raise ValueError(

@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import asymptotics, bijection, catalog, counting, formulas
 from .compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
@@ -36,8 +35,7 @@ class CheckFailed(Exception):
     """A cross-validation property does not hold."""
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

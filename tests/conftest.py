@@ -6,6 +6,8 @@ composition lists are the published worked examples.  Everything else in the
 tests is computed by an independent route before being asserted.
 """
 
+import sys
+
 import pytest
 
 from arndt.compositions import ALL_COMPOSITIONS, ARNDT, Family
@@ -97,3 +99,13 @@ BLOCK3_ARNDT_OF_10 = {(10,), (9, 1), (8, 2), (7, 3), (7, 2, 1), (6, 4),
 # Number of k-block Arndt compositions of n for k = 3 and 4, n from 0.
 BLOCK3_TOTALS = [1, 1, 1, 2, 2, 3, 4, 6, 8, 13]
 BLOCK4_TOTALS = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
+
+
+@pytest.fixture
+def unlimited_int_text():
+    """Lift the interpreter's limit on the digits of an int's text for one
+    test, so that a reference term of any length can be printed."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)

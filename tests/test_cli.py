@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import sys
 import weakref
 from collections import Counter
 
@@ -337,6 +338,46 @@ def test_bfile_parts_triangle_flat_builds_only_needed_rows(capsys,
     assert drawn and len(drawn) <= 80
 
 
+def test_bfile_streams_its_terms(capsys, monkeypatch):
+    real = formulas.closed_form_texts
+    seen = []
+
+    def spy(sequence, count):
+        for n, text in real(sequence, count):
+            if n == count:
+                # the first line is on stdout before the last term is drawn
+                seen.append(capsys.readouterr().out)
+            yield n, text
+
+    monkeypatch.setattr(formulas, "closed_form_texts", spy)
+    code, rest, _ = run(capsys, "bfile", "arndt-total", "--N", "5000")
+    assert code == 0
+    assert seen and seen[0].startswith("1 1\n2 1\n")
+    assert len((seen[0] + rest).splitlines()) == 5000
+
+
+@pytest.mark.parametrize("argv, first, closed_form", [
+    (("bfile", "arndt-total", "--N", "21000"), 1, formulas.fibonacci),
+    (("series", "total-last", "--N", "20600", "--format", "bfile"), 0,
+     formulas.total_last_closed)], ids=["bfile", "series"])
+def test_terms_past_the_int_digit_limit_are_printed(capsys, argv, first,
+                                                    closed_form,
+                                                    unlimited_int_text):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        code, out, err = run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 4300  # restored by main
+    finally:
+        sys.set_int_max_str_digits(limit)
+    lines = out.splitlines()
+    last = int(argv[argv.index("--N") + 1])
+    assert (code, err) == (0, "")
+    assert len(lines) == last - first + 1
+    assert lines[-1] == f"{last} {closed_form(last)}"
+    assert len(lines[-1]) > 4300
+
+
 def test_bfile_empty(capsys):
     # a b-file of zero terms is refused rather than checked vacuously
     for sequence in ("arndt-total", "parts-triangle-flat", "last-sum"):
@@ -578,7 +619,8 @@ def test_series_bfile_format(capsys):
 
 
 def test_bfile_mismatch_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(formulas, "total_last_closed", lambda n: 999)
+    monkeypatch.setattr(formulas, "closed_form_texts", lambda sequence, count:
+                        ((n, "999") for n in range(1, count + 1)))
     code, _, err = run(capsys, "bfile", "last-sum", "--N", "5", "--check")
     assert code == 3
     assert "index 1" in err

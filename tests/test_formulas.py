@@ -1,13 +1,16 @@
+import decimal
+
 import pytest
 
 from conftest import TABLE_LAST, TABLE_PARTS
 from reference_predicates import reference_gen_binomial
 from arndt.catalog import gf_arndt, gf_last_part
 from arndt.counting import total_last, total_parts
-from arndt.formulas import (fibonacci, fibonacci_from_alternating_sum,
+from arndt.formulas import (closed_form_texts, fibonacci,
+                            fibonacci_from_alternating_sum,
                             fibonacci_from_positive_sum, gen_binomial,
                             last_count, last_count_at_least,
-                            last_count_at_most, lucas,
+                            last_count_at_most, last_row, lucas,
                             parts_count_alternating, parts_count_positive,
                             parts_triangle_by_recurrence, total_last_closed,
                             total_parts_closed, wz_residual)
@@ -118,6 +121,29 @@ def test_last_count_matches_series():
     for n in range(41):
         got = {m: v for m in range(n + 1) if (v := last_count(n, m))}
         assert got == rows[n]
+
+
+def test_last_row_equals_its_cells_by_last_count():
+    for n in range(601):
+        assert last_row(n) == {m: v for m in range(n + 1)
+                               if (v := last_count(n, m))}, n
+
+
+@pytest.mark.parametrize("sequence, closed_form", [
+    ("arndt-total", fibonacci), ("last-sum", total_last_closed)])
+def test_closed_form_texts_equal_the_int_closed_forms(sequence, closed_form,
+                                                     unlimited_int_text):
+    texts = list(closed_form_texts(sequence, 20590))
+    assert [n for n, _ in texts] == list(range(1, 20591))
+    for n, text in texts[:5000] + texts[20569:]:
+        assert text == str(closed_form(n)), n
+    assert len(texts[-1][1]) > 4300  # past the default digit limit
+
+
+def test_closed_form_texts_ignore_the_current_decimal_context():
+    with decimal.localcontext(decimal.Context(prec=5)):
+        texts = dict(closed_form_texts("last-sum", 200))
+    assert texts[200] == str(total_last_closed(200))
 
 
 def test_cumulative_counts():

@@ -1,6 +1,7 @@
 """Hypothesis properties against independent oracles: the predicate kernels
 against their generator-expression references on arbitrary int tuples, the
-split of a member at a block end, the prefix-bound walks at any k against
+split of a member at a block end, the plain grid's column width against
+its width over every cell, the prefix-bound walks at any k against
 the predicate-filtered stream, the mirrored block walks against the merged
 per-length walks, and the bijection against pairs laid out by hand."""
 
@@ -9,6 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from arndt import cli
 from arndt.bijection import arndt_to_reduced_ap, reduced_ap_to_arndt
 from arndt.compositions import (ANTIPALINDROMIC, REDUCED_AP, Family,
                                 is_arndt, is_reduced_ap_representative)
@@ -105,3 +107,19 @@ def test_bijection_round_trips_on_pairs_laid_out_by_hand(drawn):
     assert reduced_ap_to_arndt(reduced) == arndt
     assert reduced_ap_to_arndt(arndt_to_reduced_ap(arndt)) == arndt
     assert arndt_to_reduced_ap(reduced_ap_to_arndt(reduced)) == reduced
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 30),
+                                st.integers(-10 ** 12, 10 ** 12)
+                                | st.integers(-99, 99), max_size=8),
+                max_size=12),
+       st.integers(0, 10 ** 4))
+def test_grid_width_equals_the_width_over_every_cell(rows, first):
+    # Rows at increasing weights from `first`, with negative cells and
+    # empty rows included.
+    rows = list(enumerate(rows, first))
+    max_m = max((max(row) for _, row in rows if row), default=0)
+    every_cell = max([len(str(max_m)), len("n\\m")]
+                     + [len(str(v)) for n, row in rows
+                        for v in (n, *row.values())])
+    assert cli._grid_width(rows, max_m) == every_cell

@@ -6,7 +6,7 @@ from arndt.catalog import (gf_arndt, gf_compositions, gf_distinct_parts,
                            gf_last_part, gf_total_last, gf_total_parts)
 from arndt.compositions import ALL_COMPOSITIONS
 from arndt.counting import count_by_parts
-from arndt.series import BivariatePolynomial, RationalGF
+from arndt.series import BivariatePolynomial, RationalGF, TruncatedSeries
 
 
 def poly(*terms):
@@ -104,6 +104,29 @@ def test_integer_rows_validation():
     with pytest.raises(ValueError):
         g.expand(2).integer_rows()
     assert g.expand(2).integer_rows(require_nonnegative=False)[1] == {0: -1}
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1], [0, 2, Fraction(1, 2), -3]],
+     "coefficient at (1, 2) is 1/2, not an integer"),
+    ([[1], [0, -2, Fraction(1, 2)]], "coefficient at (1, 1) is negative: -2"),
+    ([[Fraction(-4, 2)], [Fraction(1, 3)]],
+     "coefficient at (0, 0) is negative: -2"),
+])
+def test_integer_rows_names_the_first_cell_that_fails(rows, message):
+    with pytest.raises(ValueError) as exc:
+        TruncatedSeries(1, rows).integer_rows()
+    assert str(exc.value) == message
+
+
+def test_integer_rows_makes_integral_fractions_ints():
+    series = TruncatedSeries(1, [[Fraction(4, 2)], [3, Fraction(-5, 1)]])
+    with pytest.raises(ValueError, match=r"^coefficient at \(1, 1\) is "
+                                         r"negative: -5$"):
+        series.integer_rows()
+    rows = series.integer_rows(require_nonnegative=False)
+    assert rows == {0: {0: 2}, 1: {0: 3, 1: -5}}
+    assert {type(v) for row in rows.values() for v in row.values()} == {int}
 
 
 def test_sequence_rejects_bivariate():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .compositions import ALL_COMPOSITIONS, Family, check_k
+from .compositions import ALL_COMPOSITIONS, ARNDT, Family, check_k
 from .series import BivariatePolynomial, RationalGF
 
 
@@ -192,13 +192,14 @@ def series_gf(name: str, k: Optional[int] = None) -> RationalGF:
     return make() if k is None else make(k)
 
 
-def parts_series(family: Family) -> str:
-    """The SERIES name of a family's GF by weight and number of parts.
-
-    Each restricted family's series carries its kind as name; the
-    unrestricted family is counted by all compositions.
-    """
-    return "compositions" if family == ALL_COMPOSITIONS else family.kind
+def statistic_series(family: Family, statistic: str) -> Optional[str]:
+    """The SERIES name of the GF counting `family` by weight and `statistic`
+    (a name in counting.STATISTICS), or None where the catalog has none."""
+    if statistic == "parts":
+        return "compositions" if family == ALL_COMPOSITIONS else family.kind
+    if statistic == "last":
+        return "last-part" if family == ARNDT else None
+    raise ValueError(f"unknown statistic {statistic!r}")
 
 
 def gf_k_block_reference(k: int) -> RationalGF:

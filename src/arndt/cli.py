@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 from importlib import resources
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, starmap
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import catalog, counting, formulas, verify
@@ -22,7 +22,6 @@ from .counting import BRUTE_FORCE_CAP, BruteForceCapExceeded
 from .series import DEFAULT_ORDER
 
 FORMAT_CHOICES = ("plain", "csv", "jsonl")
-BFILE_CHOICES = ("arndt-total", "parts-triangle-flat", "last-sum")
 
 
 def _int_at_least(lowest: int):
@@ -37,9 +36,10 @@ def _int_at_least(lowest: int):
     return parse
 
 
-def _family(args, parser) -> Family:
+def _usage(parser, make: Callable, *args):
+    """make(*args), a ValueError from it turned into a usage error."""
     try:
-        return Family(args.family, args.k)
+        return make(*args)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -157,17 +157,19 @@ def _sequence_lines(values: Iterable[Tuple[int, int]],
 
 
 def cmd_enumerate(args, parser) -> int:
-    blocks = counting.family_blocks(args.n, _family(args, parser), args.max_n)
+    family = _usage(parser, Family, args.family, args.k)
+    blocks = counting.family_blocks(args.n, family, args.max_n)
     _write_compositions(blocks, args.format)
     return 0
 
 
 def cmd_table(args, parser) -> int:
-    family = _family(args, parser)
-    # Brute force covers every family; gf the parts of every family; the
-    # rest only Arndt.
-    if family != ARNDT and (args.method == "formula" or args.kind == "last"
-                            and args.method == "gf"):
+    family = _usage(parser, Family, args.family, args.k)
+    series = catalog.statistic_series(family, args.kind)
+    # Brute force covers every family, gf what the catalog has a series for,
+    # formula only Arndt.
+    if (series is None if args.method == "gf"
+            else args.method == "formula" and family != ARNDT):
         parser.error(f"the {args.kind} table has a {args.method} path only "
                      f"for --family {ARNDT.kind}; use --method brute")
     if args.method == "brute":
@@ -181,8 +183,7 @@ def cmd_table(args, parser) -> int:
         else:
             rows = ((n, formulas.last_row(n)) for n in range(args.n + 1))
     else:
-        gf = (catalog.series_gf(catalog.parts_series(family), family.k)
-              if args.kind == "parts" else catalog.gf_last_part())
+        gf = catalog.series_gf(series, family.k)
         rows = gf.expand(args.n).integer_rows().items()
     _write_triangle(rows, args.format)
     return 0
@@ -190,10 +191,7 @@ def cmd_table(args, parser) -> int:
 
 def cmd_series(args, parser) -> int:
     univariate = catalog.SERIES[args.name][1]
-    try:
-        gf = catalog.series_gf(args.name, args.k)
-    except ValueError as exc:
-        parser.error(str(exc))
+    gf = _usage(parser, catalog.series_gf, args.name, args.k)
     if args.format == "bfile" and not univariate:
         sequences = ", ".join(name for name, entry in catalog.SERIES.items()
                               if entry[1])
@@ -221,24 +219,10 @@ def _load_reference(name: str) -> Tuple[dict, Dict[int, int]]:
     return meta, prefix
 
 
-def _bfile_values(name: str, count: int) -> Iterable[Tuple[int, object]]:
-    """(n, term n) for n = 1..count, each drawn when it is needed; a closed
-    form's terms are given as their decimal text."""
-    if name != "parts-triangle-flat":
-        return formulas.closed_form_texts(name, count)
-    # Row n >= 1 runs over m = 1..(2n + 1) // 3, the most parts an Arndt
-    # composition of n can have; rows are drawn only until `count` terms are
-    # out.
-    flat = chain.from_iterable(
-        map(row.get, range(1, (2 * n + 1) // 3 + 1), repeat(0))
-        for n, row in formulas.parts_rows_by_recurrence(count) if n)
-    return enumerate(islice(flat, count), start=1)
-
-
 def cmd_bfile(args, parser) -> int:
-    values = _bfile_values(args.sequence, args.n)
+    terms = formulas.bfile_texts(args.sequence, args.n)
     if not args.check:
-        _write_lines(_sequence_lines(values, "plain"))
+        _write_lines(_sequence_lines(terms, "plain"))
         return 0
     meta, prefix = _load_reference(args.sequence)
     covered = []  # the terms that the prefix covers, checked once written
@@ -248,11 +232,11 @@ def cmd_bfile(args, parser) -> int:
             covered.append(term)
         return term
 
-    _write_lines(_sequence_lines(map(keep, values), "plain"))
-    for n, v in covered:
-        if str(prefix[n]) != str(v):
+    _write_lines(_sequence_lines(map(keep, terms), "plain"))
+    for n, text in covered:
+        if str(prefix[n]) != text:
             print(f"error: {args.sequence} differs from {meta['a_number']} "
-                  f"at index {n}: computed {v}, reference {prefix[n]}",
+                  f"at index {n}: computed {text}, reference {prefix[n]}",
                   file=sys.stderr)
             return 3
     print(f"checked {len(covered)} terms against the {meta['a_number']} "
@@ -325,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bfile",
                        help="emit a sequence in OEIS b-file format")
-    p.add_argument("sequence", choices=BFILE_CHOICES)
+    p.add_argument("sequence", choices=formulas.BFILES)
     p.add_argument("--N", dest="n", type=_int_at_least(1), required=True,
                    help="number of terms (b-file index runs from 1)")
     p.add_argument("--check", action="store_true",

@@ -4,18 +4,19 @@ Everything here is exact integer arithmetic: Fibonacci/Lucas caches,
 generalised binomial sums, the three-term recurrence triangle (held in this
 module's CountTriangle), and the Fibonacci and Lucas closed forms for the
 last-part statistic and for the totals.  The one exception is the text of
-long b-file terms: closed_form_texts runs the Fibonacci and Lucas
-recurrences in exact decimal arithmetic, under this module's _EXACT context,
-because a Decimal prints in time linear in its digits where an int takes
-quadratic time; only the text leaves this module.  This route imports
-neither the brute-force nor the series modules: no composition is
-enumerated and no generating function is expanded here.  Agreement with
-those two routes is established in the verification suite.
+long b-file terms: bfile_texts runs the Fibonacci and Lucas recurrences in
+exact decimal arithmetic, under this module's _EXACT context, because a
+Decimal prints in time linear in its digits where an int takes quadratic
+time; only the text leaves this module.  This route imports neither the
+brute-force nor the series modules: no composition is enumerated and no
+generating function is expanded here.  Agreement with those two routes is
+established in the verification suite.
 """
 
 from __future__ import annotations
 
 import decimal
+from itertools import chain, islice, repeat
 from math import comb
 from operator import add
 from typing import Dict, Iterator, Optional, Tuple
@@ -262,28 +263,38 @@ def total_last_closed(n: int) -> int:
     return lucas(n) - (n % 2 == 0)
 
 
-# The exact context of closed_form_texts: no sum of integers is rounded at
-# this precision and exponent range, and Inexact is trapped to prove it.
+# The exact context of bfile_texts: no sum of integers is rounded at this
+# precision and exponent range, and Inexact is trapped to prove it.
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
     traps=[decimal.InvalidOperation, decimal.DivisionByZero,
            decimal.Overflow, decimal.Inexact])
 
-# B-file sequence -> (s(0), s(1), amount taken off the even terms) of
-# closed_form_texts: the Arndt totals are F(n), and the sums of last parts
+# The b-file sequences, in the order that `arndt bfile` lists them.
+BFILES = ("arndt-total", "parts-triangle-flat", "last-sum")
+
+# Closed-form b-file sequence -> (s(0), s(1), amount taken off the even
+# terms) of bfile_texts: the Arndt totals are F(n), and the sums of last parts
 # are L(n) - 1 at even n >= 2 and L(n) at odd n, as in total_last_closed.
 _TEXT_RECURRENCES = {"arndt-total": (0, 1, 0), "last-sum": (2, 1, 1)}
 
 
-def closed_form_texts(sequence: str, count: int) -> Iterator[Tuple[int, str]]:
-    """(n, decimal text of term n) for n = 1..count of "arndt-total"
-    (fibonacci(n)) or "last-sum" (total_last_closed(n)), each as soon as it
-    is computed.
+def bfile_texts(sequence: str, count: int) -> Iterator[Tuple[int, str]]:
+    """(n, decimal text of term n) for n = 1..count of a sequence in BFILES,
+    each as soon as it is computed.
 
-    The recurrence s(n) = s(n-1) + s(n-2) runs in Decimal under _EXACT,
-    whose methods do every operation, so no term depends on the thread's
-    current context.
+    The flat triangle reads row n >= 1 of parts_rows_by_recurrence over
+    m = 1..(2n + 1) // 3, the most parts an Arndt composition of n has, and
+    draws rows only until `count` terms are out.  The closed forms run
+    s(n) = s(n-1) + s(n-2) in Decimal under _EXACT, whose methods do every
+    operation, so no term depends on the thread's current context.
     """
+    if sequence == "parts-triangle-flat":
+        flat = chain.from_iterable(
+            map(row.get, range(1, (2 * n + 1) // 3 + 1), repeat(0))
+            for n, row in parts_rows_by_recurrence(count) if n)
+        yield from enumerate(map(str, islice(flat, count)), start=1)
+        return
     before, term, even_drop = map(decimal.Decimal,
                                   _TEXT_RECURRENCES[sequence])
     for n in range(1, count + 1):

@@ -245,21 +245,23 @@ def check_poly_associativity(upto):
 
 @_check("catalog", "brute-agreement")
 def check_catalog_vs_brute(upto):
-    """Every family's parts GF, as the CLI finds it, has the brute-force
-    rows of the family; so has the last-part GF of the Arndt family."""
+    """Each GF that catalog.statistic_series names for a family and a
+    statistic has the brute-force rows of that family by that statistic."""
     families = [(ARNDT, 14), (REDUCED_AP, 14), (ANTIPALINDROMIC, 12),
                 (ALL_COMPOSITIONS, 12)]
     families += [(Family("k-arndt", k), 12) for k in range(-3, 4)]
     families += [(Family("block-arndt", k), 12) for k in range(1, 5)]
-    cases = [(*_series(catalog.parts_series(family), family.k), family,
-              "parts", default) for family, default in families]
-    cases.append(("gf_last_part", catalog.gf_last_part(), ARNDT, "last", 14))
-    for name, gf, family, statistic, default in cases:
-        max_n = upto(default)
-        rows = _integer_rows(name, gf, max_n)
-        for n in range(max_n + 1):
-            yield ("{} row {}", name, n), rows[n], \
-                counting.tally(n, family, statistic)
+    for statistic in counting.STATISTICS:
+        for family, default in families:
+            series = catalog.statistic_series(family, statistic)
+            if series is None:
+                continue
+            name, gf = _series(series, family.k)
+            max_n = upto(default)
+            rows = _integer_rows(name, gf, max_n)
+            for n in range(max_n + 1):
+                yield ("{} row {}", name, n), rows[n], \
+                    counting.tally(n, family, statistic)
 
 
 @_check("catalog", "reduced-equals-arndt")

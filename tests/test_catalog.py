@@ -227,6 +227,11 @@ def test_the_lower_bound_of_k_has_one_message(name, least):
     assert catalog.series_gf(name, least).expand(3).integer_rows()
 
 
+def test_statistic_series_refuses_an_unknown_statistic():
+    with pytest.raises(ValueError, match="^unknown statistic 'sum'$"):
+        catalog.statistic_series(REDUCED_AP, "sum")
+
+
 def test_every_name_that_takes_k_is_a_family_kind_or_a_series():
     assert set(TAKES_K) <= set(FAMILY_KINDS) | set(catalog.SERIES)
 

@@ -1,16 +1,21 @@
+import argparse
 import io
 import json
 import random
+import subprocess
 import sys
 import weakref
 from collections import Counter
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from conftest import TABLE_LAST, TABLE_PARTS
-from arndt import cli, counting, formulas, verify
+from arndt import catalog, cli, counting, formulas, verify
 from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC,
-                                FAMILY_KINDS, REDUCED_AP, TAKES_K)
+                                FAMILY_KINDS, REDUCED_AP, TAKES_K, Family)
+from arndt.verify import _SAMPLE_K
 
 
 def run(capsys, *argv):
@@ -200,6 +205,26 @@ def test_table_methods_byte_identical(capsys):
     assert len(outputs["last"]) == 1
 
 
+@pytest.mark.parametrize("statistic", list(counting.STATISTICS))
+@pytest.mark.parametrize("family", [
+    Family(kind, k) for kind in FAMILY_KINDS
+    for k in _SAMPLE_K.get(kind, (None,))], ids=str)
+def test_gf_table_follows_the_catalog(capsys, family, statistic):
+    argv = ["table", statistic, "--N", "4", "--family", family.kind]
+    argv += [] if family.k is None else ["--k", str(family.k)]
+    if catalog.statistic_series(family, statistic) is None:
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv, "--method", "gf")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"arndt: error: the {statistic} table has a gf path only "
+            "for --family arndt; use --method brute")
+    else:
+        code, out, _ = run(capsys, *argv, "--method", "gf")
+        assert code == 0
+        assert out == run(capsys, *argv, "--method", "brute")[1]
+
+
 def test_table_deterministic(capsys):
     _, first, _ = run(capsys, "table", "parts", "--N", "9")
     _, second, _ = run(capsys, "table", "parts", "--N", "9")
@@ -338,8 +363,38 @@ def test_bfile_parts_triangle_flat_builds_only_needed_rows(capsys,
     assert drawn and len(drawn) <= 80
 
 
+def test_bfile_triangle_mismatch_exits_3(capsys, monkeypatch):
+    real = formulas.parts_rows_by_recurrence
+
+    def off_by_one_at_row_5(max_n, max_m=None):
+        for n, row in real(max_n, max_m):
+            yield n, ({**row, 1: row[1] + 1} if n == 5 else row)
+
+    monkeypatch.setattr(formulas, "parts_rows_by_recurrence",
+                        off_by_one_at_row_5)
+    code, _, err = run(capsys, "bfile", "parts-triangle-flat", "--N", "37",
+                       "--check")
+    assert code == 3
+    # Rows 1..4 give 1 + 1 + 2 + 3 terms, so row 5 starts at index 8.
+    assert "A354787 at index 8: computed 2, reference 1" in err
+
+
+def test_bfile_names_are_stated_once():
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    sequence = next(action for action in commands.choices["bfile"]._actions
+                    if action.dest == "sequence")
+    assert tuple(sequence.choices) == formulas.BFILES
+    data = resources.files("arndt.data")
+    references = json.loads(data.joinpath("oeis.json").read_text())
+    assert sorted(references) == sorted(formulas.BFILES)
+    for meta in references.values():
+        assert data.joinpath(meta["file"]).is_file(), meta["file"]
+
+
 def test_bfile_streams_its_terms(capsys, monkeypatch):
-    real = formulas.closed_form_texts
+    real = formulas.bfile_texts
     seen = []
 
     def spy(sequence, count):
@@ -349,7 +404,7 @@ def test_bfile_streams_its_terms(capsys, monkeypatch):
                 seen.append(capsys.readouterr().out)
             yield n, text
 
-    monkeypatch.setattr(formulas, "closed_form_texts", spy)
+    monkeypatch.setattr(formulas, "bfile_texts", spy)
     code, rest, _ = run(capsys, "bfile", "arndt-total", "--N", "5000")
     assert code == 0
     assert seen and seen[0].startswith("1 1\n2 1\n")
@@ -619,7 +674,7 @@ def test_series_bfile_format(capsys):
 
 
 def test_bfile_mismatch_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(formulas, "closed_form_texts", lambda sequence, count:
+    monkeypatch.setattr(formulas, "bfile_texts", lambda sequence, count:
                         ((n, "999") for n in range(1, count + 1)))
     code, _, err = run(capsys, "bfile", "last-sum", "--N", "5", "--check")
     assert code == 3
@@ -708,3 +763,15 @@ def test_enumerate_help_names_the_family_kinds_that_take_k(capsys,
              if line.lstrip().startswith("--k K")]
     named = line.split("parameter for ", 1)[1].split("/")
     assert sorted(named) == sorted(set(FAMILY_KINDS) & set(TAKES_K))
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # Both are slow to import and the CLI's start-up needs neither; -S keeps
+    # the site hooks from importing them first.
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+             "import arndt.cli; arndt.cli.build_parser(); "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", probe],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

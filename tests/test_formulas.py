@@ -1,4 +1,5 @@
 import decimal
+from itertools import chain, islice, repeat
 
 import pytest
 
@@ -6,12 +7,13 @@ from conftest import TABLE_LAST, TABLE_PARTS
 from reference_predicates import reference_gen_binomial
 from arndt.catalog import gf_arndt, gf_last_part
 from arndt.counting import total_last, total_parts
-from arndt.formulas import (closed_form_texts, fibonacci,
+from arndt.formulas import (bfile_texts, fibonacci,
                             fibonacci_from_alternating_sum,
                             fibonacci_from_positive_sum, gen_binomial,
                             last_count, last_count_at_least,
                             last_count_at_most, last_row, lucas,
                             parts_count_alternating, parts_count_positive,
+                            parts_rows_by_recurrence,
                             parts_triangle_by_recurrence, total_last_closed,
                             total_parts_closed, wz_residual)
 
@@ -131,18 +133,34 @@ def test_last_row_equals_its_cells_by_last_count():
 
 @pytest.mark.parametrize("sequence, closed_form", [
     ("arndt-total", fibonacci), ("last-sum", total_last_closed)])
-def test_closed_form_texts_equal_the_int_closed_forms(sequence, closed_form,
-                                                     unlimited_int_text):
-    texts = list(closed_form_texts(sequence, 20590))
+def test_bfile_texts_equal_the_int_closed_forms(sequence, closed_form,
+                                                unlimited_int_text):
+    texts = list(bfile_texts(sequence, 20590))
     assert [n for n, _ in texts] == list(range(1, 20591))
     for n, text in texts[:5000] + texts[20569:]:
         assert text == str(closed_form(n)), n
     assert len(texts[-1][1]) > 4300  # past the default digit limit
 
 
-def test_closed_form_texts_ignore_the_current_decimal_context():
+def reference_flat_terms(count):
+    """(n, term n) of parts-triangle-flat as ints: row n >= 1 of the
+    recurrence over m = 1..(2n + 1) // 3, flattened, as the CLI made the
+    terms before bfile_texts did."""
+    flat = chain.from_iterable(
+        map(row.get, range(1, (2 * n + 1) // 3 + 1), repeat(0))
+        for n, row in parts_rows_by_recurrence(count) if n)
+    return enumerate(islice(flat, count), start=1)
+
+
+@pytest.mark.parametrize("count", [1, 37, 2000])
+def test_bfile_texts_flatten_the_triangle_as_the_int_reference(count):
+    assert list(bfile_texts("parts-triangle-flat", count)) == [
+        (n, str(v)) for n, v in reference_flat_terms(count)]
+
+
+def test_bfile_texts_ignore_the_current_decimal_context():
     with decimal.localcontext(decimal.Context(prec=5)):
-        texts = dict(closed_form_texts("last-sum", 200))
+        texts = dict(bfile_texts("last-sum", 200))
     assert texts[200] == str(total_last_closed(200))
 
 

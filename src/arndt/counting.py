@@ -12,8 +12,9 @@ one before it (Arndt, k-Arndt, k-block Arndt; no part for compositions_of)
 is walked depth first over the prefixes that the bound allows, and a prefix
 that leaves little weight is paired with the stored members of that weight.
 A family whose condition is on mirrored pairs is walked over prefixes with
-their allowed lengths, each block finished per length into a list (the last
-two parts in one loop) and sorted in C.  All paths yield in the same order.
+their allowed lengths, and a prefix that leaves little weight is finished
+from frames: parts that face the prefix, around a stored member where the
+length leaves room; the runs are sorted in C.  All paths yield in order.
 The bound or the mirror comparison alone builds the members: no walk calls a
 predicate.  The predicates in compositions define the families, and the
 tests hold every walk to the predicate-filtered stream.  tally counts a
@@ -28,7 +29,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product, starmap
+from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional
 
 # The two predicates are bound here only so that benchmarks/spans.py can
@@ -118,69 +120,66 @@ def _descend(n: int, family: Family, cap: Optional[int],
         rest += 1
 
 
-def _mirrored_length(parts: List[int], rest: int, length: int,
-                     above: bool, least: int) -> List[tuple]:
-    """The tails of weight rest, in decreasing lex order, that extend
-    `parts` to `length` parts whose parts at indices i >= length - length//2
-    differ from their mirror m, and are below it unless `above` (p != m or
-    p < m), and whose first-half parts are at least `least`, as one list.
-    Depth first, largest part first: a part leaves 1 for each later slot and
-    1 more for each later pair, and the last two, where both have a mirror,
-    are x and rest - x in one loop.  Parts meet their mirror in comparisons,
-    not calls.  Backtracking stays past the prefix."""
-    pairs = length // 2
-    free = length - pairs  # parts below this index have no mirror yet
-    last = length - 1
-    parts = list(parts)
-    i = fixed = len(parts)  # the index of the next part
+def _clamped(rest: int, mirrors: tuple) -> tuple:
+    """mirrors, each cut to one past the largest part that a tail of weight
+    rest, one part per mirror, can hold: a part meets the cut mirror as it
+    meets the mirror, so frames that differ only there share a key."""
+    top = rest - len(mirrors) + 2
+    return tuple([m if m < top else top for m in mirrors])
+
+
+# The members of each weight below TAIL_WEIGHT of each mirrored family, by
+# `above`, filled on use (1,011 tuples) and shared by every stream: verify
+# walks many small weights, and a store per stream slowed them by about 20%.
+_INNER: Dict[bool, Dict[int, List[tuple]]] = {}
+
+
+@lru_cache(128)
+def _facing(rest: int, above: bool, mirrors: tuple) -> List[tuple]:
+    """The tails of weight rest, in decreasing lex order, with one part p
+    per mirror m (at least one mirror), each p != m, and p < m unless
+    `above`: each first part x joined to the tails of rest - x that face
+    the later mirrors, clamped.  Unbounded, it held 7 MiB at n = 21."""
+    m, later = mirrors[0], mirrors[1:]
+    if not later:
+        return [(rest,)] if 0 < rest and (
+            rest != m if above else rest < m) else []
+    top = rest - len(later)
     tails: List[tuple] = []
-    while True:
-        top = rest - (last - i)
-        if i >= free:
-            m = parts[last - i]
-            top = top - (top == m) if above else top if top < m else m - 1
-        elif i < pairs:
-            top -= pairs - 1 - i
-        if i == last - 1 >= free:  # x opposite parts[1], rest - x parts[0]
-            head, skip, spare = tuple(parts[fixed:]), parts[1], rest - parts[0]
-            for x in range(top, 0 if above else max(0, spare), -1):
-                if x != skip and x != spare:
-                    tails.append(head + (x, rest - x))
-        elif top >= (least if i < pairs else 1) and (i < last or top == rest):
-            parts.append(top)
-            if i < last:
-                rest -= top
-                i += 1
-                continue
-            tails.append(tuple(parts[fixed:]))
-            parts.pop()
-        while i > fixed:
-            i -= 1
-            lower = parts[i] - 1
-            if i >= free:
-                lower -= lower == parts[last - i]
-            if lower >= (least if i < pairs else 1):
-                rest += parts[i] - lower
-                parts[i] = lower
-                i += 1
-                break
-            rest += parts.pop()
-        else:
-            return tails
+    for x in range(top if above else min(top, m - 1), 0, -1):
+        if x != m:
+            tails += map((x,).__add__, _facing(
+                rest - x, above, _clamped(rest - x, later)))
+    return tails
 
 
 def _mirrored(n: int, family: Family, cap: Optional[int]) -> Iterator[tuple]:
     """Yield as blocks, in decreasing lex order, the members of weight n of
     a family with a mirror comparison.  Depth first, largest part first,
-    over prefixes with the lengths they allow, as in _mirrored_length; a new
-    part is tested against its mirror or `least` only, so a prefix that
-    leaves nothing is a member once a length fits it.  A nonempty prefix
-    with at most TAIL_WEIGHT left is finished for each length it allows, and
-    its tails are those runs sorted into one in C."""
+    over prefixes with the lengths l they allow; a new part is tested
+    against its mirror or `least` only, so a prefix that leaves nothing is a
+    member once a length fits it.  A prefix of j parts with 0 < left <=
+    TAIL_WEIGHT is finished per frame: for l < 2j the tail faces the prefix
+    (_facing), and for l >= 2j it is a stored member of weight w (_INNER)
+    and j parts that face the prefix reversed, the runs sorted in C."""
     check_weight(n, cap)
     mirror = family.mirror
     above = mirror(2, 1)  # whether parts above their mirror are allowed
     least = 2 - above  # the least part opposite which another is allowed
+    inner = _INNER.setdefault(above, {0: [()]})
+
+    def finish(prefix: tuple, left: int, fits: List[int]) -> Stored:
+        j = len(prefix)
+        runs = [_facing(left, above, _clamped(left, prefix[l - j - 1::-1]))
+                for l in fits if l < 2 * j]
+        if fits[-1] >= 2 * j:  # each member of weight w inside the frame
+            for w in range(left - j + 1):
+                if w not in inner:
+                    inner[w] = list(_joined(
+                        walk((), w, list(range(1, w + 1)))))
+                runs.append(starmap(add, product(inner[w], _facing(
+                    left - w, above, _clamped(left - w, prefix[::-1])))))
+        return Stored(sorted(chain.from_iterable(runs), reverse=True))
 
     def walk(parts: tuple, rest: int, lengths: List[int]) -> Iterator[tuple]:
         i = len(parts)
@@ -197,9 +196,7 @@ def _mirrored(n: int, family: Family, cap: Optional[int]) -> Iterator[tuple]:
                 yield from walk(prefix, left, fits)
             elif not left:
                 yield prefix, WHOLE
-            elif tails := Stored(sorted(chain.from_iterable(
-                    _mirrored_length(prefix, left, length, above, least)
-                    for length in fits), reverse=True)):
+            elif tails := finish(prefix, left, fits):
                 yield prefix, tails
 
     yield from walk((), n, list(range(1, n + 1))) if n else [((), WHOLE)]

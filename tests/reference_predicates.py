@@ -1,17 +1,20 @@
 """References for the fast paths: the membership predicates as generator
 expressions over indices, which the kernels in arndt.compositions are gated
-against; the successor-rule composition stream and the per-length mirrored
-walks merged in order, each walk by its own mirror rule, which the walks of
-arndt.counting are gated against;
+against; the successor-rule composition stream, the per-length mirrored
+walks merged in order, each walk by its own mirror rule, and the mirrored
+block walk that finished each length of a block on its own, which the walks
+of arndt.counting are gated against;
 the falling-factorial binomial, which arndt.formulas.gen_binomial is gated
 against; and the bijection's maps as loops over index pairs, which the
 slicing maps of arndt.bijection are gated against."""
 
 import heapq
+from itertools import chain
 from math import factorial, prod
 
 from arndt.compositions import (is_antipalindromic, is_arndt, is_k_arndt,
                                 is_reduced_ap_representative)
+from arndt.counting import TAIL_WEIGHT
 
 # The k values every k-Arndt kernel is compared at.
 KERNEL_K = range(-3, 4)
@@ -122,6 +125,88 @@ def reference_mirrored(n, family):
     allow = MIRROR_RULES[family.kind]
     return heapq.merge(*(reference_mirrored_length(n, length, allow)
                          for length in range(1, n + 1)), reverse=True)
+
+
+def reference_mirrored_length_tails(parts, rest, length, above, least):
+    """The tails of weight rest, in decreasing lex order, that extend
+    `parts` to `length` parts whose parts at indices i >= length - length//2
+    differ from their mirror m, and are below it unless `above` (p != m or
+    p < m), and whose first-half parts are at least `least`, as one list.
+    Depth first, largest part first: a part leaves 1 for each later slot and
+    1 more for each later pair, and the last two, where both have a mirror,
+    are x and rest - x in one loop.  Backtracking stays past the prefix."""
+    pairs = length // 2
+    free = length - pairs  # parts below this index have no mirror yet
+    last = length - 1
+    parts = list(parts)
+    i = fixed = len(parts)  # the index of the next part
+    tails = []
+    while True:
+        top = rest - (last - i)
+        if i >= free:
+            m = parts[last - i]
+            top = top - (top == m) if above else top if top < m else m - 1
+        elif i < pairs:
+            top -= pairs - 1 - i
+        if i == last - 1 >= free:  # x opposite parts[1], rest - x parts[0]
+            head, skip, spare = tuple(parts[fixed:]), parts[1], rest - parts[0]
+            for x in range(top, 0 if above else max(0, spare), -1):
+                if x != skip and x != spare:
+                    tails.append(head + (x, rest - x))
+        elif top >= (least if i < pairs else 1) and (i < last or top == rest):
+            parts.append(top)
+            if i < last:
+                rest -= top
+                i += 1
+                continue
+            tails.append(tuple(parts[fixed:]))
+            parts.pop()
+        while i > fixed:
+            i -= 1
+            lower = parts[i] - 1
+            if i >= free:
+                lower -= lower == parts[last - i]
+            if lower >= (least if i < pairs else 1):
+                rest += parts[i] - lower
+                parts[i] = lower
+                i += 1
+                break
+            rest += parts.pop()
+        else:
+            return tails
+
+
+def reference_mirrored_blocks(n, family):
+    """The (prefix, tails list) blocks of weight n of a family with a mirror
+    rule in MIRROR_RULES, in decreasing lex order: depth first over
+    prefixes with the lengths they allow, down to the prefixes that leave
+    at most TAIL_WEIGHT, each finished per length and the runs sorted."""
+    allow = MIRROR_RULES[family.kind]
+    above = allow(2, 1) == 2  # whether parts above their mirror are allowed
+    least = 2 - above  # the least part opposite which another is allowed
+
+    def walk(parts, rest, lengths):
+        i = len(parts)
+        for x in range(rest, 0, -1):
+            fits = [l for l in lengths
+                    if (x == rest if l == i + 1 else
+                        x <= rest - (l - 1 - i) - max(0, l // 2 - 1 - i))
+                    and (x >= least if i < l // 2 else i < l - l // 2
+                         or allow(x, parts[l - 1 - i]) == x)]
+            prefix, left = (*parts, x), rest - x
+            if not fits:
+                continue
+            if left > TAIL_WEIGHT:
+                yield from walk(prefix, left, fits)
+            elif not left:
+                yield prefix, [()]
+            elif tails := sorted(chain.from_iterable(
+                    reference_mirrored_length_tails(
+                        prefix, left, length, above, least)
+                    for length in fits), reverse=True):
+                yield prefix, tails
+
+    return walk((), n, list(range(1, n + 1))) if n else iter([((), [()])])
 
 
 def reference_gen_binomial(p, q):

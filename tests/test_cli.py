@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -763,6 +764,17 @@ def test_enumerate_help_names_the_family_kinds_that_take_k(capsys,
              if line.lstrip().startswith("--k K")]
     named = line.split("parameter for ", 1)[1].split("/")
     assert sorted(named) == sorted(set(FAMILY_KINDS) & set(TAKES_K))
+
+
+def test_python_m_arndt_prints_what_cli_main_prints(capsys):
+    argv = ["enumerate", "--n", "5", "--family", "reduced-ap"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-m", "arndt", *argv],
+                            capture_output=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (result.returncode, result.stdout, result.stderr) == (0, want, b"")
 
 
 def test_cli_imports_neither_dataclasses_nor_inspect():

@@ -133,8 +133,8 @@ def test_a_composition_splits_at_each_block_end(family, references_to_16):
 
 
 def test_every_mirror_is_a_comparison_the_walk_implements():
-    # counting._mirrored_length compares a part with its mirror in line, as
-    # p != m, or as p < m where parts above their mirror are refused.
+    # counting._facing compares a part with its mirror in line, as p != m,
+    # or as p < m where parts above their mirror are refused.
     mirrors = [mirror for _, _, mirror in FAMILY_KINDS.values() if mirror]
     assert mirrors
     assert all(mirror is ne or mirror is lt for mirror in mirrors), mirrors

@@ -3,7 +3,8 @@ against their generator-expression references on arbitrary int tuples, the
 split of a member at a block end, the plain grid's column width against
 its width over every cell, the prefix-bound walks at any k against
 the predicate-filtered stream, the mirrored block walks against the merged
-per-length walks, and the bijection against pairs laid out by hand."""
+per-length walks, the frames that face a prefix against the filtered
+compositions, and the bijection against pairs laid out by hand."""
 
 import pytest
 
@@ -14,9 +15,9 @@ from arndt import cli
 from arndt.bijection import arndt_to_reduced_ap, reduced_ap_to_arndt
 from arndt.compositions import (ANTIPALINDROMIC, REDUCED_AP, Family,
                                 is_arndt, is_reduced_ap_representative)
-from arndt.counting import family_blocks, family_members
+from arndt.counting import _clamped, _facing, family_blocks, family_members
 from conftest import BLOCK_WALKED, block_period
-from reference_predicates import (assert_kernels_agree,
+from reference_predicates import (MIRROR_RULES, assert_kernels_agree,
                                   reference_compositions_of,
                                   reference_mirrored)
 
@@ -74,6 +75,28 @@ def test_mirrored_blocks_hold_the_members_in_order(family, comp):
     members = [prefix + tail for prefix, tails in blocks for tail in tails]
     assert members == list(reference_mirrored(n, family))
     assert (comp in members) == family.member(comp)
+
+
+@st.composite
+def frames(draw):
+    """A weight rest <= 14, whether parts above their mirror are allowed,
+    and 1 to 6 mirrors from 1..rest+3, unclamped."""
+    rest = draw(st.integers(0, 14))
+    return rest, draw(st.booleans()), tuple(draw(st.lists(
+        st.integers(1, rest + 3), min_size=1, max_size=6)))
+
+
+@given(frames())
+def test_facing_tails_are_the_filtered_compositions(frame):
+    # Each part p against its mirror m by the reference walks' own rule;
+    # the clamped mirrors give the same list as the unclamped ones.
+    rest, above, mirrors = frame
+    allow = MIRROR_RULES["antipalindromic" if above else "reduced-ap"]
+    want = [c for c in reference_compositions_of(rest)
+            if len(c) == len(mirrors)
+            and all(allow(p, m) == p for p, m in zip(c, mirrors))]
+    assert _facing(rest, above, mirrors) == want
+    assert _facing(rest, above, _clamped(rest, mirrors)) == want
 
 
 @st.composite

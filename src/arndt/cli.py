@@ -2,8 +2,8 @@
 OEIS b-file export, and the cross-validation suite.
 
 stdout carries data, stderr carries diagnostics.  Exit codes: 0 success,
-1 verification failure or brute-force cap exceeded, 2 usage error,
-3 reference-prefix mismatch.
+1 verification failure, brute-force cap exceeded or stdout closed early by
+its reader (silently), 2 usage error, 3 reference-prefix mismatch.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from importlib import resources
 from itertools import chain, islice, starmap
@@ -345,7 +346,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+    except BrokenPipeError:  # the reader closed early: exit 1, silently
+        # Python flushes stdout at exit; on devnull that cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

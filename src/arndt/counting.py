@@ -12,9 +12,10 @@ one before it (Arndt, k-Arndt, k-block Arndt; no part for compositions_of)
 is walked depth first over the prefixes that the bound allows, and a prefix
 that leaves little weight is paired with the stored members of that weight.
 A family whose condition is on mirrored pairs is walked over prefixes with
-their allowed lengths, and a prefix that leaves little weight is finished
-from frames: parts that face the prefix, around a stored member where the
-length leaves room; the runs are sorted in C.  All paths yield in order.
+their allowed lengths, and a prefix that leaves little weight selects its
+tails from the compositions of that weight, in C, by one bit mask made of
+cached masks (lengths, parts refused opposite a mirror, members framed by
+the last parts); nothing is sorted.  All paths yield in order.
 The bound or the mirror comparison alone builds the members: no walk calls a
 predicate.  The predicates in compositions define the families, and the
 tests hold every walk to the predicate-filtered stream.  tally counts a
@@ -29,8 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, product, starmap
-from operator import add
+from itertools import chain, compress
 from typing import Dict, Iterable, Iterator, List, Optional
 
 # The two predicates are bound here only so that benchmarks/spans.py can
@@ -120,37 +120,39 @@ def _descend(n: int, family: Family, cap: Optional[int],
         rest += 1
 
 
-def _clamped(rest: int, mirrors: tuple) -> tuple:
-    """mirrors, each cut to one past the largest part that a tail of weight
-    rest, one part per mirror, can hold: a part meets the cut mirror as it
-    meets the mirror, so frames that differ only there share a key."""
-    top = rest - len(mirrors) + 2
-    return tuple([m if m < top else top for m in mirrors])
+# compress reads a selector of one byte per member: "0" and "1" to 0 and 1.
+_SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
-# The members of each weight below TAIL_WEIGHT of each mirrored family, by
-# `above`, filled on use (1,011 tuples) and shared by every stream: verify
-# walks many small weights, and a store per stream slowed them by about 20%.
-_INNER: Dict[bool, Dict[int, List[tuple]]] = {}
-
-
-@lru_cache(128)
-def _facing(rest: int, above: bool, mirrors: tuple) -> List[tuple]:
-    """The tails of weight rest, in decreasing lex order, with one part p
-    per mirror m (at least one mirror), each p != m, and p < m unless
-    `above`: each first part x joined to the tails of rest - x that face
-    the later mirrors, clamped.  Unbounded, it held 7 MiB at n = 21."""
-    m, later = mirrors[0], mirrors[1:]
-    if not later:
-        return [(rest,)] if 0 < rest and (
-            rest != m if above else rest < m) else []
-    top = rest - len(later)
-    tails: List[tuple] = []
-    for x in range(top if above else min(top, m - 1), 0, -1):
-        if x != m:
-            tails += map((x,).__add__, _facing(
-                rest - x, above, _clamped(rest - x, later)))
-    return tails
+@lru_cache(2 * TAIL_WEIGHT + 2)
+def _frames(rest: int, mirror) -> tuple:
+    """(comps, lengths, refused, nonmember): the compositions of rest in
+    decreasing lex order, and masks over them, bit len(comps) - 1 - i for
+    the i-th.  lengths[L] holds those of L parts; refused[s][v], for v <=
+    rest + 1, those whose part s from the end p fails mirror(p, v) (none for
+    v = rest + 1, so a larger mirror is read as rest + 1); nonmember[j] those
+    whose parts before the last j are no member.  Each is built from
+    _frames(rest - x) for each first part x by shifts and ORs: no loop runs
+    over the compositions."""
+    if not rest:
+        return [()], [1], [[0, 0]], [0, 0]
+    comps: List[tuple] = []
+    lengths = [0] * (rest + 1)
+    refused = [[0] * (rest + 2) for _ in range(rest + 1)]
+    nonmember = [0] * (rest + 2)
+    for x in range(rest, 0, -1):  # (x,) + u for each u of weight r
+        r = rest - x
+        tails, sub_lengths, sub_refused, sub_nonmember = _frames(r, mirror)
+        comps += map((x,).__add__, tails)
+        at = (1 << rest - 1) - len(comps)  # the compositions after these
+        for s, m in enumerate(sub_lengths):  # x is part s from the end
+            lengths[s + 1] |= m << at
+            nonmember[s] |= (sub_refused[s][min(x, r + 1)]
+                             | sub_nonmember[s + 1]) << at
+            for v, mask in enumerate(refused[s]):
+                refused[s][v] = mask | (sub_refused[s][min(v, r + 1)] | (
+                    0 if mirror(x, v) else m)) << at
+    return comps, lengths, refused, nonmember
 
 
 def _mirrored(n: int, family: Family, cap: Optional[int]) -> Iterator[tuple]:
@@ -159,27 +161,23 @@ def _mirrored(n: int, family: Family, cap: Optional[int]) -> Iterator[tuple]:
     over prefixes with the lengths l they allow; a new part is tested
     against its mirror or `least` only, so a prefix that leaves nothing is a
     member once a length fits it.  A prefix of j parts with 0 < left <=
-    TAIL_WEIGHT is finished per frame: for l < 2j the tail faces the prefix
-    (_facing), and for l >= 2j it is a stored member of weight w (_INNER)
-    and j parts that face the prefix reversed, the runs sorted in C."""
+    TAIL_WEIGHT is finished by one mask over the compositions of left
+    (_frames): for l < 2j a tail of l - j parts faces the prefix, and for
+    l >= 2j its last j parts face the prefix reversed around a member."""
     check_weight(n, cap)
     mirror = family.mirror
-    above = mirror(2, 1)  # whether parts above their mirror are allowed
-    least = 2 - above  # the least part opposite which another is allowed
-    inner = _INNER.setdefault(above, {0: [()]})
+    least = 2 - mirror(2, 1)  # the least part that another may face
 
     def finish(prefix: tuple, left: int, fits: List[int]) -> Stored:
         j = len(prefix)
-        runs = [_facing(left, above, _clamped(left, prefix[l - j - 1::-1]))
-                for l in fits if l < 2 * j]
-        if fits[-1] >= 2 * j:  # each member of weight w inside the frame
-            for w in range(left - j + 1):
-                if w not in inner:
-                    inner[w] = list(_joined(
-                        walk((), w, list(range(1, w + 1)))))
-                runs.append(starmap(add, product(inner[w], _facing(
-                    left - w, above, _clamped(left - w, prefix[::-1])))))
-        return Stored(sorted(chain.from_iterable(runs), reverse=True))
+        comps, lengths, refused, nonmember = _frames(left, mirror)
+        keep = sum(lengths[l - j] for l in fits if l < 2 * j)  # disjoint
+        if fits[-1] >= 2 * j:  # from 2j up, around a member (so j <= left)
+            keep |= sum(lengths[j:]) & ~nonmember[j]
+        for s in range(min(j, left)):
+            keep &= ~refused[s][min(prefix[s], left + 1)]
+        return Stored(compress(comps, format(keep, f"0{len(comps)}b")
+                               .encode().translate(_SELECT)))
 
     def walk(parts: tuple, rest: int, lengths: List[int]) -> Iterator[tuple]:
         i = len(parts)

@@ -787,3 +787,20 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
     result = subprocess.run([sys.executable, "-S", "-c", probe],
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "counting"], ["enumerate", "--n", "22", "--family", "all"]])
+def test_a_reader_that_closes_early_ends_the_command_with_exit_1(argv):
+    # One line read and the pipe closed while the command still writes:
+    # exit 1, and no traceback (nothing at all) on stderr.
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen([sys.executable, "-m", "arndt", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1, err
+    assert b"Traceback" not in err and err == b"", err

@@ -133,8 +133,9 @@ def test_a_composition_splits_at_each_block_end(family, references_to_16):
 
 
 def test_every_mirror_is_a_comparison_the_walk_implements():
-    # counting._facing compares a part with its mirror in line, as p != m,
-    # or as p < m where parts above their mirror are refused.
+    # counting._mirrored reads the least part opposite which another is
+    # allowed as 2 - mirror(2, 1), and counting._frames a mirror past every
+    # part as one that refuses none: both hold for p != m and for p < m.
     mirrors = [mirror for _, _, mirror in FAMILY_KINDS.values() if mirror]
     assert mirrors
     assert all(mirror is ne or mirror is lt for mirror in mirrors), mirrors

@@ -3,8 +3,13 @@ against their generator-expression references on arbitrary int tuples, the
 split of a member at a block end, the plain grid's column width against
 its width over every cell, the prefix-bound walks at any k against
 the predicate-filtered stream, the mirrored block walks against the merged
-per-length walks, the frames that face a prefix against the filtered
-compositions, and the bijection against pairs laid out by hand."""
+per-length walks, the frame masks over the compositions of a weight against
+the compositions they name, filtered, the bijection against pairs laid out
+by hand, and the CLI's outcome on argvs built from its parser."""
+
+import argparse
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -15,7 +20,7 @@ from arndt import cli
 from arndt.bijection import arndt_to_reduced_ap, reduced_ap_to_arndt
 from arndt.compositions import (ANTIPALINDROMIC, REDUCED_AP, Family,
                                 is_arndt, is_reduced_ap_representative)
-from arndt.counting import _clamped, _facing, family_blocks, family_members
+from arndt.counting import _frames, family_blocks, family_members
 from conftest import BLOCK_WALKED, block_period
 from reference_predicates import (MIRROR_RULES, assert_kernels_agree,
                                   reference_compositions_of,
@@ -77,26 +82,34 @@ def test_mirrored_blocks_hold_the_members_in_order(family, comp):
     assert (comp in members) == family.member(comp)
 
 
-@st.composite
-def frames(draw):
-    """A weight rest <= 14, whether parts above their mirror are allowed,
-    and 1 to 6 mirrors from 1..rest+3, unclamped."""
-    rest = draw(st.integers(0, 14))
-    return rest, draw(st.booleans()), tuple(draw(st.lists(
-        st.integers(1, rest + 3), min_size=1, max_size=6)))
+@settings(deadline=None)
+@given(st.integers(0, 12), st.sampled_from([ANTIPALINDROMIC, REDUCED_AP]),
+       st.data())
+def test_frame_masks_select_the_filtered_compositions(rest, family, data):
+    # Each mask against the compositions of rest filtered by the reference
+    # walks' own mirror rule, p opposite its mirror m; mirrors unclamped.
+    allow = MIRROR_RULES[family.kind]
+    comps, lengths, refused, nonmember = _frames(rest, family.mirror)
+    every = list(reference_compositions_of(rest))
+    assert comps == every
 
+    def selected(mask):
+        return [c for i, c in enumerate(every)
+                if mask >> len(every) - 1 - i & 1]
 
-@given(frames())
-def test_facing_tails_are_the_filtered_compositions(frame):
-    # Each part p against its mirror m by the reference walks' own rule;
-    # the clamped mirrors give the same list as the unclamped ones.
-    rest, above, mirrors = frame
-    allow = MIRROR_RULES["antipalindromic" if above else "reduced-ap"]
-    want = [c for c in reference_compositions_of(rest)
-            if len(c) == len(mirrors)
-            and all(allow(p, m) == p for p, m in zip(c, mirrors))]
-    assert _facing(rest, above, mirrors) == want
-    assert _facing(rest, above, _clamped(rest, mirrors)) == want
+    def member(comp):
+        return all(allow(comp[-1 - i], comp[i]) == comp[-1 - i]
+                   for i in range(len(comp) // 2))
+
+    sizes = data.draw(st.sets(st.integers(0, rest)))
+    assert selected(sum(lengths[size] for size in sizes)) == \
+        [c for c in every if len(c) in sizes]
+    s, v = data.draw(st.integers(0, rest)), data.draw(st.integers(1, rest + 3))
+    assert selected(refused[s][min(v, rest + 1)]) == \
+        [c for c in every if len(c) > s and allow(c[-1 - s], v) != c[-1 - s]]
+    j = data.draw(st.integers(0, rest + 1))
+    assert selected(nonmember[j]) == \
+        [c for c in every if not member(c[:max(0, len(c) - j)])]
 
 
 @st.composite
@@ -146,3 +159,64 @@ def test_grid_width_equals_the_width_over_every_cell(rows, first):
                      + [len(str(v)) for n, row in rows
                         for v in (n, *row.values())])
     assert cli._grid_width(rows, max_m) == every_cell
+
+
+def parser_actions():
+    """Each subcommand of cli.build_parser() -> its actions, help left out."""
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {name: [action for action in sub._actions if action.dest != "help"]
+            for name, sub in commands.choices.items()}
+
+
+COMMANDS = parser_actions()
+# The largest value drawn for each int option, so that no draw runs long;
+# --max-n is always given, so that no brute force passes weight 12.
+MOST = {"--n": 10, "--N": 40, "--k": 8, "--max-n": 12}
+# Junk: no large number, no abbreviation of an option, no "error:".
+JUNK = ["", "-", "--", "--bogus", "x", "-5", "0", "1.5", "0x1f", "=", "--k"]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and its arguments drawn from their choices and types,
+    the optional ones included or not, shuffled, and up to two junk tokens
+    put anywhere."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    groups = []
+    for action in COMMANDS[command]:
+        flag = action.option_strings[:1]
+        if action.choices is not None:
+            values = [draw(st.sampled_from(sorted(action.choices)))]
+        elif action.nargs == 0:
+            values = []
+        else:
+            most = MOST[flag[0]]
+            values = [str(draw(st.integers(
+                -most if action.type is int else -2, most)))]
+        if action.required or flag == ["--max-n"] or draw(st.booleans()):
+            groups.append(flag + values)
+    argv = [command] + [token for group in draw(st.permutations(groups))
+                        for token in group]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(JUNK)))
+    return argv
+
+
+@settings(deadline=None)
+@given(argvs())
+def test_every_argv_ends_in_a_documented_outcome(argv):
+    # A return of 0, 1 or 3, or a usage error; a nonzero one says why on
+    # exactly one error line.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2, 3), argv
+    if code:
+        assert sum("error:" in line
+                   for line in err.getvalue().splitlines()) == 1, argv

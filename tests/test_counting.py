@@ -169,8 +169,7 @@ def test_mirrored_walk_holds_a_bounded_frame_cache():
     # cache cleared first: 464 KiB for antipalindromic at n = 21 and 453 KiB
     # for reduced-ap at n = 24.  The frames hold the compositions of each
     # weight up to TAIL_WEIGHT once per family, so the peak does not grow
-    # with n: the lru_cache(128) of facing frames it replaced held 576 KiB
-    # at n = 21 and 817 KiB at n = 24, and with no bound 7.2 MiB at n = 21.
+    # with n.
     for n, family in ((21, ANTIPALINDROMIC), (24, REDUCED_AP)):
         counting._frames.cache_clear()
         tracemalloc.start()

@@ -5,21 +5,22 @@ there are no generating functions and no closed forms here, and nothing is
 imported from the series or formula routes.  It is the ground truth that
 those two routes are checked against.
 
-compositions_of yields all 2^(n-1) compositions of weight n;
-family_members streams one family's members, and family_blocks the same as
-(prefix, tails) blocks.  A family whose condition bounds each part by the
-one before it (Arndt, k-Arndt, k-block Arndt; no part for compositions_of)
-is walked depth first over the prefixes that the bound allows, and a prefix
-that leaves little weight is paired with the stored members of that weight.
-A family whose condition is on mirrored pairs is walked over prefixes with
-their allowed lengths, and a prefix that leaves little weight selects its
-tails from the compositions of that weight, in C, by one bit mask made of
-cached masks (lengths, parts refused opposite a mirror, members framed by
-the last parts); nothing is sorted.  All paths yield in order.
-The bound or the mirror comparison alone builds the members: no walk calls a
-predicate.  The predicates in compositions define the families, and the
-tests hold every walk to the predicate-filtered stream.  tally counts a
-block at a time, each tail list in C.
+compositions_of yields all 2^(n-1) compositions of weight n; family_members
+streams one family's members, and family_blocks the same as (prefix, tails)
+blocks.  A family whose condition bounds each part by the one before it
+(Arndt, k-Arndt, k-block Arndt; no part for compositions_of) is walked depth
+first over the prefixes that the bound allows, and a prefix that leaves
+little weight is paired with the members of that weight that _stored holds
+for the bound, the same lists for every stream.  A family whose condition is
+on mirrored pairs is walked over prefixes with their allowed lengths, and a
+prefix that leaves little weight selects its tails from the stored
+compositions of that weight, in C, by one bit mask made of cached masks
+(lengths, parts refused opposite a mirror, members framed by the last
+parts); nothing is sorted.  All paths yield in order.  The bound or the
+mirror comparison alone builds the members: no walk calls a predicate.  The
+predicates in compositions define the families, and the tests hold every
+walk to the predicate-filtered stream.  tally counts a block at a time, each
+tail list in C.
 
 Counts are exact Python ints (unbounded).  check_weight refuses weights
 beyond a cap, BRUTE_FORCE_CAP by default, on every path; only
@@ -74,36 +75,31 @@ WHOLE = ((),)  # the tails of a member that the walk finishes by itself
 
 
 class Stored(list):
-    """The members of one weight for one stream, hashed by identity: a
-    writer keys what it makes of them on the list."""
+    """Tails of one weight, read only (a stored list serves every stream),
+    hashed by identity: a writer keys what it makes of them on the list."""
     __hash__ = object.__hash__
 
 
-def _descend(n: int, family: Family, cap: Optional[int],
-             tails: Dict[int, Stored]) -> Iterator[tuple]:
+def _descend(n: int, bound: tuple, cap: Optional[int]) -> Iterator[tuple]:
     """Yield as blocks, in decreasing lex order, the members of weight n of
-    a family with prefix bound (period, drop): in them every part at an
+    the families with prefix bound (period, drop): in them every part at an
     index j with j % period != 0 is at most the part before it minus drop.
 
     Depth first, largest part first: a prefix is extended by the largest
     part that its bound and the weight left allow.  Backtracking lowers the
     last part by one, and drops it where it cannot go lower, or where no
     part may follow it.  A nonempty prefix whose length is a multiple of
-    period, with r <= TAIL_WEIGHT left, comes with tails[r], the members of
-    weight r (one dict serves the stream, filled on use); one of weight n
-    with WHOLE.  Every prefix the bound allows is a member, and so is its
-    join to a tail: a block end is never bounded by the part before it."""
+    period, with r <= TAIL_WEIGHT left, comes with _stored(r, bound), one
+    of weight n with WHOLE.  Every prefix the bound allows is a member, and
+    so is its join to a tail: no block end is bounded by the part before."""
     check_weight(n, cap)
-    period, drop = family.bound
+    period, drop = bound
     parts: List[int] = []
     rest = n  # weight not yet placed
     while True:
         ends_block = len(parts) % period == 0
         if rest == 0 or ends_block and parts and rest <= TAIL_WEIGHT:
-            if rest and rest not in tails:
-                tails[rest] = Stored(_joined(
-                    _descend(rest, family, None, tails)))
-            yield tuple(parts), tails[rest] if rest else WHOLE
+            yield tuple(parts), _stored(rest, bound) if rest else WHOLE
         else:
             top = rest if ends_block else min(rest, parts[-1] - drop)
             if top < 1:  # a lower last part would only lower the bound after it
@@ -120,31 +116,36 @@ def _descend(n: int, family: Family, cap: Optional[int],
         rest += 1
 
 
+@lru_cache(TAIL_WEIGHT)  # one bound's weights: building w reads 1..w - 1
+def _stored(weight: int, bound: tuple) -> Stored:
+    """The members of weight 1..TAIL_WEIGHT of the families with this prefix
+    bound: one list, while cached, for every stream and every mirror."""
+    return Stored(_joined(_descend(weight, bound, None)))
+
+
 # compress reads a selector of one byte per member: "0" and "1" to 0 and 1.
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
 @lru_cache(2 * TAIL_WEIGHT + 2)
 def _frames(rest: int, mirror) -> tuple:
-    """(comps, lengths, refused, nonmember): the compositions of rest in
-    decreasing lex order, and masks over them, bit len(comps) - 1 - i for
-    the i-th.  lengths[L] holds those of L parts; refused[s][v], for v <=
-    rest + 1, those whose part s from the end p fails mirror(p, v) (none for
-    v = rest + 1, so a larger mirror is read as rest + 1); nonmember[j] those
+    """(lengths, refused, nonmember): masks over the 2^(rest-1) compositions
+    of rest in decreasing lex order, bit 2^(rest-1) - 1 - i for the i-th.
+    lengths[L] holds those of L parts; refused[s][v], for v <= rest + 1,
+    those whose part s from the end p fails mirror(p, v) (none for v =
+    rest + 1, so a larger mirror is read as rest + 1); nonmember[j] those
     whose parts before the last j are no member.  Each is built from
     _frames(rest - x) for each first part x by shifts and ORs: no loop runs
     over the compositions."""
     if not rest:
-        return [()], [1], [[0, 0]], [0, 0]
-    comps: List[tuple] = []
+        return [1], [[0, 0]], [0, 0]
     lengths = [0] * (rest + 1)
     refused = [[0] * (rest + 2) for _ in range(rest + 1)]
     nonmember = [0] * (rest + 2)
     for x in range(rest, 0, -1):  # (x,) + u for each u of weight r
         r = rest - x
-        tails, sub_lengths, sub_refused, sub_nonmember = _frames(r, mirror)
-        comps += map((x,).__add__, tails)
-        at = (1 << rest - 1) - len(comps)  # the compositions after these
+        sub_lengths, sub_refused, sub_nonmember = _frames(r, mirror)
+        at = (1 << rest - 1) - (1 << r)  # the compositions after these
         for s, m in enumerate(sub_lengths):  # x is part s from the end
             lengths[s + 1] |= m << at
             nonmember[s] |= (sub_refused[s][min(x, r + 1)]
@@ -152,7 +153,7 @@ def _frames(rest: int, mirror) -> tuple:
             for v, mask in enumerate(refused[s]):
                 refused[s][v] = mask | (sub_refused[s][min(v, r + 1)] | (
                     0 if mirror(x, v) else m)) << at
-    return comps, lengths, refused, nonmember
+    return lengths, refused, nonmember
 
 
 def _mirrored(n: int, family: Family, cap: Optional[int]) -> Iterator[tuple]:
@@ -161,8 +162,8 @@ def _mirrored(n: int, family: Family, cap: Optional[int]) -> Iterator[tuple]:
     over prefixes with the lengths l they allow; a new part is tested
     against its mirror or `least` only, so a prefix that leaves nothing is a
     member once a length fits it.  A prefix of j parts with 0 < left <=
-    TAIL_WEIGHT is finished by one mask over the compositions of left
-    (_frames): for l < 2j a tail of l - j parts faces the prefix, and for
+    TAIL_WEIGHT is finished by one mask (_frames) over the stored
+    compositions of left: for l < 2j a tail of l - j parts faces the prefix, and for
     l >= 2j its last j parts face the prefix reversed around a member."""
     check_weight(n, cap)
     mirror = family.mirror
@@ -170,12 +171,13 @@ def _mirrored(n: int, family: Family, cap: Optional[int]) -> Iterator[tuple]:
 
     def finish(prefix: tuple, left: int, fits: List[int]) -> Stored:
         j = len(prefix)
-        comps, lengths, refused, nonmember = _frames(left, mirror)
+        lengths, refused, nonmember = _frames(left, mirror)
         keep = sum(lengths[l - j] for l in fits if l < 2 * j)  # disjoint
         if fits[-1] >= 2 * j:  # from 2j up, around a member (so j <= left)
             keep |= sum(lengths[j:]) & ~nonmember[j]
         for s in range(min(j, left)):
             keep &= ~refused[s][min(prefix[s], left + 1)]
+        comps = _stored(left, ALL_COMPOSITIONS.bound)
         return Stored(compress(comps, format(keep, f"0{len(comps)}b")
                                .encode().translate(_SELECT)))
 
@@ -205,10 +207,10 @@ def family_blocks(n: int, family: Family,
     """The members of a family at weight n, in the order of compositions_of,
     as (prefix, tails) blocks: the prefix joined to each tail, in order.
     The family's bound or mirror comparison builds them, not a predicate.
-    Tails are WHOLE or a Stored list, which a walked family shares among
-    its blocks with that weight left, and a mirrored one makes per block."""
+    Tails are WHOLE or a Stored list, which a walked family shares with
+    every stream of its bound, and a mirrored one makes per block."""
     if family.mirror is None:
-        return _descend(n, family, cap, {})
+        return _descend(n, family.bound, cap)
     return _mirrored(n, family, cap)
 
 

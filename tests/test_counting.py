@@ -165,21 +165,27 @@ def test_mirrored_blocks_equal_the_replaced_block_walk():
 
 
 def test_mirrored_walk_holds_a_bounded_frame_cache():
-    # The traced peak while the blocks are drained (Python 3.11), the frame
-    # cache cleared first: 464 KiB for antipalindromic at n = 21 and 453 KiB
-    # for reduced-ap at n = 24.  The frames hold the compositions of each
-    # weight up to TAIL_WEIGHT once per family, so the peak does not grow
-    # with n.
-    for n, family in ((21, ANTIPALINDROMIC), (24, REDUCED_AP)):
+    # The traced peak while the blocks are drained (Python 3.11, a fresh
+    # process), the frame and stored caches cleared first: 465 KiB for
+    # antipalindromic at n = 21, 455 KiB for reduced-ap at n = 24, and
+    # 676 KiB over the mixed sequence.  The frames hold masks only, and the
+    # compositions of each weight up to TAIL_WEIGHT are stored once for
+    # every mirror and stream, so the peak does not grow with n.
+    mixed = ((20, ALL_COMPOSITIONS), (20, Family("k-arndt", -3)),
+             (21, ANTIPALINDROMIC), (24, REDUCED_AP), (22, ARNDT),
+             (16, Family("block-arndt", 1)))
+    for streams in (((21, ANTIPALINDROMIC),), ((24, REDUCED_AP),), mixed):
         counting._frames.cache_clear()
+        counting._stored.cache_clear()
         tracemalloc.start()
         try:
-            for _ in family_blocks(n, family):
-                pass
+            for n, family in streams:
+                for _ in family_blocks(n, family):
+                    pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 2 ** 20, (n, str(family), peak)
+        assert peak <= 1.5 * 2 ** 20, ([(n, str(f)) for n, f in streams], peak)
 
 
 def test_walks_equal_the_reference_past_the_tail_weight(reference_past_16):
@@ -288,39 +294,54 @@ def test_member_counts_at_raised_caps():
 
 
 def spy_walks(monkeypatch):
-    """Record (weight, tails dict) of every walk counting._descend starts."""
+    """Record the weight of every walk counting._descend starts, from an
+    empty store of tails."""
     walks = []
     descend = counting._descend
 
-    def spy(n, family, cap, tails):
-        walks.append((n, tails))
-        return descend(n, family, cap, tails)
+    def spy(n, bound, cap):
+        walks.append(n)
+        return descend(n, bound, cap)
 
+    counting._stored.cache_clear()
     monkeypatch.setattr(counting, "_descend", spy)
     return walks
 
 
-@pytest.mark.parametrize("family", [ARNDT, Family("k-arndt", -3),
-                                    Family("block-arndt", 3),
-                                    ALL_COMPOSITIONS], ids=str)
+WALKED = [ARNDT, Family("k-arndt", -3), Family("block-arndt", 3),
+          ALL_COMPOSITIONS]
+
+
+@pytest.mark.parametrize("family", WALKED, ids=str)
 def test_each_tail_weight_is_walked_once_per_stream(monkeypatch, family):
     walks = spy_walks(monkeypatch)
-    assert sum(1 for _ in family_members(16, family)) > 0
-    (top, tails), inner = walks[0], walks[1:]
+    members = list(family_members(16, family))
+    top, inner = walks[0], walks[1:]
     assert top == 16 and inner
-    weights = [weight for weight, _ in inner]
-    assert max(weights) <= counting.TAIL_WEIGHT
-    assert len(set(weights)) == len(weights)
-    assert all(shared is tails for _, shared in inner)
-    assert sorted(tails) == sorted(weights)
+    assert max(inner) <= counting.TAIL_WEIGHT
+    assert len(set(inner)) == len(inner)
+    assert counting._stored.cache_info().currsize == len(inner)
     if family == ALL_COMPOSITIONS:
-        assert sorted(weights) == list(range(1, counting.TAIL_WEIGHT + 1))
+        assert sorted(inner) == list(range(1, counting.TAIL_WEIGHT + 1))
+    # A second stream walks no tail weight again.
+    walks.clear()
+    assert list(family_members(16, family)) == members
+    assert walks == [16]
+
+
+@pytest.mark.parametrize("family", WALKED, ids=str)
+def test_streams_of_a_family_share_the_stored_tails(family):
+    first, second = (list(family_blocks(16, family)) for _ in range(2))
+    assert [prefix for prefix, _ in first] == [prefix for prefix, _ in second]
+    assert any(tails is not WHOLE for _, tails in first)
+    assert all(a is b for (_, a), (_, b) in zip(first, second))
 
 
 def test_first_composition_comes_before_any_tail(monkeypatch):
     walks = spy_walks(monkeypatch)
     assert next(compositions_of(40, cap=None)) == (40,)
-    assert walks == [(40, {})]
+    assert walks == [40]
+    assert counting._stored.cache_info().currsize == 0
 
 
 def test_pruned_streams_never_walk_every_composition(monkeypatch):

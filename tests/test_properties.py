@@ -18,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from arndt import cli
 from arndt.bijection import arndt_to_reduced_ap, reduced_ap_to_arndt
-from arndt.compositions import (ANTIPALINDROMIC, REDUCED_AP, Family,
-                                is_arndt, is_reduced_ap_representative)
-from arndt.counting import _frames, family_blocks, family_members
+from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC,
+                                REDUCED_AP, Family, is_arndt,
+                                is_reduced_ap_representative)
+from arndt.counting import _frames, _stored, family_blocks, family_members
 from conftest import BLOCK_WALKED, block_period
 from reference_predicates import (MIRROR_RULES, assert_kernels_agree,
                                   reference_compositions_of,
@@ -89,9 +90,9 @@ def test_frame_masks_select_the_filtered_compositions(rest, family, data):
     # Each mask against the compositions of rest filtered by the reference
     # walks' own mirror rule, p opposite its mirror m; mirrors unclamped.
     allow = MIRROR_RULES[family.kind]
-    comps, lengths, refused, nonmember = _frames(rest, family.mirror)
+    lengths, refused, nonmember = _frames(rest, family.mirror)
     every = list(reference_compositions_of(rest))
-    assert comps == every
+    assert (_stored(rest, ALL_COMPOSITIONS.bound) if rest else [()]) == every
 
     def selected(mask):
         return [c for i, c in enumerate(every)

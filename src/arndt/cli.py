@@ -166,26 +166,20 @@ def cmd_enumerate(args, parser) -> int:
 
 def cmd_table(args, parser) -> int:
     family = _usage(parser, Family, args.family, args.k)
-    series = catalog.statistic_series(family, args.kind)
-    # Brute force covers every family, gf what the catalog has a series for,
-    # formula only Arndt.
-    if (series is None if args.method == "gf"
-            else args.method == "formula" and family != ARNDT):
-        parser.error(f"the {args.kind} table has a {args.method} path only "
-                     f"for --family {ARNDT.kind}; use --method brute")
     if args.method == "brute":
         # Refuse before any row is written, at the first weight refused.
         counting.check_weight(min(args.n, args.max_n + 1), args.max_n)
         rows = ((n, counting.tally(n, family, args.kind, args.max_n))
                 for n in range(args.n + 1))
     elif args.method == "formula":
-        if args.kind == "parts":
-            rows = formulas.parts_rows_by_recurrence(args.n)
-        else:
-            rows = ((n, formulas.last_row(n)) for n in range(args.n + 1))
+        rows = formulas.statistic_rows(family, args.kind, args.n)
     else:
-        gf = catalog.series_gf(series, family.k)
-        rows = gf.expand(args.n).integer_rows().items()
+        series = catalog.statistic_series(family, args.kind)
+        rows = series and (catalog.series_gf(series, family.k)
+                           .expand(args.n).integer_rows().items())
+    if rows is None:  # brute force covers every family, the others may not
+        parser.error(f"the {args.kind} table has a {args.method} path only "
+                     f"for --family {ARNDT.kind}; use --method brute")
     _write_triangle(rows, args.format)
     return 0
 
@@ -221,11 +215,7 @@ def _load_reference(name: str) -> Tuple[dict, Dict[int, int]]:
 
 
 def cmd_bfile(args, parser) -> int:
-    terms = formulas.bfile_texts(args.sequence, args.n)
-    if not args.check:
-        _write_lines(_sequence_lines(terms, "plain"))
-        return 0
-    meta, prefix = _load_reference(args.sequence)
+    meta, prefix = _load_reference(args.sequence) if args.check else ({}, {})
     covered = []  # the terms that the prefix covers, checked once written
 
     def keep(term):
@@ -233,7 +223,10 @@ def cmd_bfile(args, parser) -> int:
             covered.append(term)
         return term
 
-    _write_lines(_sequence_lines(map(keep, terms), "plain"))
+    terms = map(keep, formulas.bfile_texts(args.sequence, args.n))
+    _write_lines(_sequence_lines(terms, "plain"))
+    if not args.check:
+        return 0
     for n, text in covered:
         if str(prefix[n]) != text:
             print(f"error: {args.sequence} differs from {meta['a_number']} "

@@ -1,16 +1,16 @@
 """Closed forms and recurrences for the Arndt counting sequences.
 
 Everything here is exact integer arithmetic: Fibonacci/Lucas caches,
-generalised binomial sums, the three-term recurrence triangle (held in this
-module's CountTriangle), and the Fibonacci and Lucas closed forms for the
-last-part statistic and for the totals.  The one exception is the text of
-long b-file terms: bfile_texts runs the Fibonacci and Lucas recurrences in
-exact decimal arithmetic, under this module's _EXACT context, because a
-Decimal prints in time linear in its digits where an int takes quadratic
-time; only the text leaves this module.  This route imports neither the
-brute-force nor the series modules: no composition is enumerated and no
-generating function is expanded here.  Agreement with those two routes is
-established in the verification suite.
+generalised binomial sums, the three-term recurrence and the
+shifted-Fibonacci closed form, whose tables leave as plain rows {m: count}
+(statistic_rows names them), and the Fibonacci and Lucas closed forms for
+the totals.  The one exception is the text of long b-file terms: bfile_texts
+runs the Fibonacci and Lucas recurrences in exact decimal arithmetic, under
+this module's _EXACT context, because a Decimal prints in time linear in its
+digits where an int takes quadratic time; only the text leaves this module.
+This route imports neither the brute-force nor the series modules: no
+composition is enumerated and no generating function is expanded here.
+Agreement with those two routes is established in the verification suite.
 """
 
 from __future__ import annotations
@@ -21,38 +21,19 @@ from math import comb
 from operator import add
 from typing import Dict, Iterator, Optional, Tuple
 
+from .compositions import ARNDT, Family
 
-class CountTriangle:
-    """Exact counts indexed by (weight n, statistic m); absent cells are 0.
 
-    max_row is the largest n the triangle holds; reading past it raises
-    LookupError, which keeps "not computed" distinct from a legitimate zero.
-    """
+class CountTriangle(list):
+    """Rows 0..max_row, each {m: count} without zeros; IndexError past max_row.
+    The benchmark reads max_row and row_sum, and the row-sums check row_sum."""
 
-    def __init__(self, rows: Dict[int, Dict[int, int]], max_row: int):
-        self.max_row = max_row
-        self._rows = {n: {m: v for m, v in row.items() if v}
-                      for n, row in rows.items()}
-
-    def _check(self, n: int):
-        if not 0 <= n <= self.max_row:
-            raise LookupError(
-                f"row {n} outside triangle built for rows 0..{self.max_row}")
-
-    def get(self, n: int, m: int) -> int:
-        self._check(n)
-        return self._rows.get(n, {}).get(m, 0)
-
-    def row(self, n: int) -> Dict[int, int]:
-        self._check(n)
-        return dict(self._rows.get(n, {}))
+    @property
+    def max_row(self) -> int:
+        return len(self) - 1
 
     def row_sum(self, n: int) -> int:
-        self._check(n)
-        return sum(self._rows.get(n, {}).values())
-
-    def __repr__(self):
-        return f"CountTriangle(rows 0..{self.max_row})"
+        return sum(self[n].values())
 
 
 _FIB = [0, 1]
@@ -147,7 +128,8 @@ def parts_rows_by_recurrence(max_n: int, max_m: Optional[int] = None
 def parts_triangle_by_recurrence(max_n: int,
                                  max_m: Optional[int] = None) -> CountTriangle:
     """Rows 0..max_n of the parts triangle, from parts_rows_by_recurrence."""
-    return CountTriangle(dict(parts_rows_by_recurrence(max_n, max_m)), max_n)
+    rows = parts_rows_by_recurrence(max_n, max_m)
+    return CountTriangle(row for _, row in rows)
 
 
 def wz_residual(n: int, m: int, triangle: CountTriangle) -> int:
@@ -156,9 +138,9 @@ def wz_residual(n: int, m: int, triangle: CountTriangle) -> int:
     (m - n - 2 + floor(m/2)) a(n+2,m) + (m - floor(m/2)) a(n+1,m) + n a(n,m).
     The triangle must hold rows n..n+2.
     """
-    return ((m - n - 2 + m // 2) * triangle.get(n + 2, m)
-            + (m - m // 2) * triangle.get(n + 1, m)
-            + n * triangle.get(n, m))
+    return ((m - n - 2 + m // 2) * triangle[n + 2].get(m, 0)
+            + (m - m // 2) * triangle[n + 1].get(m, 0)
+            + n * triangle[n].get(m, 0))
 
 
 def fibonacci_from_alternating_sum(n: int) -> int:
@@ -207,6 +189,18 @@ def last_row(n: int) -> Dict[int, int]:
         second = _FIB[n - 3:0:-2] + [1] * (n % 2)
         cells[:len(second)] = map(add, cells, second)
     return {m: v for m, v in enumerate(cells, 1) if v}
+
+
+def statistic_rows(family: Family, statistic: str, max_n: int
+                   ) -> Optional[Iterator[Tuple[int, Dict[int, int]]]]:
+    """(n, row n) for n = 0..max_n of the closed-form table counting `family`
+    by `statistic`, made as drawn, or None; catalog.statistic_series's twin."""
+    if statistic not in ("parts", "last"):
+        raise ValueError(f"unknown statistic {statistic!r}")
+    if family != ARNDT:
+        return None
+    return (parts_rows_by_recurrence(max_n) if statistic == "parts"
+            else ((n, last_row(n)) for n in range(max_n + 1)))
 
 
 def last_count_at_most(n: int, k: int) -> int:

@@ -334,9 +334,9 @@ def check_four_way_agreement(upto):
             yield ("({}, {}): alternating, positive, recurrence vs series",
                    n, m), (formulas.parts_count_alternating(n, m),
                            formulas.parts_count_positive(n, m),
-                           triangle.get(n, m)), (rows[n].get(m, 0),) * 3
+                           triangle[n].get(m, 0)), (rows[n].get(m, 0),) * 3
     for n in range(upto(14) + 1):
-        yield ("recurrence row {} vs brute force", n), triangle.row(n), \
+        yield ("recurrence row {} vs brute force", n), triangle[n], \
             counting.count_by_parts(n)
 
 
@@ -501,8 +501,8 @@ def check_parts_count_asymptotic(upto):
     triangle = formulas.parts_triangle_by_recurrence(600, max_m=4)
     for m in (3, 4):
         est = asymptotics.parts_count_asymptotic(600, m)
-        yield ("a(600, {}) error", m), abs(triangle.get(600, m) / est - 1), \
-            _AtMost(0.15)
+        yield ("a(600, {}) error", m), \
+            abs(triangle[600].get(m, 0) / est - 1), _AtMost(0.15)
 
 
 @_check("asymptotics", "last-count-ratio")

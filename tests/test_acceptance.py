@@ -60,7 +60,7 @@ def test_criterion_04_formula_triple_agreement():
             v = rows[n].get(m, 0)
             assert formulas.parts_count_alternating(n, m) == v, (n, m)
             assert formulas.parts_count_positive(n, m) == v, (n, m)
-            assert tri.get(n, m) == v, (n, m)
+            assert tri[n].get(m, 0) == v, (n, m)
     report(4, "alternating sum == positive sum == recurrence == series "
               "coefficients for 0 <= m <= n <= 40")
 
@@ -178,7 +178,8 @@ def test_criterion_11_asymptotics():
         assert est == pytest.approx(formulas.fibonacci(n), rel=0.005), n
     tri = formulas.parts_triangle_by_recurrence(600, max_m=4)
     for m in (3, 4):
-        ratio = tri.get(600, m) / asymptotics.parts_count_asymptotic(600, m)
+        ratio = (tri[600].get(m, 0)
+                 / asymptotics.parts_count_asymptotic(600, m))
         assert abs(ratio - 1) <= 0.15, m
     for m in (1, 2, 3):
         ratio = formulas.last_count(60, m) / asymptotics.last_count_asymptotic(60, m)

@@ -171,6 +171,24 @@ def test_formula_parts_table_streams_its_rows(capsys, monkeypatch, fmt):
     assert ROW_0[fmt] + rest == whole
 
 
+def test_formula_table_takes_its_rows_from_formulas(capsys, monkeypatch):
+    # The CLI keeps no rule of which family has a formula table: rows that
+    # formulas.statistic_rows offers for another family are printed.
+    offered = [(0, {0: 1}), (1, {1: 2}), (2, {1: 3, 2: 4}), (3, {2: 5})]
+    asked = []
+
+    def rows(family, statistic, max_n):
+        asked.append((family, statistic, max_n))
+        return iter(offered)
+
+    monkeypatch.setattr(formulas, "statistic_rows", rows)
+    code, out, _ = run(capsys, "table", "parts", "--N", "3", "--method",
+                       "formula", "--family", "k-arndt", "--k", "1")
+    assert code == 0
+    assert asked == [(Family("k-arndt", 1), "parts", 3)]
+    assert parse_plain_triangle(out) == dict(offered)
+
+
 def test_table_past_the_cap_writes_and_tallies_nothing(capsys, monkeypatch):
     tallied = []
     monkeypatch.setattr(counting, "tally", lambda *args: tallied.append(args))
@@ -340,8 +358,8 @@ def test_bfile_parts_triangle_flat_builds_only_needed_rows(capsys,
                                                           monkeypatch):
     # reference: flatten the full triangle of 300 rows, row by row
     full = formulas.parts_triangle_by_recurrence(300)
-    flat = [full.get(n, m) for n in range(1, 301)
-            for m in range(1, max(full.row(n)) + 1)]
+    flat = [full[n].get(m, 0) for n in range(1, 301)
+            for m in range(1, max(full[n]) + 1)]
     for count in range(1, 301):
         code, out, _ = run(capsys, "bfile", "parts-triangle-flat",
                            "--N", str(count))

@@ -1,6 +1,9 @@
-import tracemalloc
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import chain, islice, zip_longest
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +19,7 @@ from arndt.counting import (WHOLE, BruteForceCapExceeded, compositions_of,
                             count_by_last, count_by_parts, family_blocks,
                             family_members, reduced_antipalindromic, tally,
                             total_last, total_parts)
-from arndt.formulas import CountTriangle, fibonacci
+from arndt.formulas import fibonacci
 from arndt.verify import _SAMPLE_K
 
 # Every family kind, the parameterised ones at the k values verify samples.
@@ -164,28 +167,40 @@ def test_mirrored_blocks_equal_the_replaced_block_walk():
                 assert (got[0], list(got[1])) == want, (n, str(family))
 
 
+# Drains the blocks of each (n, kind, k) listed in argv[1] and prints the
+# traced peak; the frame and stored caches are empty in a fresh process.
+_TRACED_STREAMS = """
+import ast, sys, tracemalloc
+from arndt.compositions import Family
+from arndt.counting import family_blocks
+tracemalloc.start()
+for n, kind, k in ast.literal_eval(sys.argv[1]):
+    for _ in family_blocks(n, Family(kind, k)):
+        pass
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 def test_mirrored_walk_holds_a_bounded_frame_cache():
-    # The traced peak while the blocks are drained (Python 3.11, a fresh
-    # process), the frame and stored caches cleared first: 465 KiB for
+    # The traced peak while the blocks are drained (Python 3.11): 465 KiB for
     # antipalindromic at n = 21, 455 KiB for reduced-ap at n = 24, and
     # 676 KiB over the mixed sequence.  The frames hold masks only, and the
     # compositions of each weight up to TAIL_WEIGHT are stored once for
-    # every mirror and stream, so the peak does not grow with n.
+    # every mirror and stream, so the peak does not grow with n.  Each case
+    # runs in a fresh process: a warm one reuses freed tuples from the
+    # interpreter's free lists without new traced allocations, and so reads
+    # lower than the peak bounded here.
     mixed = ((20, ALL_COMPOSITIONS), (20, Family("k-arndt", -3)),
              (21, ANTIPALINDROMIC), (24, REDUCED_AP), (22, ARNDT),
              (16, Family("block-arndt", 1)))
+    src = Path(counting.__file__).resolve().parents[1]
     for streams in (((21, ANTIPALINDROMIC),), ((24, REDUCED_AP),), mixed):
-        counting._frames.cache_clear()
-        counting._stored.cache_clear()
-        tracemalloc.start()
-        try:
-            for n, family in streams:
-                for _ in family_blocks(n, family):
-                    pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * 2 ** 20, ([(n, str(f)) for n, f in streams], peak)
+        listed = repr([(n, f.kind, f.k) for n, f in streams])
+        result = subprocess.run([sys.executable, "-c", _TRACED_STREAMS, listed],
+                                capture_output=True, text=True, check=True,
+                                env=dict(os.environ, PYTHONPATH=str(src)))
+        peak = int(result.stdout)
+        assert peak <= 1.5 * 2 ** 20, (listed, peak)
 
 
 def test_walks_equal_the_reference_past_the_tail_weight(reference_past_16):
@@ -382,14 +397,3 @@ def test_reduced_antipalindromic():
         for comp in reduced_antipalindromic(n):
             counts[len(comp)] = counts.get(len(comp), 0) + 1
         assert counts == count_by_parts(n, ARNDT)
-
-
-def test_count_triangle_access():
-    assert not hasattr(counting, "CountTriangle")  # formulas owns it
-    tri = CountTriangle({0: {0: 1}, 1: {1: 1}, 2: {1: 1, 2: 0}}, max_row=2)
-    assert tri.get(2, 1) == 1
-    assert tri.get(2, 5) == 0           # absent cell inside range is zero
-    assert tri.row(2) == {1: 1}         # explicit zero entries are dropped
-    assert tri.row_sum(1) == 1
-    with pytest.raises(LookupError):
-        tri.get(3, 0)                   # beyond built rows is an error

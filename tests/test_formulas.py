@@ -5,8 +5,10 @@ import pytest
 
 from conftest import TABLE_LAST, TABLE_PARTS
 from reference_predicates import reference_gen_binomial
+from arndt import counting
 from arndt.catalog import gf_arndt, gf_last_part
-from arndt.counting import total_last, total_parts
+from arndt.compositions import ARNDT, FAMILY_KINDS, Family
+from arndt.counting import STATISTICS, total_last, total_parts
 from arndt.formulas import (bfile_texts, fibonacci,
                             fibonacci_from_alternating_sum,
                             fibonacci_from_positive_sum, gen_binomial,
@@ -14,8 +16,10 @@ from arndt.formulas import (bfile_texts, fibonacci,
                             last_count_at_most, last_row, lucas,
                             parts_count_alternating, parts_count_positive,
                             parts_rows_by_recurrence,
-                            parts_triangle_by_recurrence, total_last_closed,
-                            total_parts_closed, wz_residual)
+                            parts_triangle_by_recurrence, statistic_rows,
+                            total_last_closed, total_parts_closed,
+                            wz_residual)
+from arndt.verify import _SAMPLE_K
 
 
 def test_fibonacci_and_lucas():
@@ -65,13 +69,13 @@ def test_parts_count_positive_values():
 
 def test_recurrence_triangle():
     tri = parts_triangle_by_recurrence(10)
-    assert tri.row(10) == {1: 1, 2: 4, 3: 16, 4: 14, 5: 16, 6: 3, 7: 1}
-    assert tri.row(0) == {0: 1}
+    assert tri[10] == {1: 1, 2: 4, 3: 16, 4: 14, 5: 16, 6: 3, 7: 1}
+    assert tri[0] == {0: 1}
     for n, want in TABLE_PARTS.items():
-        assert tri.row(n) == want
+        assert tri[n] == want
     for n in range(11):
         for m in range(n + 1):
-            assert tri.get(n, m) == parts_count_alternating(n, m)
+            assert tri[n].get(m, 0) == parts_count_alternating(n, m)
 
 
 def test_recurrence_triangle_column_cap():
@@ -79,13 +83,47 @@ def test_recurrence_triangle_column_cap():
     capped = parts_triangle_by_recurrence(30, max_m=4)
     for n in range(31):
         for m in range(5):
-            assert capped.get(n, m) == full.get(n, m)
+            assert capped[n].get(m, 0) == full[n].get(m, 0)
+
+
+def test_count_triangle_access():
+    assert not hasattr(counting, "CountTriangle")  # formulas owns it
+    tri = parts_triangle_by_recurrence(12)
+    assert tri == [row for _, row in parts_rows_by_recurrence(12)]
+    assert tri.max_row == 12
+    assert tri[2].get(5, 0) == 0        # absent cell inside range is zero
+    assert tri.row_sum(12) == fibonacci(12)
+    with pytest.raises(LookupError):
+        tri[tri.max_row + 1]            # beyond built rows is an error
+    # the producer stores no zero cell
+    assert all(all(row.values()) for _, row in parts_rows_by_recurrence(60))
+
+
+@pytest.mark.parametrize("statistic", list(STATISTICS))
+def test_statistic_rows_of_arndt(statistic):
+    want = (list(parts_rows_by_recurrence(60)) if statistic == "parts"
+            else [(n, last_row(n)) for n in range(61)])
+    assert list(statistic_rows(ARNDT, statistic, 60)) == want
+
+
+@pytest.mark.parametrize("family", [
+    Family(kind, k) for kind in FAMILY_KINDS if kind != ARNDT.kind
+    for k in _SAMPLE_K.get(kind, (None,))], ids=str)
+def test_statistic_rows_only_for_arndt(family):
+    for statistic in STATISTICS:
+        assert statistic_rows(family, statistic, 60) is None
+
+
+def test_statistic_rows_refuses_an_unknown_statistic():
+    with pytest.raises(ValueError, match="unknown statistic 'sum'"):
+        statistic_rows(ARNDT, "sum", 10)
 
 
 def test_wz_residual():
     tri = parts_triangle_by_recurrence(12)
     # (m-n-2+floor(m/2)) a(7,2) + (m-floor(m/2)) a(6,2) + n a(5,2)
-    assert tri.get(7, 2) == 3 and tri.get(6, 2) == 2 and tri.get(5, 2) == 2
+    assert (tri[7].get(2, 0) == 3 and tri[6].get(2, 0) == 2
+            and tri[5].get(2, 0) == 2)
     assert wz_residual(5, 2, tri) == 0
     assert wz_residual(0, 1, tri) == 0
     for n in range(11):
@@ -232,4 +270,4 @@ def test_four_way_agreement_desk_scale():
             v = rows[n].get(m, 0)
             assert parts_count_alternating(n, m) == v
             assert parts_count_positive(n, m) == v
-            assert tri.get(n, m) == v
+            assert tri[n].get(m, 0) == v

@@ -4,6 +4,7 @@ of them is renamed or deleted, installing the tracer fails here."""
 from pathlib import Path
 
 import arndt.cli  # noqa: F401  (the tracer wraps every layer the CLI loads)
+from arndt import formulas
 from arndt.series import RationalGF
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -20,3 +21,18 @@ def test_tracer_installs_and_restores(monkeypatch):
     finally:
         tracer.restore()
     assert vars(RationalGF)["expand"] is original
+
+
+def test_tracer_reads_the_count_triangle(monkeypatch):
+    # The tracer's hook on parts_triangle_by_recurrence reads max_row, and
+    # the benchmark's probes read row_sum.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    from spans import Tracer
+    tracer = Tracer()
+    tracer.install()
+    try:
+        triangle = formulas.parts_triangle_by_recurrence(5)
+    finally:
+        tracer.restore()
+    assert triangle.max_row == 5
+    assert triangle.row_sum(5) == formulas.fibonacci(5)

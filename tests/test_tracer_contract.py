@@ -34,5 +34,6 @@ def test_tracer_reads_the_count_triangle(monkeypatch):
         triangle = formulas.parts_triangle_by_recurrence(5)
     finally:
         tracer.restore()
+    assert tracer.counters["formulas.triangle_rows"] == 6  # rows 0..5
     assert triangle.max_row == 5
     assert triangle.row_sum(5) == formulas.fibonacci(5)

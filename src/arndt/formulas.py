@@ -193,8 +193,8 @@ def last_row(n: int) -> Dict[int, int]:
 
 def statistic_rows(family: Family, statistic: str, max_n: int
                    ) -> Optional[Iterator[Tuple[int, Dict[int, int]]]]:
-    """(n, row n) for n = 0..max_n of the closed-form table counting `family`
-    by `statistic`, made as drawn, or None; catalog.statistic_series's twin."""
+    """(n, row n), each made as drawn, for n = 0..max_n of the closed-form
+    table counting `family` by `statistic`, or None where there is none."""
     if statistic not in ("parts", "last"):
         raise ValueError(f"unknown statistic {statistic!r}")
     if family != ARNDT:

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from . import catalog, counting, formulas, verify
 from .compositions import ARNDT, FAMILY_KINDS, TAKES_K, Family
 from .counting import BRUTE_FORCE_CAP, BruteForceCapExceeded
-from .series import DEFAULT_ORDER
+from .series import DEFAULT_ORDER, integer_row, sequence_term
 
 FORMAT_CHOICES = ("plain", "csv", "jsonl")
 
@@ -157,6 +157,11 @@ def _sequence_lines(values: Iterable[Tuple[int, int]],
     return chain(header, starmap(_SEQUENCE_LINES[fmt].format, values))
 
 
+def _integer_rows(gf, order: int) -> Iterator[Tuple[int, Dict[int, int]]]:
+    """(n, row n as ints) of gf's expansion, each checked as it is drawn."""
+    return ((n, integer_row(n, row)) for n, row in enumerate(gf.iter_rows(order)))
+
+
 def cmd_enumerate(args, parser) -> int:
     family = _usage(parser, Family, args.family, args.k)
     blocks = counting.family_blocks(args.n, family, args.max_n)
@@ -175,8 +180,8 @@ def cmd_table(args, parser) -> int:
         rows = formulas.statistic_rows(family, args.kind, args.n)
     else:
         series = catalog.statistic_series(family, args.kind)
-        rows = series and (catalog.series_gf(series, family.k)
-                           .expand(args.n).integer_rows().items())
+        rows = series and _integer_rows(catalog.series_gf(series, family.k),
+                                        args.n)
     if rows is None:  # brute force covers every family, the others may not
         parser.error(f"the {args.kind} table has a {args.method} path only "
                      f"for --family {ARNDT.kind}; use --method brute")
@@ -192,12 +197,12 @@ def cmd_series(args, parser) -> int:
                               if entry[1])
         parser.error("the bfile format applies only to univariate "
                      f"sequences ({sequences})")
-    series = gf.expand(args.n)
     if univariate:
         fmt = "plain" if args.format == "bfile" else args.format
-        _write_lines(_sequence_lines(enumerate(series.sequence()), fmt))
+        terms = starmap(sequence_term, enumerate(gf.iter_rows(args.n)))
+        _write_lines(_sequence_lines(enumerate(terms), fmt))
     else:
-        _write_triangle(series.integer_rows().items(), args.format)
+        _write_triangle(_integer_rows(gf, args.n), args.format)
     return 0
 
 

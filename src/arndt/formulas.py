@@ -25,8 +25,11 @@ from .compositions import ARNDT, Family
 
 
 class CountTriangle(list):
-    """Rows 0..max_row, each {m: count} without zeros; IndexError past max_row.
+    """Rows 0..max_row, each {m: count} without zeros; IndexError outside.
     The benchmark reads max_row and row_sum, and the row-sums check row_sum."""
+
+    def __getitem__(self, n: int) -> Dict[int, int]:  # no row before row 0
+        return super().__getitem__(n if n >= 0 else len(self))
 
     @property
     def max_row(self) -> int:

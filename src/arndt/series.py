@@ -10,9 +10,10 @@ the catalog writes each GF over its natural denominator, so degrees stay
 small, and the denominator * expansion == numerator round-trip check in the
 verification suite guards correctness.
 
-An expansion is stored as its rows of y-coefficients, row n filled only up
-to the y-degree it can reach: the numerator's, or row n - i's top plus j for
-a denominator term x^i y^j with i >= 1 (the order, if a term has i == 0 < j).
+An expansion's rows of y-coefficients are streamed by iter_rows, which keeps
+only the rows that den reaches back to, and stored by expand; row n is filled
+only up to the y-degree it can reach: the numerator's, or row n - i's top plus
+j for a den term x^i y^j with i >= 1 (the order, if a term has i == 0 < j).
 
 Conventions: exponent pairs are (deg_x, deg_y); a polynomial is "univariate"
 when every stored term has deg_y == 0.
@@ -20,9 +21,10 @@ when every stored term has deg_y == 0.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 DEFAULT_ORDER = 64
 
@@ -134,6 +136,32 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({' + '.join(bits)})"
 
 
+def integer_row(n: int, cells: list, require_nonnegative: bool = True
+                ) -> Dict[int, int]:
+    """Row n's nonzero cells as {m: int}: a row of ints, nonnegative where
+    required, passes by a check in C; any other is gone through cell by cell,
+    making an integral Fraction an int or naming the first that fails."""
+    row = {m: v for m, v in enumerate(cells) if v}
+    if set(map(type, row.values())) <= {int} and not (
+            require_nonnegative and min(row.values(), default=0) < 0):
+        return row
+    for m, v in row.items():
+        if v.denominator != 1:
+            raise ValueError(f"coefficient at ({n}, {m}) is {v}, not an integer")
+        if require_nonnegative and v < 0:
+            raise ValueError(f"coefficient at ({n}, {m}) is negative: {v}")
+        row[m] = int(v)
+    return row
+
+
+def sequence_term(n: int, cells: list) -> int:
+    """Term n of a univariate series: row n by integer_row, with no y-term."""
+    row = integer_row(n, cells, require_nonnegative=False)
+    if row.keys() - {0}:
+        raise ValueError(f"series has a y-term in row {n}")
+    return row.get(0, 0)
+
+
 class TruncatedSeries:
     """Exact c(n, m) for n, m <= order: rows[n][m], or 0 past rows[n]'s end."""
 
@@ -155,36 +183,14 @@ class TruncatedSeries:
             raise LookupError(f"row {n} beyond truncation order {self.order}")
         return {m: v for m, v in enumerate(self.rows[n]) if v} if n >= 0 else {}
 
-    def integer_rows(self, require_nonnegative: bool = True
-                     ) -> Dict[int, Dict[int, int]]:
-        """All rows as ints, raising if any coefficient fails integrality.
-
-        A row of ints, nonnegative where required, passes by a check in C;
-        any other row is gone through cell by cell, which makes an integral
-        Fraction an int and names the first cell that fails.
-        """
-        rows = {n: self.row(n) for n in range(self.order + 1)}
-        for n, row in rows.items():
-            cells = row.values()
-            if set(map(type, cells)) <= {int} and not (
-                    require_nonnegative and min(cells, default=0) < 0):
-                continue
-            for m, v in row.items():
-                if v.denominator != 1:
-                    raise ValueError(
-                        f"coefficient at ({n}, {m}) is {v}, not an integer")
-                if require_nonnegative and v < 0:
-                    raise ValueError(f"coefficient at ({n}, {m}) is negative: {v}")
-                row[m] = int(v)
-        return rows
+    def integer_rows(self, require_nonnegative: bool = True) -> Dict[int, dict]:
+        """All rows as ints, each by integer_row."""
+        return {n: integer_row(n, row, require_nonnegative)
+                for n, row in enumerate(self.rows)}
 
     def sequence(self) -> List[int]:
-        """Integer coefficients of a univariate series, indexed by n."""
-        rows = self.integer_rows(require_nonnegative=False)
-        for n, row in rows.items():
-            if any(m != 0 for m in row):
-                raise ValueError(f"series has a y-term in row {n}")
-        return [row.get(0, 0) for row in rows.values()]
+        """Integer coefficients of a univariate series, each by sequence_term."""
+        return [sequence_term(n, row) for n, row in enumerate(self.rows)]
 
     def as_polynomial(self) -> BivariatePolynomial:
         return BivariatePolynomial({(n, m): v for n, row in enumerate(self.rows)
@@ -227,43 +233,44 @@ class RationalGF:
         return self.num * other.den == other.num * self.den
 
     def expand(self, order: int) -> TruncatedSeries:
-        """Exact coefficients up to x-order (and y-order) `order`.
+        """Exact coefficients up to x- and y-order `order`, from iter_rows."""
+        return TruncatedSeries(order, list(self.iter_rows(order)))
 
-        Coefficients are made ints by the lcm of their denominators; with d
-        den's constant term, x -> d x, y -> d y and den / d make den monic.
-        Row n is num's row n minus v * (row n - i, shifted up by j) for each
-        other den term v x^i y^j, and cell (n, m) is divided by d^(n+m+1) at
-        the end; a catalog expansion (d == 1) is all ints.
-        """
+    def iter_rows(self, order: int) -> Iterator[list]:
+        """Rows 0..order of the expansion, each yielded (not to be changed)
+        as soon as it is computed.  With coefficients made ints by the lcm
+        of their denominators and d den's constant term, x -> d x, y -> d y
+        and den / d make den monic; row n is num's row n minus v * (row n - i,
+        shifted up by j) for each other den term v x^i y^j, so only the last
+        max i rows are kept, and cell (n, m) is yielded divided by d^(n+m+1)."""
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
         scale = lcm(*(v.denominator for poly in (self.num, self.den)
                       for _, v in poly.terms()))
         d = int(self.den.constant() * scale)
-        num: List[dict] = [{} for _ in range(order + 1)]
+        num: Dict[int, dict] = {}
         for (i, j), v in self.num.truncate_x(order).terms():
-            num[i][j] = int(v * scale) * d ** (i + j)
+            num.setdefault(i, {})[j] = int(v * scale) * d ** (i + j)
         den = [(i, j, int(v * scale) * d ** (i + j - 1))
                for (i, j), v in self.den.terms() if i or j]
         shifts = [(i, j, v) for i, j, v in den if i]
         same_row = [(j, v) for i, j, v in den if not i]
-        rows: List[list] = []
+        back = deque(maxlen=max((i for i, _, _ in shifts), default=0))
         for n in range(order + 1):
-            live = [(rows[n - i], j, v) for i, j, v in shifts if i <= n]
-            top = max([*num[n], *(len(p) - 1 + j for p, j, _ in live)], default=-1)
+            live = [(back[-i], j, v) for i, j, v in shifts if i <= n]
+            own = num.get(n, {})
+            top = max([*own, *(len(p) - 1 + j for p, j, _ in live)], default=-1)
             top = order if same_row else min(top, order)
-            row = [num[n].get(m, 0) for m in range(top + 1)]
+            row = [own.get(m, 0) for m in range(top + 1)]
             for p, j, v in live:
                 for m, c in enumerate(p[:max(0, top + 1 - j)], j):
                     row[m] -= v * c
             if same_row:  # i == 0 terms read lower m of this row
                 for m in range(top + 1):
                     row[m] -= sum(v * row[m - j] for j, v in same_row if j <= m)
-            rows.append(row)
-        if d != 1:
-            rows = [[Fraction(e, d ** (n + m + 1)) for m, e in enumerate(row)]
-                    for n, row in enumerate(rows)]
-        return TruncatedSeries(order, rows)
+            back.append(row)
+            yield row if d == 1 else [Fraction(e, d ** (n + m + 1))
+                                      for m, e in enumerate(row)]
 
     def diff_y_at_1(self) -> "RationalGF":
         """d/dy of the series, evaluated at y = 1 (quotient rule)."""

@@ -16,6 +16,7 @@ from conftest import TABLE_LAST, TABLE_PARTS
 from arndt import catalog, cli, counting, formulas, verify
 from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC,
                                 FAMILY_KINDS, REDUCED_AP, TAKES_K, Family)
+from arndt.series import RationalGF
 from arndt.verify import _SAMPLE_K
 
 
@@ -169,6 +170,63 @@ def test_formula_parts_table_streams_its_rows(capsys, monkeypatch, fmt):
     code, rest, _ = run(capsys, *argv)
     assert code == 0
     assert ROW_0[fmt] + rest == whole
+
+
+# The command lines of test_gf_rows_stream, each with its first write.
+GF_STREAMS = {
+    **{f"series last-part --format {fmt}": ROW_0[fmt] for fmt in ROW_0},
+    "series total-last --format bfile": "0 0\n",
+    **{f"table last --method gf --format {fmt}": ROW_0[fmt] for fmt in ROW_0}}
+
+
+@pytest.mark.parametrize("command", sorted(GF_STREAMS))
+def test_gf_rows_stream(capsys, monkeypatch, command):
+    argv, first = command.split() + ["--N", "3"], GF_STREAMS[command]
+    _, whole, _ = run(capsys, *argv)
+    real = RationalGF.iter_rows
+
+    def spy(gf, order):
+        rows = real(gf, order)
+        yield next(rows)
+        # row 0 (term 0) is on stdout before row 1 is computed
+        assert capsys.readouterr().out == first
+        yield from rows
+
+    monkeypatch.setattr(RationalGF, "iter_rows", spy)
+    code, rest, _ = run(capsys, *argv)
+    assert code == 0
+    assert first + rest == whole
+
+
+# Runs the command in argv[1:] with the tracer started after the imports,
+# and prints the traced peak to stderr.
+_TRACED_COMMAND = """
+import sys, tracemalloc
+from arndt import cli
+tracemalloc.start()
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(code, tracemalloc.get_traced_memory()[1], file=sys.stderr)
+"""
+
+
+def test_streamed_series_holds_a_window_of_rows():
+    # The den of total-last reaches back 4 rows, so the stream holds at most
+    # 5 raw rows of one int each, below L(5000), about 0.5 KiB: 2.5 KiB.  On
+    # top come the parser and the command (0.23 MiB traced at --N 5) and one
+    # chunk of _write_lines, at most about 2 * CHUNK_CHARS characters held as
+    # items, text and bytes: 0.2 MiB.  The bound is twice their 0.43 MiB sum,
+    # less than the 1.6 MiB that the 5001 rows of the stored series take.
+    # Traced peak (Python 3.11): 0.40 MiB, and 3.3 MiB for the stored path.
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", _TRACED_COMMAND, "series", "total-last",
+         "--N", "5000", "--format", "bfile"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    code, peak = map(int, result.stderr.split())
+    assert code == 0
+    assert peak <= 2 ** 20, peak
 
 
 def test_formula_table_takes_its_rows_from_formulas(capsys, monkeypatch):

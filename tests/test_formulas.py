@@ -6,7 +6,8 @@ import pytest
 from conftest import TABLE_LAST, TABLE_PARTS
 from reference_predicates import reference_gen_binomial
 from arndt import counting
-from arndt.catalog import gf_arndt, gf_last_part
+from arndt.catalog import gf_arndt, gf_last_part, statistic_series
+from arndt.cli import build_parser
 from arndt.compositions import ARNDT, FAMILY_KINDS, Family
 from arndt.counting import STATISTICS, total_last, total_parts
 from arndt.formulas import (bfile_texts, fibonacci,
@@ -131,6 +132,37 @@ def test_wz_residual():
             assert wz_residual(n, m, tri) == 0
     with pytest.raises(LookupError):
         wz_residual(11, 0, tri)         # needs rows up to 13
+
+
+def test_count_triangle_refuses_a_row_before_row_0():
+    # A list reads a negative index from its end: row -1 would be row 5.
+    tri = parts_triangle_by_recurrence(5)
+    for read in (lambda: tri[-1], lambda: tri.row_sum(-1),
+                 lambda: wz_residual(-1, 1, tri),
+                 lambda: wz_residual(-3, 1, tri)):
+        with pytest.raises(LookupError):
+            read()
+    assert tri.row_sum(0) == 1 and wz_residual(0, 1, tri) == 0
+
+
+@pytest.mark.parametrize("statistic", ["", "Parts", "last-part", "sum"])
+def test_statistic_lookups_refuse_other_names(statistic):
+    with pytest.raises(ValueError, match=f"unknown statistic {statistic!r}"):
+        statistic_series(ARNDT, statistic)
+    with pytest.raises(ValueError, match=f"unknown statistic {statistic!r}"):
+        statistic_rows(ARNDT, statistic, 3)
+
+
+def test_statistic_names_are_spelt_alike():
+    # counting.STATISTICS, catalog.statistic_series and
+    # formulas.statistic_rows each spell the names, and `table` offers them.
+    for statistic in STATISTICS:
+        assert statistic_series(ARNDT, statistic) is not None
+        assert statistic_rows(ARNDT, statistic, 3) is not None
+    table = next(action.choices["table"]
+                 for action in build_parser()._subparsers._group_actions)
+    kind = next(action for action in table._actions if action.dest == "kind")
+    assert list(kind.choices) == list(STATISTICS)
 
 
 def test_fibonacci_double_sums():

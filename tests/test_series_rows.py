@@ -1,7 +1,8 @@
 """RationalGF.expand, which stores rows and fills each row only as far as
 it can reach, against the sparse full-square expansion it replaced; the
-stored cell that TruncatedSeries.coefficient reads, against row(n); and the
-ints that polynomials and catalog expansions hold."""
+rows that RationalGF.iter_rows streams, against the stored ones; the stored
+cell that TruncatedSeries.coefficient reads, against row(n); and the ints
+that polynomials and catalog expansions hold."""
 
 from fractions import Fraction
 from itertools import product
@@ -9,9 +10,10 @@ from math import comb
 
 import pytest
 
-from arndt import verify
+from arndt import catalog, verify
 from arndt.catalog import gf_arndt, gf_total_last
-from arndt.series import BivariatePolynomial, RationalGF
+from arndt.series import (BivariatePolynomial, RationalGF, integer_row,
+                          sequence_term)
 from sparse_expand import cut, rows_of, sparse_expand
 
 GATE_ORDER = 64
@@ -27,6 +29,42 @@ def test_expand_equals_the_sparse_reference(gf):
         assert series.as_polynomial() == BivariatePolynomial(want), order
         assert series.integer_rows() == rows_of(want, order), order
         assert all(type(c) is int for row in series.rows for c in row), order
+
+
+def drawn(gf, order):
+    """gf's streamed rows, each copied as it is drawn: a row changed after
+    it was yielded, or one yielded out of turn, differs from the store."""
+    return [list(row) for row in gf.iter_rows(order)]
+
+
+def outcome(make):
+    """make()'s value, or the message of the ValueError it raises."""
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_streamed_as_stored(gf, order, univariate):
+    stored = gf.expand(order)
+    assert drawn(gf, order) == stored.rows, order
+    for nonnegative in (True, False):
+        assert outcome(lambda: [
+            (n, integer_row(n, row, nonnegative))
+            for n, row in enumerate(gf.iter_rows(order))]) == outcome(
+            lambda: list(stored.integer_rows(nonnegative).items())), order
+    if univariate:
+        assert [sequence_term(n, row) for n, row in
+                enumerate(gf.iter_rows(order))] == stored.sequence(), order
+
+
+@pytest.mark.parametrize("name, k", [
+    pytest.param(name, k, id=f"{name}({k})" if k is not None else name)
+    for name in catalog.SERIES for k in verify._SAMPLE_K.get(name, (None,))])
+def test_streamed_rows_equal_the_stored_rows(name, k):
+    gf = catalog.series_gf(name, k)
+    for order in range(GATE_ORDER + 1):
+        assert_streamed_as_stored(gf, order, catalog.SERIES[name][1])
 
 
 # Denominators with a term x^0 y^j, j > 0, which reads lower y-degrees of
@@ -49,6 +87,7 @@ def test_same_row_terms_and_dividing_constants(den, constant, num):
         assert series.as_polynomial() == BivariatePolynomial(cut(full, order))
         assert {n: series.row(n) for n in range(order + 1)} == \
             rows_of(cut(full, order), order)
+        assert_streamed_as_stored(gf, order, univariate=False)
 
 
 def test_integral_coefficients_are_stored_as_ints():

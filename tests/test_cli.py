@@ -14,7 +14,7 @@ import pytest
 
 from conftest import TABLE_LAST, TABLE_PARTS
 from arndt import catalog, cli, counting, formulas, verify
-from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC,
+from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
                                 FAMILY_KINDS, REDUCED_AP, TAKES_K, Family)
 from arndt.series import RationalGF
 from arndt.verify import _SAMPLE_K
@@ -454,6 +454,25 @@ def test_bfile_triangle_mismatch_exits_3(capsys, monkeypatch):
     assert code == 3
     # Rows 1..4 give 1 + 1 + 2 + 3 terms, so row 5 starts at index 8.
     assert "A354787 at index 8: computed 2, reference 1" in err
+
+
+def test_statistic_names_are_stated_alike():
+    # counting.STATISTICS, catalog.statistic_series and formulas.statistic_rows
+    # each spell the names, which `table` offers as its kinds.
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    kind = next(action for action in commands.choices["table"]._actions
+                if action.dest == "kind")
+    assert list(kind.choices) == list(counting.STATISTICS)
+    for statistic in counting.STATISTICS:
+        assert catalog.statistic_series(ARNDT, statistic) is not None
+        assert formulas.statistic_rows(ARNDT, statistic, 3) is not None
+    for other in ("", "Parts", "last-part", "sum"):
+        for lookup in (catalog.statistic_series,
+                       lambda *args: formulas.statistic_rows(*args, 3)):
+            with pytest.raises(ValueError, match=f"unknown statistic {other!r}"):
+                lookup(ARNDT, other)
 
 
 def test_bfile_names_are_stated_once():

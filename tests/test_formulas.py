@@ -6,8 +6,7 @@ import pytest
 from conftest import TABLE_LAST, TABLE_PARTS
 from reference_predicates import reference_gen_binomial
 from arndt import counting
-from arndt.catalog import gf_arndt, gf_last_part, statistic_series
-from arndt.cli import build_parser
+from arndt.catalog import gf_arndt, gf_last_part
 from arndt.compositions import ARNDT, FAMILY_KINDS, Family
 from arndt.counting import STATISTICS, total_last, total_parts
 from arndt.formulas import (bfile_texts, fibonacci,
@@ -143,26 +142,6 @@ def test_count_triangle_refuses_a_row_before_row_0():
         with pytest.raises(LookupError):
             read()
     assert tri.row_sum(0) == 1 and wz_residual(0, 1, tri) == 0
-
-
-@pytest.mark.parametrize("statistic", ["", "Parts", "last-part", "sum"])
-def test_statistic_lookups_refuse_other_names(statistic):
-    with pytest.raises(ValueError, match=f"unknown statistic {statistic!r}"):
-        statistic_series(ARNDT, statistic)
-    with pytest.raises(ValueError, match=f"unknown statistic {statistic!r}"):
-        statistic_rows(ARNDT, statistic, 3)
-
-
-def test_statistic_names_are_spelt_alike():
-    # counting.STATISTICS, catalog.statistic_series and
-    # formulas.statistic_rows each spell the names, and `table` offers them.
-    for statistic in STATISTICS:
-        assert statistic_series(ARNDT, statistic) is not None
-        assert statistic_rows(ARNDT, statistic, 3) is not None
-    table = next(action.choices["table"]
-                 for action in build_parser()._subparsers._group_actions)
-    kind = next(action for action in table._actions if action.dest == "kind")
-    assert list(kind.choices) == list(STATISTICS)
 
 
 def test_fibonacci_double_sums():

@@ -3,7 +3,9 @@ OEIS b-file export, and the cross-validation suite.
 
 stdout carries data, stderr carries diagnostics.  Exit codes: 0 success,
 1 verification failure, brute-force cap exceeded or stdout closed early by
-its reader (silently), 2 usage error, 3 reference-prefix mismatch.
+its reader (silently), 2 usage error, 3 reference-prefix mismatch.  `main`
+may be called many times in one process; build_parser() returns the one
+parser they share, which callers must not change.
 """
 
 from __future__ import annotations
@@ -209,14 +211,9 @@ def cmd_series(args, parser) -> int:
 def _load_reference(name: str) -> Tuple[dict, Dict[int, int]]:
     data = resources.files("arndt.data")
     meta = json.loads(data.joinpath("oeis.json").read_text())[name]
-    prefix: Dict[int, int] = {}
-    for line in data.joinpath(meta["file"]).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        idx, val = line.split()
-        prefix[int(idx)] = int(val)
-    return meta, prefix
+    lines = data.joinpath(meta["file"]).read_text().splitlines()
+    kept = (line.split() for line in lines if not line.lstrip().startswith("#"))
+    return meta, {int(idx): int(val) for idx, val in filter(None, kept)}
 
 
 def cmd_bfile(args, parser) -> int:
@@ -263,7 +260,10 @@ def cmd_verify(args, parser) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first call and shared by every
+    later call and `main`; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="arndt",
         description="Enumerate, tabulate, and cross-verify Arndt-type "

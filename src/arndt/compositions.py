@@ -24,10 +24,10 @@ Families handled here, with ``l = len(c)``:
   contains exactly one such representative.
 
 All predicates are pure and accept the empty composition (every pair
-condition holds vacuously).  Except for k-block Arndt, each runs its loop in
-C, as all() over map() of an operator function: one shared iterator hands
-map the two parts of each consecutive pair, and the first half of the parts
-against reversed(comp) gives each mirrored pair.
+condition holds vacuously).  Each runs its loops in C, as all() over map() of
+an operator function: one shared iterator hands map the two parts of each
+consecutive pair, the first half of the parts against reversed(comp) gives
+each mirrored pair, and k-block Arndt takes one all() per offset in a block.
 """
 
 from __future__ import annotations
@@ -52,13 +52,15 @@ def is_k_block_arndt(comp, k: int) -> bool:
     """True if every block of k consecutive parts is strictly decreasing.
 
     A trailing block of fewer than k parts must be strictly decreasing as
-    well.  Adjacent parts in the same block are exactly those whose boundary
-    does not fall on a multiple of k.
+    well.  The adjacent parts in a block at offsets r and r + 1 are the
+    parts comp[r::k] against comp[r + 1::k], for each r < k - 1.
     """
     if k < 1:  # check_k owns the bound and its message
         check_k("family", "block-arndt", k)
-    return all(comp[j] > comp[j + 1]
-               for j in range(len(comp) - 1) if (j + 1) % k)
+    for r in range(k - 1):
+        if not all(map(gt, comp[r::k], comp[r + 1::k])):
+            return False
+    return True
 
 
 def is_antipalindromic(comp) -> bool:

@@ -234,15 +234,18 @@ STATISTICS = {"parts": (len, len),
 def tally(n: int, family: Family, statistic: str,
           cap: Optional[int] = BRUTE_FORCE_CAP) -> Dict[int, int]:
     """Family members of weight n tallied by a statistic from STATISTICS, a
-    tail list counted once in C and shifted per block by its prefix."""
+    tail list counted once in C, added to one row shifted by its prefix."""
     value, shift = STATISTICS[statistic]
     counted = lru_cache(TAIL_WEIGHT + 1)(
         lambda tails: Counter(map(value, tails)).items())
     row: Counter = Counter()
     for prefix, tails in family_blocks(n, family, cap):
+        if tails is WHOLE:
+            row[value(prefix)] += 1
+            continue
         add = shift(prefix)
-        row.update({value(prefix): 1} if tails is WHOLE else
-                   {m + add: count for m, count in counted(tails)})
+        for m, count in counted(tails):
+            row[m + add] += count
     return dict(row)
 
 

@@ -101,10 +101,8 @@ class BivariatePolynomial:
 
     def subst_y1(self) -> "BivariatePolynomial":
         """Substitute y = 1, collapsing to a polynomial in x alone."""
-        coeffs = {}
-        for (i, _), v in self._coeffs.items():
-            coeffs[(i, 0)] = coeffs.get((i, 0), 0) + v
-        return BivariatePolynomial(coeffs)
+        return BivariatePolynomial.from_terms(
+            (i, 0, v) for (i, _), v in self._coeffs.items())
 
     def truncate_x(self, order: int) -> "BivariatePolynomial":
         return BivariatePolynomial(

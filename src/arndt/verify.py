@@ -437,9 +437,10 @@ def check_bijection(upto):
             yield ("round trip at {}", comp), \
                 bijection.arndt_to_reduced_ap(out), comp
             image.append(out)
-        yield ("distinct images at weight {}", n), len(set(image)), len(image)
+        image_set = set(image)
+        yield ("distinct images at weight {}", n), len(image_set), len(image)
         arndt_set = set(counting.family_members(n, ARNDT))
-        yield ("image at weight {} vs the Arndt set", n), set(image), arndt_set
+        yield ("image at weight {} vs the Arndt set", n), image_set, arndt_set
         for comp in arndt_set:
             back = bijection.arndt_to_reduced_ap(comp)
             yield ("inverse round trip at {}", comp), \

@@ -13,11 +13,14 @@ from itertools import chain
 from math import factorial, prod
 
 from arndt.compositions import (is_antipalindromic, is_arndt, is_k_arndt,
+                                is_k_block_arndt,
                                 is_reduced_ap_representative)
 from arndt.counting import TAIL_WEIGHT
 
 # The k values every k-Arndt kernel is compared at.
 KERNEL_K = range(-3, 4)
+# The block lengths every k-block Arndt kernel is compared at.
+KERNEL_BLOCK_K = range(1, 9)
 
 
 def reference_is_arndt(comp):
@@ -26,6 +29,11 @@ def reference_is_arndt(comp):
 
 def reference_is_k_arndt(comp, k):
     return all(comp[i] > comp[i + 1] + k for i in range(0, len(comp) - 1, 2))
+
+
+def reference_is_k_block_arndt(comp, k):
+    return all(comp[j] > comp[j + 1]
+               for j in range(len(comp) - 1) if (j + 1) % k)
 
 
 def reference_is_antipalindromic(comp):
@@ -46,6 +54,9 @@ def assert_kernels_agree(comp):
         reference_is_reduced_ap_representative(comp), comp
     for k in KERNEL_K:
         assert is_k_arndt(comp, k) == reference_is_k_arndt(comp, k), (comp, k)
+    for k in KERNEL_BLOCK_K:
+        assert is_k_block_arndt(comp, k) == \
+            reference_is_k_block_arndt(comp, k), (comp, k)
 
 
 def reference_compositions_of(n):

@@ -884,6 +884,41 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
     assert result.stdout == "[]\n"
 
 
+def test_main_builds_no_parser_once_the_parser_is_built(capsys, monkeypatch):
+    # cli.main parses with the one parser of the process.
+    cli.build_parser()
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    for argv in (["enumerate", "--n", "3"], ["series", "arndt", "--N", "4"],
+                 ["verify", "counting", "--max-n", "4"]):
+        assert run(capsys, *argv)[0] == 0
+    assert made == []
+
+
+def test_help_reads_the_terminal_width_of_each_call(capsys, monkeypatch):
+    # The shared parser formats help at the width of the call, as a parser
+    # built in a fresh process for that width does.
+    src = Path(cli.__file__).resolve().parents[1]
+    texts = []
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["enumerate", "--help"])
+        assert exit_.value.code == 0
+        texts.append(capsys.readouterr().out)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "arndt", "enumerate", "--help"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(src), COLUMNS=columns))
+        assert texts[-1] == fresh.stdout
+    assert texts[0] != texts[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "counting"], ["enumerate", "--n", "22", "--family", "all"]])
 def test_a_reader_that_closes_early_ends_the_command_with_exit_1(argv):

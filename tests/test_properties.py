@@ -1,11 +1,13 @@
 """Hypothesis properties against independent oracles: the predicate kernels
-against their generator-expression references on arbitrary int tuples, the
+against their generator-expression references on arbitrary int tuples (and
+the k-block kernel's refusal of a block length below 1), the
 split of a member at a block end, the plain grid's column width against
 its width over every cell, the prefix-bound walks at any k against
 the predicate-filtered stream, the mirrored block walks against the merged
 per-length walks, the frame masks over the compositions of a weight against
 the compositions they name, filtered, the bijection against pairs laid out
-by hand, and the CLI's outcome on argvs built from its parser."""
+by hand, the CLI's outcome on argvs built from its parser, and the outcome
+of argvs run in turn through the shared parser against a fresh one's."""
 
 import argparse
 import io
@@ -20,6 +22,7 @@ from arndt import cli
 from arndt.bijection import arndt_to_reduced_ap, reduced_ap_to_arndt
 from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC,
                                 REDUCED_AP, Family, is_arndt,
+                                is_k_block_arndt,
                                 is_reduced_ap_representative)
 from arndt.counting import _frames, _stored, family_blocks, family_members
 from conftest import BLOCK_WALKED, block_period
@@ -34,6 +37,14 @@ MOST_WEIGHT = 500
 def test_kernels_equal_the_reference_predicates_on_int_tuples(comp):
     # Odd lengths, repeated parts and parts below 1 included.
     assert_kernels_agree(comp)
+
+
+@given(st.lists(st.integers(1, 12), max_size=12).map(tuple),
+       st.integers(-8, 0))
+def test_block_kernel_refuses_a_block_length_below_1(comp, k):
+    with pytest.raises(ValueError,
+                       match="^family 'block-arndt' needs k >= 1$"):
+        is_k_block_arndt(comp, k)
 
 
 @given(st.sampled_from(BLOCK_WALKED),
@@ -221,3 +232,25 @@ def test_every_argv_ends_in_a_documented_outcome(argv):
     if code:
         assert sum("error:" in line
                    for line in err.getvalue().splitlines()) == 1, argv
+
+
+def outcome(argv):
+    """cli.main(argv)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None)
+@given(st.lists(argvs(), min_size=2, max_size=4))
+def test_the_shared_parser_answers_as_a_fresh_one(drawn):
+    # The argvs run one after another through the one parser of the
+    # process, then each through a parser built for it alone.
+    shared = [outcome(argv) for argv in drawn]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert [outcome(argv) for argv in drawn] == shared

@@ -40,8 +40,11 @@ def test_is_k_block_arndt():
 
 
 def test_is_k_block_arndt_rejects_bad_k():
-    with pytest.raises(ValueError):
-        is_k_block_arndt((3, 1), 0)
+    for comp in [(), (3, 1), (1, 2, 3)]:
+        for k in (0, -1, -8):
+            with pytest.raises(ValueError,
+                               match="^family 'block-arndt' needs k >= 1$"):
+                is_k_block_arndt(comp, k)
 
 
 def test_is_antipalindromic():

@@ -1,6 +1,5 @@
 """Hypothesis properties against independent oracles: the predicate kernels
-against their generator-expression references on arbitrary int tuples (and
-the k-block kernel's refusal of a block length below 1), the
+against their generator-expression references on arbitrary int tuples, the
 split of a member at a block end, the plain grid's column width against
 its width over every cell, the prefix-bound walks at any k against
 the predicate-filtered stream, the mirrored block walks against the merged
@@ -22,7 +21,6 @@ from arndt import cli
 from arndt.bijection import arndt_to_reduced_ap, reduced_ap_to_arndt
 from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC,
                                 REDUCED_AP, Family, is_arndt,
-                                is_k_block_arndt,
                                 is_reduced_ap_representative)
 from arndt.counting import _frames, _stored, family_blocks, family_members
 from conftest import BLOCK_WALKED, block_period
@@ -37,14 +35,6 @@ MOST_WEIGHT = 500
 def test_kernels_equal_the_reference_predicates_on_int_tuples(comp):
     # Odd lengths, repeated parts and parts below 1 included.
     assert_kernels_agree(comp)
-
-
-@given(st.lists(st.integers(1, 12), max_size=12).map(tuple),
-       st.integers(-8, 0))
-def test_block_kernel_refuses_a_block_length_below_1(comp, k):
-    with pytest.raises(ValueError,
-                       match="^family 'block-arndt' needs k >= 1$"):
-        is_k_block_arndt(comp, k)
 
 
 @given(st.sampled_from(BLOCK_WALKED),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .compositions import ALL_COMPOSITIONS, ARNDT, Family, check_k
+from .compositions import ALL_COMPOSITIONS, ARNDT, STATISTICS, Family, check_k
 from .series import BivariatePolynomial, RationalGF
 
 
@@ -136,7 +136,7 @@ def gf_distinct_parts(j: int) -> RationalGF:
     """
     check_k("series", "distinct-parts", j)
     num = _poly((j * (j + 1) // 2, j, 1))
-    den = BivariatePolynomial.one()
+    den = _poly((0, 0, 1))
     for l in range(1, j + 1):
         den = den * _poly((0, 0, 1), (l, 0, -1))
     return RationalGF(num, den)
@@ -152,7 +152,7 @@ def gf_k_block(k: int) -> RationalGF:
     sum_j x^(j(j+1)/2) y^j prod_{j<l<=k} (1 - x^l) / (D_k - x^(k(k+1)/2) y^k)
     """
     check_k("series", "block-arndt", k)
-    num, den = BivariatePolynomial.zero(), BivariatePolynomial.one()
+    num, den = BivariatePolynomial(), _poly((0, 0, 1))
     for j in reversed(range(k)):
         den = den * _poly((0, 0, 1), (j + 1, 0, -1))
         num = num + _poly((j * (j + 1) // 2, j, 1)) * den
@@ -194,12 +194,12 @@ def series_gf(name: str, k: Optional[int] = None) -> RationalGF:
 
 def statistic_series(family: Family, statistic: str) -> Optional[str]:
     """The SERIES name of the GF counting `family` by weight and `statistic`
-    (a name in counting.STATISTICS), or None where the catalog has none."""
+    (a name in compositions.STATISTICS), or None where the catalog has none."""
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
     if statistic == "parts":
         return "compositions" if family == ALL_COMPOSITIONS else family.kind
-    if statistic == "last":
-        return "last-part" if family == ARNDT else None
-    raise ValueError(f"unknown statistic {statistic!r}")
+    return "last-part" if family == ARNDT else None
 
 
 def gf_k_block_reference(k: int) -> RationalGF:

@@ -20,7 +20,7 @@ from itertools import chain, islice, starmap
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import catalog, counting, formulas, verify
-from .compositions import ARNDT, FAMILY_KINDS, TAKES_K, Family
+from .compositions import ARNDT, FAMILY_KINDS, STATISTICS, TAKES_K, Family
 from .counting import BRUTE_FORCE_CAP, BruteForceCapExceeded
 from .series import DEFAULT_ORDER, integer_row, sequence_term
 
@@ -280,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMAT_CHOICES, default="plain")
     p.add_argument("--max-n", type=size, default=BRUTE_FORCE_CAP,
                    help="raise the brute-force cap")
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, parser=p)
 
     p = sub.add_parser("table", help="triangle of counts for weights 0..N")
-    p.add_argument("kind", choices=counting.STATISTICS,
+    p.add_argument("kind", choices=STATISTICS,
                    help="statistic: number of parts, or last part")
     p.add_argument("--N", dest="n", type=size, required=True,
                    help="largest weight")
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMAT_CHOICES, default="plain")
     p.add_argument("--max-n", type=size, default=BRUTE_FORCE_CAP,
                    help="raise the brute-force cap (brute method)")
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_table, parser=p)
 
     p = sub.add_parser("series",
                        help="coefficients of a catalog generating function")
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"truncation order (default {DEFAULT_ORDER})")
     p.add_argument("--format", choices=FORMAT_CHOICES + ("bfile",),
                    default="plain")
-    p.set_defaults(func=cmd_series)
+    p.set_defaults(func=cmd_series, parser=p)
 
     p = sub.add_parser("bfile",
                        help="emit a sequence in OEIS b-file format")
@@ -313,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of terms (b-file index runs from 1)")
     p.add_argument("--check", action="store_true",
                    help="compare against the bundled reference prefix")
-    p.set_defaults(func=cmd_bfile)
+    p.set_defaults(func=cmd_bfile, parser=p)
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
     p.add_argument("scope", nargs="?", choices=verify.SCOPES, default="all")
     p.add_argument("--max-n", type=size, default=None,
                    help="clamp the per-check weight ranges")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     return parser
 
@@ -334,7 +334,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)  # the command's own parser
     except BruteForceCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

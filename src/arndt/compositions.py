@@ -4,7 +4,8 @@ A composition of n is a finite sequence of positive integers (its parts)
 summing to n.  Compositions are represented as plain tuples of ints; the
 empty tuple is the (valid) empty composition of weight 0.  The accessors are
 the obvious ones: ``sum(c)`` is the weight, ``len(c)`` the number of parts,
-``c[-1]`` the last part (undefined for the empty composition).
+``c[-1]`` the last part (undefined for the empty composition).  STATISTICS
+names the two that the paper counts by, for every route.
 
 Families handled here, with ``l = len(c)``:
 
@@ -96,6 +97,12 @@ def flip_class(comp) -> set:
                 v[i], v[l - 1 - i] = v[l - 1 - i], v[i]
         out.add(tuple(v))
     return out
+
+
+# Statistic name -> (its value on a composition, what parts placed in front
+# of a composition add to that value).  The empty composition has last part 0.
+STATISTICS = {"parts": (len, len),
+              "last": (lambda comp: comp[-1] if comp else 0, lambda p: 0)}
 
 
 # Family kind or series name -> its least k, None for any int; an absent

@@ -19,7 +19,8 @@ compositions of that weight, in C, by one bit mask made of cached masks
 parts); nothing is sorted.  All paths yield in order.  The bound or the
 mirror comparison alone builds the members: no walk calls a predicate.  The
 predicates in compositions define the families, and the tests hold every
-walk to the predicate-filtered stream.  tally counts a block at a time, each
+walk to the predicate-filtered stream.  tally is the one brute-force count:
+members by a statistic of compositions.STATISTICS, a block at a time, each
 tail list in C.
 
 Counts are exact Python ints (unbounded).  check_weight refuses weights
@@ -36,7 +37,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 # The two predicates are bound here only so that benchmarks/spans.py can
 # patch these names; nothing in this module calls them.
-from .compositions import (ALL_COMPOSITIONS, ARNDT, REDUCED_AP,  # noqa: F401
+from .compositions import (ALL_COMPOSITIONS, ARNDT, STATISTICS,  # noqa: F401
                            Family, is_arndt, is_reduced_ap_representative)
 
 BRUTE_FORCE_CAP = 28
@@ -225,12 +226,6 @@ def family_members(n: int, family: Family,
     return _joined(family_blocks(n, family, cap))
 
 
-# Statistic name -> (its value on one composition, what a block's prefix
-# adds to it for each tail).  The empty composition has last part 0.
-STATISTICS = {"parts": (len, len),
-              "last": (lambda comp: comp[-1] if comp else 0, lambda p: 0)}
-
-
 def tally(n: int, family: Family, statistic: str,
           cap: Optional[int] = BRUTE_FORCE_CAP) -> Dict[int, int]:
     """Family members of weight n tallied by a statistic from STATISTICS, a
@@ -249,16 +244,6 @@ def tally(n: int, family: Family, statistic: str,
     return dict(row)
 
 
-def count_by_parts(n: int, family: Family = ARNDT) -> Dict[int, int]:
-    """Family members of weight n tallied by number of parts."""
-    return tally(n, family, "parts")
-
-
-def count_by_last(n: int, family: Family = ARNDT) -> Dict[int, int]:
-    """Family members of weight n tallied by last part (0 for the empty one)."""
-    return tally(n, family, "last")
-
-
 def total_parts(n: int) -> int:
     """Sum of the number of parts over all Arndt compositions of n."""
     return sum(m * c for m, c in tally(n, ARNDT, "parts").items())
@@ -267,10 +252,3 @@ def total_parts(n: int) -> int:
 def total_last(n: int) -> int:
     """Sum of the last part over all Arndt compositions of n (0 for ())."""
     return sum(m * c for m, c in tally(n, ARNDT, "last").items())
-
-
-def reduced_antipalindromic(n: int) -> Iterator[tuple]:
-    """The canonical representative of each flip class of weight n: the
-    compositions of n whose mirrored pairs all descend from the left, one
-    per flip class of anti-palindromic compositions."""
-    return family_members(n, REDUCED_AP)

@@ -21,7 +21,7 @@ from math import comb
 from operator import add
 from typing import Dict, Iterator, Optional, Tuple
 
-from .compositions import ARNDT, Family
+from .compositions import ARNDT, STATISTICS, Family
 
 
 class CountTriangle(list):
@@ -198,7 +198,7 @@ def statistic_rows(family: Family, statistic: str, max_n: int
                    ) -> Optional[Iterator[Tuple[int, Dict[int, int]]]]:
     """(n, row n), each made as drawn, for n = 0..max_n of the closed-form
     table counting `family` by `statistic`, or None where there is none."""
-    if statistic not in ("parts", "last"):
+    if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     if family != ARNDT:
         return None

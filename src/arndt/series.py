@@ -14,6 +14,9 @@ An expansion's rows of y-coefficients are streamed by iter_rows, which keeps
 only the rows that den reaches back to, and stored by expand; row n is filled
 only up to the y-degree it can reach: the numerator's, or row n - i's top plus
 j for a den term x^i y^j with i >= 1 (the order, if a term has i == 0 < j).
+The stored rows are read as nonnegative ints by integer_rows, or as the terms
+of a series in x alone by sequence; integer_row and sequence_term are the one
+rule for a single row, which the streaming readers apply as rows are drawn.
 
 Conventions: exponent pairs are (deg_x, deg_y); a polynomial is "univariate"
 when every stored term has deg_y == 0.
@@ -50,14 +53,6 @@ class BivariatePolynomial:
         for i, j, v in terms:
             coeffs[i, j] = coeffs.get((i, j), 0) + v
         return cls(coeffs)
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
 
     def coefficient(self, i: int, j: int = 0) -> int:
         return self._coeffs.get((i, j), 0)
@@ -175,16 +170,9 @@ class TruncatedSeries:
         row = self.rows[n] if n >= 0 else ()
         return row[m] if 0 <= m < len(row) else 0
 
-    def row(self, n: int) -> Dict[int, int]:
-        """Nonzero coefficients of x^n, keyed by y-degree."""
-        if n > self.order:
-            raise LookupError(f"row {n} beyond truncation order {self.order}")
-        return {m: v for m, v in enumerate(self.rows[n]) if v} if n >= 0 else {}
-
-    def integer_rows(self, require_nonnegative: bool = True) -> Dict[int, dict]:
-        """All rows as ints, each by integer_row."""
-        return {n: integer_row(n, row, require_nonnegative)
-                for n, row in enumerate(self.rows)}
+    def integer_rows(self) -> Dict[int, dict]:
+        """All rows as nonnegative ints, each by integer_row."""
+        return {n: integer_row(n, row) for n, row in enumerate(self.rows)}
 
     def sequence(self) -> List[int]:
         """Integer coefficients of a univariate series, each by sequence_term."""

@@ -25,8 +25,8 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import asymptotics, bijection, catalog, counting, formulas
 from .compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
-                           REDUCED_AP, Family, flip_class, is_arndt,
-                           is_k_arndt, is_k_block_arndt,
+                           REDUCED_AP, STATISTICS, Family, flip_class,
+                           is_arndt, is_k_arndt, is_k_block_arndt,
                            is_reduced_ap_representative)
 from .series import BivariatePolynomial, RationalGF
 
@@ -120,7 +120,7 @@ def check_stream(upto):
 def check_fibonacci_totals(upto):
     """Brute-force Arndt counts by parts and by last part both sum to F(n)."""
     for n in range(1, upto(22) + 1):
-        for statistic in counting.STATISTICS:
+        for statistic in STATISTICS:
             yield ("{} total at {} vs F(n)", statistic, n), \
                 sum(counting.tally(n, ARNDT, statistic).values()), \
                 formulas.fibonacci(n)
@@ -131,15 +131,16 @@ def check_reduced_ap_rows(upto):
     """Reduced anti-palindromic counts by parts equal the Arndt counts."""
     for n in range(upto(14) + 1):
         yield ("reduced-ap vs arndt row {}", n), \
-            counting.count_by_parts(n, REDUCED_AP), counting.count_by_parts(n)
+            counting.tally(n, REDUCED_AP, "parts"), \
+            counting.tally(n, ARNDT, "parts")
 
 
 @_check("counting", "antipalindromic-doubling")
 def check_antipalindromic_doubling(upto):
     """Anti-palindromic counts are 2^(m//2) times the reduced counts."""
     for n in range(upto(12) + 1):
-        ap = counting.count_by_parts(n, ANTIPALINDROMIC)
-        reduced = counting.count_by_parts(n, REDUCED_AP)
+        ap = counting.tally(n, ANTIPALINDROMIC, "parts")
+        reduced = counting.tally(n, REDUCED_AP, "parts")
         for m in set(ap) | set(reduced):
             yield ("({}, {}): anti-palindromic vs 2^(m//2) reduced", n, m), \
                 ap.get(m, 0), (1 << (m // 2)) * reduced.get(m, 0)
@@ -251,7 +252,7 @@ def check_catalog_vs_brute(upto):
                 (ALL_COMPOSITIONS, 12)]
     families += [(Family("k-arndt", k), 12) for k in range(-3, 4)]
     families += [(Family("block-arndt", k), 12) for k in range(1, 5)]
-    for statistic in counting.STATISTICS:
+    for statistic in STATISTICS:
         for family, default in families:
             series = catalog.statistic_series(family, statistic)
             if series is None:
@@ -337,7 +338,7 @@ def check_four_way_agreement(upto):
                            triangle[n].get(m, 0)), (rows[n].get(m, 0),) * 3
     for n in range(upto(14) + 1):
         yield ("recurrence row {} vs brute force", n), triangle[n], \
-            counting.count_by_parts(n)
+            counting.tally(n, ARNDT, "parts")
 
 
 @_check("formulas", "wz-residual")
@@ -430,7 +431,7 @@ def check_bijection(upto):
         bijection.reduced_ap_to_arndt((2, 3, 6, 2, 1)), (2, 1, 3, 2, 6)
     for n in range(upto(18) + 1):
         image = []
-        for comp in counting.reduced_antipalindromic(n):
+        for comp in counting.family_members(n, REDUCED_AP):
             out = bijection.reduced_ap_to_arndt(comp)
             yield ("weight and parts of the image of {}", comp), \
                 (sum(out), len(out)), (sum(comp), len(comp))

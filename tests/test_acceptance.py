@@ -12,8 +12,9 @@ import pytest
 from conftest import (BLOCK3_ARNDT_OF_10, BLOCK3_TOTALS, BLOCK4_TOTALS,
                       K3_ARNDT_OF_10, TABLE_LAST, TABLE_PARTS)
 from arndt import asymptotics, bijection, catalog, cli, counting, formulas
-from arndt.compositions import (ANTIPALINDROMIC, ARNDT, Family, flip_class,
-                                is_arndt, is_reduced_ap_representative)
+from arndt.compositions import (ANTIPALINDROMIC, ARNDT, REDUCED_AP, Family,
+                                flip_class, is_arndt,
+                                is_reduced_ap_representative)
 from test_cli import parse_plain_triangle, run
 
 
@@ -39,7 +40,7 @@ def test_criterion_02_table_last(capsys):
 
 def test_criterion_03_fibonacci_counts():
     for n in range(1, 23):
-        brute = sum(counting.count_by_parts(n, ARNDT).values())
+        brute = sum(counting.tally(n, ARNDT, "parts").values())
         assert brute == formulas.fibonacci(n), n
     rows = catalog.gf_arndt().expand(40).integer_rows()
     tri = formulas.parts_triangle_by_recurrence(40)
@@ -112,7 +113,7 @@ def test_criterion_07_statistics():
 def test_criterion_08_bijection():
     assert bijection.reduced_ap_to_arndt((2, 3, 6, 2, 1)) == (2, 1, 3, 2, 6)
     for n in range(19):
-        reduced = list(counting.reduced_antipalindromic(n))
+        reduced = list(counting.family_members(n, REDUCED_AP))
         image = [bijection.reduced_ap_to_arndt(c) for c in reduced]
         for src, dst in zip(reduced, image):
             assert sum(dst) == sum(src) and len(dst) == len(src), src
@@ -150,13 +151,13 @@ def test_criterion_10_generalizations():
     for k in range(-3, 4):
         rows = catalog.gf_k_arndt(k).expand(12).integer_rows()
         for n in range(13):
-            assert rows[n] == counting.count_by_parts(
-                n, Family("k-arndt", k)), (k, n)
+            assert rows[n] == counting.tally(
+                n, Family("k-arndt", k), "parts"), (k, n)
     for k in range(1, 5):
         rows = catalog.gf_k_block(k).expand(12).integer_rows()
         for n in range(13):
-            assert rows[n] == counting.count_by_parts(
-                n, Family("block-arndt", k)), (k, n)
+            assert rows[n] == counting.tally(
+                n, Family("block-arndt", k), "parts"), (k, n)
     block2 = catalog.gf_k_block(2).expand(30).integer_rows()
     arndt_rows = catalog.gf_arndt().expand(30).integer_rows()
     assert block2 == arndt_rows

@@ -1,9 +1,9 @@
 import pytest
 
 from arndt.bijection import arndt_to_reduced_ap, reduced_ap_to_arndt
-from arndt.compositions import ARNDT, is_arndt, is_reduced_ap_representative
-from arndt.counting import (compositions_of, family_members,
-                            reduced_antipalindromic)
+from arndt.compositions import (ARNDT, REDUCED_AP, is_arndt,
+                                is_reduced_ap_representative)
+from arndt.counting import compositions_of, family_members
 from reference_predicates import (reference_arndt_to_reduced_ap,
                                   reference_reduced_ap_to_arndt)
 
@@ -31,7 +31,7 @@ def test_domain_errors():
 
 @pytest.mark.parametrize("n", range(13))
 def test_bijectivity(n):
-    reduced = list(reduced_antipalindromic(n))
+    reduced = list(family_members(n, REDUCED_AP))
     image = [reduced_ap_to_arndt(c) for c in reduced]
     for src, dst in zip(reduced, image):
         assert is_arndt(dst)
@@ -43,7 +43,7 @@ def test_bijectivity(n):
 
 
 def test_slicing_maps_equal_the_loop_maps():
-    reduced = [c for n in range(17) for c in reduced_antipalindromic(n)]
+    reduced = [c for n in range(17) for c in family_members(n, REDUCED_AP)]
     arndt = [c for n in range(17) for c in family_members(n, ARNDT)]
     assert len(reduced) + len(arndt) == 5168
     for comp in reduced:

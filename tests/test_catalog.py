@@ -7,17 +7,16 @@ from arndt.catalog import (gf_antipalindromic, gf_arndt, gf_distinct_parts,
                            gf_k_block_reference, gf_k_block_total_reference,
                            gf_last_part, gf_reduced_ap, gf_total_last,
                            gf_total_parts)
-from arndt.compositions import (ANTIPALINDROMIC, FAMILY_KINDS, REDUCED_AP,
-                                TAKES_K, Family)
-from arndt.counting import count_by_last, count_by_parts
+from arndt.compositions import (ANTIPALINDROMIC, ARNDT, FAMILY_KINDS,
+                                REDUCED_AP, TAKES_K, Family)
+from arndt.counting import tally
 from arndt.series import BivariatePolynomial, RationalGF
 from arndt.verify import _SAMPLE_K
 
 
 def test_arndt_series_prefix():
-    series = gf_arndt().expand(10)
-    assert series.row(5) == {3: 2, 2: 2, 1: 1}
-    rows = series.integer_rows()
+    rows = gf_arndt().expand(10).integer_rows()
+    assert rows[5] == {3: 2, 2: 2, 1: 1}
     for n, want in TABLE_PARTS.items():
         assert rows[n] == want
 
@@ -30,7 +29,7 @@ def test_arndt_totals_are_fibonacci():
 def test_antipalindromic_rows_match_brute_force():
     rows = gf_antipalindromic().expand(12).integer_rows()
     for n in range(13):
-        assert rows[n] == count_by_parts(n, ANTIPALINDROMIC)
+        assert rows[n] == tally(n, ANTIPALINDROMIC, "parts")
 
 
 def test_antipalindromic_doubles_reduced():
@@ -46,19 +45,18 @@ def test_reduced_ap_equals_arndt_and_brute_force():
     assert a.num == b.num and a.den == b.den
     rows = b.expand(12).integer_rows()
     for n in range(13):
-        assert rows[n] == count_by_parts(n, REDUCED_AP)
+        assert rows[n] == tally(n, REDUCED_AP, "parts")
     assert rows[0] == {0: 1}
 
 
 def test_last_part_rows():
-    series = gf_last_part().expand(14)
-    assert series.row(6) == {6: 1, 3: 1, 2: 2, 1: 4}
-    assert series.row(2) == {2: 1}
-    rows = series.integer_rows()
+    rows = gf_last_part().expand(14).integer_rows()
+    assert rows[6] == {6: 1, 3: 1, 2: 2, 1: 4}
+    assert rows[2] == {2: 1}
     for n, want in TABLE_LAST.items():
         assert rows[n] == want
     for n in range(15):
-        assert rows[n] == count_by_last(n)
+        assert rows[n] == tally(n, ARNDT, "last")
 
 
 def test_totals_series():
@@ -70,14 +68,14 @@ def test_k_arndt_matches_brute_force():
     for k in range(-3, 4):
         rows = gf_k_arndt(k).expand(12).integer_rows()
         for n in range(13):
-            assert rows[n] == count_by_parts(n, Family("k-arndt", k)), (k, n)
+            assert rows[n] == tally(n, Family("k-arndt", k), "parts"), (k, n)
 
 
 def test_k_arndt_displayed_rows():
-    assert gf_k_arndt(3).expand(7).row(7) == {1: 1, 2: 1, 3: 1}
-    assert gf_k_arndt(-3).expand(4).row(4) == {1: 1, 2: 3, 3: 3, 4: 1}
-    assert gf_k_arndt(-3).expand(6).row(6) == {1: 1, 2: 4, 3: 9, 4: 10,
-                                               5: 5, 6: 1}
+    assert gf_k_arndt(3).expand(7).integer_rows()[7] == {1: 1, 2: 1, 3: 1}
+    rows = gf_k_arndt(-3).expand(6).integer_rows()
+    assert rows[4] == {1: 1, 2: 3, 3: 3, 4: 1}
+    assert rows[6] == {1: 1, 2: 4, 3: 9, 4: 10, 5: 5, 6: 1}
 
 
 def test_k_arndt_zero_is_arndt():
@@ -97,14 +95,13 @@ def test_k_arndt_y1_specialisations():
 
 def test_distinct_parts():
     # j = 0 is the constant series 1
-    empty = gf_distinct_parts(0).expand(5)
-    assert empty.row(0) == {0: 1}
-    assert all(empty.row(n) == {} for n in range(1, 6))
+    empty = gf_distinct_parts(0).expand(5).integer_rows()
+    assert empty == {0: {0: 1}, 1: {}, 2: {}, 3: {}, 4: {}, 5: {}}
     # j = 1: one partition of every positive weight, a single part
     rows = gf_distinct_parts(1).expand(8).integer_rows()
     assert all(rows[n] == {1: 1} for n in range(1, 9))
     # j = 2: strictly decreasing pairs; weight 5 has (4,1) and (3,2)
-    assert gf_distinct_parts(2).expand(5).row(5) == {2: 2}
+    assert gf_distinct_parts(2).expand(5).integer_rows()[5] == {2: 2}
     with pytest.raises(ValueError):
         gf_distinct_parts(-1)
 
@@ -113,7 +110,8 @@ def test_k_block_matches_brute_force():
     for k in range(1, 5):
         rows = gf_k_block(k).expand(12).integer_rows()
         for n in range(13):
-            assert rows[n] == count_by_parts(n, Family("block-arndt", k)), (k, n)
+            assert rows[n] == tally(n, Family("block-arndt", k), "parts"), \
+                (k, n)
     with pytest.raises(ValueError):
         gf_k_block(0)
 
@@ -142,7 +140,7 @@ def _k_block_by_gf_arithmetic(k):
     The cross-multiplied reference gf_k_block is written against; it carries
     far larger polynomials than the construction over the natural denominator.
     """
-    one = BivariatePolynomial.one()
+    one = BivariatePolynomial({(0, 0): 1})
     partial = gf_distinct_parts(0)
     for j in range(1, k):
         partial = partial + gf_distinct_parts(j)
@@ -154,7 +152,7 @@ def _k_block_from_distinct_parts(k):
     J_j.num for j < k times prod_{j<l<=k} (1 - x^l), over J_k.den - J_k.num.
     The construction that builds D_k = J_k.den once is gated against it."""
     full = gf_distinct_parts(k)
-    num, tail = BivariatePolynomial.zero(), BivariatePolynomial.one()
+    num, tail = BivariatePolynomial(), BivariatePolynomial({(0, 0): 1})
     for j in reversed(range(k)):
         tail = tail * BivariatePolynomial({(0, 0): 1, (j + 1, 0): -1})
         num = num + gf_distinct_parts(j).num * tail

@@ -15,7 +15,8 @@ import pytest
 from conftest import TABLE_LAST, TABLE_PARTS
 from arndt import catalog, cli, counting, formulas, verify
 from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
-                                FAMILY_KINDS, REDUCED_AP, TAKES_K, Family)
+                                FAMILY_KINDS, REDUCED_AP, STATISTICS, TAKES_K,
+                                Family)
 from arndt.series import RationalGF
 from arndt.verify import _SAMPLE_K
 
@@ -282,7 +283,7 @@ def test_table_methods_byte_identical(capsys):
     assert len(outputs["last"]) == 1
 
 
-@pytest.mark.parametrize("statistic", list(counting.STATISTICS))
+@pytest.mark.parametrize("statistic", list(STATISTICS))
 @pytest.mark.parametrize("family", [
     Family(kind, k) for kind in FAMILY_KINDS
     for k in _SAMPLE_K.get(kind, (None,))], ids=str)
@@ -293,8 +294,10 @@ def test_gf_table_follows_the_catalog(capsys, family, statistic):
         with pytest.raises(SystemExit) as exc:
             run(capsys, *argv, "--method", "gf")
         assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            f"arndt: error: the {statistic} table has a gf path only "
+        err = capsys.readouterr().err
+        assert err.startswith("usage: arndt table ")
+        assert err.splitlines()[-1] == (
+            f"arndt table: error: the {statistic} table has a gf path only "
             "for --family arndt; use --method brute")
     else:
         code, out, _ = run(capsys, *argv, "--method", "gf")
@@ -457,15 +460,15 @@ def test_bfile_triangle_mismatch_exits_3(capsys, monkeypatch):
 
 
 def test_statistic_names_are_stated_alike():
-    # counting.STATISTICS, catalog.statistic_series and formulas.statistic_rows
-    # each spell the names, which `table` offers as its kinds.
+    # compositions.STATISTICS names the statistics, which `table` offers as
+    # its kinds and catalog.statistic_series and formulas.statistic_rows read.
     parser = cli.build_parser()
     commands = next(action for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction))
     kind = next(action for action in commands.choices["table"]._actions
                 if action.dest == "kind")
-    assert list(kind.choices) == list(counting.STATISTICS)
-    for statistic in counting.STATISTICS:
+    assert list(kind.choices) == list(STATISTICS)
+    for statistic in STATISTICS:
         assert catalog.statistic_series(ARNDT, statistic) is not None
         assert formulas.statistic_rows(ARNDT, statistic, 3) is not None
     for other in ("", "Parts", "last-part", "sum"):
@@ -746,16 +749,19 @@ def test_sizes_out_of_range_are_usage_errors(capsys, argv):
       "--method", "formula"), "the last table"),
     (("table", "parts", "--N", "5", "--family", "reduced-ap",
       "--method", "formula"), "the parts table"),
+    (("series", "arndt", "--N", "4", "--format", "bfile"), "the bfile format"),
 ])
 def test_family_series_and_route_errors_are_one_line(capsys, argv, names):
+    # Found after parsing, each is still the command's own usage error.
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     out, err = capsys.readouterr()
     assert exc.value.code == 2
     assert out == ""
     assert "Traceback" not in err
+    assert err.startswith(f"usage: arndt {argv[0]} "), err
     last = err.splitlines()[-1]
-    assert last.startswith("arndt: error:") and names in last, last
+    assert last.startswith(f"arndt {argv[0]}: error:") and names in last, last
 
 
 def test_series_bfile_format(capsys):

@@ -14,11 +14,11 @@ from reference_predicates import (reference_compositions_of,
                                   reference_mirrored_blocks)
 from arndt import counting
 from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
-                                FAMILY_KINDS, REDUCED_AP, Family, is_arndt)
+                                FAMILY_KINDS, REDUCED_AP, STATISTICS, Family,
+                                is_arndt)
 from arndt.counting import (WHOLE, BruteForceCapExceeded, compositions_of,
-                            count_by_last, count_by_parts, family_blocks,
-                            family_members, reduced_antipalindromic, tally,
-                            total_last, total_parts)
+                            family_blocks, family_members, tally, total_last,
+                            total_parts)
 from arndt.formulas import fibonacci
 from arndt.verify import _SAMPLE_K
 
@@ -64,22 +64,22 @@ def test_arndt_members_of_6():
 
 @pytest.mark.parametrize("n", sorted(TABLE_PARTS))
 def test_count_by_parts_matches_table(n):
-    assert count_by_parts(n, ARNDT) == TABLE_PARTS[n]
+    assert tally(n, ARNDT, "parts") == TABLE_PARTS[n]
 
 
 @pytest.mark.parametrize("n", sorted(TABLE_LAST))
 def test_count_by_last_matches_table(n):
-    assert count_by_last(n, ARNDT) == TABLE_LAST[n]
+    assert tally(n, ARNDT, "last") == TABLE_LAST[n]
 
 
 def test_count_rows_edge_cases():
-    assert count_by_parts(0, ARNDT) == {0: 1}
-    assert count_by_last(0, ARNDT) == {0: 1}
-    assert count_by_last(1, ARNDT) == {1: 1}
+    assert tally(0, ARNDT, "parts") == {0: 1}
+    assert tally(0, ARNDT, "last") == {0: 1}
+    assert tally(1, ARNDT, "last") == {1: 1}
 
 
 def test_count_by_parts_k_arndt():
-    row = count_by_parts(10, Family("k-arndt", 3))
+    row = tally(10, Family("k-arndt", 3), "parts")
     assert sum(row.values()) == 10
 
 
@@ -259,7 +259,7 @@ def member_tally(members, statistic):
 
 
 def test_tally_equals_the_member_tally():
-    assert set(MEMBER_STATISTICS) == set(counting.STATISTICS)
+    assert set(MEMBER_STATISTICS) == set(STATISTICS)
     for n in range(17):
         for family in PRUNED + [ALL_COMPOSITIONS]:
             for statistic in MEMBER_STATISTICS:
@@ -389,11 +389,11 @@ def test_pruned_stream_keeps_the_cap_and_its_message():
 
 
 def test_reduced_antipalindromic():
-    assert list(reduced_antipalindromic(0)) == [()]
-    two_parts = [c for c in reduced_antipalindromic(5) if len(c) == 2]
+    assert list(family_members(0, REDUCED_AP)) == [()]
+    two_parts = [c for c in family_members(5, REDUCED_AP) if len(c) == 2]
     assert set(two_parts) == {(4, 1), (3, 2)}
     for n in range(11):
         counts = {}
-        for comp in reduced_antipalindromic(n):
+        for comp in family_members(n, REDUCED_AP):
             counts[len(comp)] = counts.get(len(comp), 0) + 1
-        assert counts == count_by_parts(n, ARNDT)
+        assert counts == tally(n, ARNDT, "parts")

@@ -7,8 +7,8 @@ from conftest import TABLE_LAST, TABLE_PARTS
 from reference_predicates import reference_gen_binomial
 from arndt import counting
 from arndt.catalog import gf_arndt, gf_last_part
-from arndt.compositions import ARNDT, FAMILY_KINDS, Family
-from arndt.counting import STATISTICS, total_last, total_parts
+from arndt.compositions import ARNDT, FAMILY_KINDS, STATISTICS, Family
+from arndt.counting import total_last, total_parts
 from arndt.formulas import (bfile_texts, fibonacci,
                             fibonacci_from_alternating_sum,
                             fibonacci_from_positive_sum, gen_binomial,

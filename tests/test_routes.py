@@ -46,3 +46,9 @@ def test_route_imports_no_other_route(module):
     own = {name for name, route in ROUTE.items() if route == ROUTE[module]}
     source = (PACKAGE / f"{module}.py").read_text()
     assert arndt_imports(source) <= own | SHARED
+
+
+def test_compositions_is_a_leaf():
+    # Every route imports compositions, where the families and statistics
+    # live, so it may import no module of the package itself.
+    assert arndt_imports((PACKAGE / "compositions.py").read_text()) == set()

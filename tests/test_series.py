@@ -5,8 +5,9 @@ import pytest
 from arndt.catalog import (gf_arndt, gf_compositions, gf_distinct_parts,
                            gf_last_part, gf_total_last, gf_total_parts)
 from arndt.compositions import ALL_COMPOSITIONS
-from arndt.counting import count_by_parts
-from arndt.series import BivariatePolynomial, RationalGF, TruncatedSeries
+from arndt.counting import tally
+from arndt.series import (BivariatePolynomial, RationalGF, TruncatedSeries,
+                          integer_row)
 
 
 def poly(*terms):
@@ -26,11 +27,11 @@ def test_poly_arithmetic():
     assert (one_minus_x * one_minus_x * one_plus_x
             == poly((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1)))
     assert (X * Y).coefficient(1, 1) == 1
-    assert poly((0, 0, 1), (0, 0, -1)) == BivariatePolynomial.zero()
+    assert poly((0, 0, 1), (0, 0, -1)) == BivariatePolynomial()
 
 
 def test_poly_from_terms_sums_collisions():
-    assert poly((3, 2, -1), (3, 2, 1)) == BivariatePolynomial.zero()
+    assert poly((3, 2, -1), (3, 2, 1)) == BivariatePolynomial()
     assert poly((1, 0, 2), (1, 0, 3)) == poly((1, 0, 5))
 
 
@@ -51,7 +52,7 @@ def test_poly_eval_requires_univariate():
 
 def test_rational_add_identity():
     f = RationalGF(X, ONE - X)
-    zero = RationalGF(BivariatePolynomial.zero(), ONE)
+    zero = RationalGF(BivariatePolynomial(), ONE)
     assert (f + zero).series_equal(f)
 
 
@@ -69,7 +70,7 @@ def test_rational_div_builds_composition_series():
     assert geom.series_equal(gf_compositions())
     rows = geom.expand(10).integer_rows()
     for n in range(11):
-        assert rows[n] == count_by_parts(n, ALL_COMPOSITIONS)
+        assert rows[n] == tally(n, ALL_COMPOSITIONS, "parts")
 
 
 def test_denominator_constant_must_be_nonzero():
@@ -82,13 +83,12 @@ def test_denominator_constant_must_be_nonzero():
 
 
 def test_expand_arndt_rows():
-    series = gf_arndt().expand(6)
-    assert series.row(6) == {4: 1, 3: 4, 2: 2, 1: 1}
-    assert gf_arndt().expand(0).row(0) == {0: 1}
+    assert gf_arndt().expand(6).integer_rows()[6] == {4: 1, 3: 4, 2: 2, 1: 1}
+    assert gf_arndt().expand(0).integer_rows()[0] == {0: 1}
 
 
 def test_expand_last_part_row():
-    assert gf_last_part().expand(5).row(5) == {5: 1, 2: 2, 1: 2}
+    assert gf_last_part().expand(5).integer_rows()[5] == {5: 1, 2: 2, 1: 2}
 
 
 def test_expand_rejects_negative_order():
@@ -103,7 +103,7 @@ def test_integer_rows_validation():
     g = RationalGF(-X, ONE)
     with pytest.raises(ValueError):
         g.expand(2).integer_rows()
-    assert g.expand(2).integer_rows(require_nonnegative=False)[1] == {0: -1}
+    assert g.expand(2).sequence() == [0, -1, 0]
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -124,9 +124,10 @@ def test_integer_rows_makes_integral_fractions_ints():
     with pytest.raises(ValueError, match=r"^coefficient at \(1, 1\) is "
                                          r"negative: -5$"):
         series.integer_rows()
-    rows = series.integer_rows(require_nonnegative=False)
-    assert rows == {0: {0: 2}, 1: {0: 3, 1: -5}}
-    assert {type(v) for row in rows.values() for v in row.values()} == {int}
+    rows = [integer_row(0, series.rows[0]),
+            integer_row(1, series.rows[1], require_nonnegative=False)]
+    assert rows == [{0: 2}, {0: 3, 1: -5}]
+    assert {type(v) for row in rows for v in row.values()} == {int}
 
 
 def test_sequence_rejects_bivariate():
@@ -144,7 +145,7 @@ def test_diff_y_at_1():
     assert got.series_equal(gf_total_last())
     # a y-free series has zero derivative
     flat = RationalGF(ONE, ONE - X)
-    assert flat.diff_y_at_1().num == BivariatePolynomial.zero()
+    assert flat.diff_y_at_1().num == BivariatePolynomial()
 
 
 def test_eval_y1():

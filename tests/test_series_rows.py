@@ -1,7 +1,7 @@
 """RationalGF.expand, which stores rows and fills each row only as far as
 it can reach, against the sparse full-square expansion it replaced; the
 rows that RationalGF.iter_rows streams, against the stored ones; the stored
-cell that TruncatedSeries.coefficient reads, against row(n); and the ints
+cell that TruncatedSeries.coefficient reads, against rows[n]; and the ints
 that polynomials and catalog expansions hold."""
 
 from fractions import Fraction
@@ -48,11 +48,9 @@ def outcome(make):
 def assert_streamed_as_stored(gf, order, univariate):
     stored = gf.expand(order)
     assert drawn(gf, order) == stored.rows, order
-    for nonnegative in (True, False):
-        assert outcome(lambda: [
-            (n, integer_row(n, row, nonnegative))
-            for n, row in enumerate(gf.iter_rows(order))]) == outcome(
-            lambda: list(stored.integer_rows(nonnegative).items())), order
+    assert outcome(lambda: [
+        (n, integer_row(n, row)) for n, row in enumerate(gf.iter_rows(order))
+    ]) == outcome(lambda: list(stored.integer_rows().items())), order
     if univariate:
         assert [sequence_term(n, row) for n, row in
                 enumerate(gf.iter_rows(order))] == stored.sequence(), order
@@ -85,8 +83,6 @@ def test_same_row_terms_and_dividing_constants(den, constant, num):
     for order in range(9):
         series = gf.expand(order)
         assert series.as_polynomial() == BivariatePolynomial(cut(full, order))
-        assert {n: series.row(n) for n in range(order + 1)} == \
-            rows_of(cut(full, order), order)
         assert_streamed_as_stored(gf, order, univariate=False)
 
 
@@ -105,7 +101,7 @@ def test_constant_term_one_after_scaling_expands_to_ints(scale):
                                          (1, 1): -scale}))
     series = gf.expand(12)
     assert all(type(c) is int for row in series.rows for c in row)
-    assert series.row(12) == {m: comb(12, m) for m in range(13)}
+    assert series.integer_rows()[12] == {m: comb(12, m) for m in range(13)}
 
 
 def test_rows_stop_where_they_can_reach():
@@ -121,7 +117,7 @@ def test_coefficient_reads_the_cell_of_its_row(gf):
     order = 24
     series = gf.expand(order)
     for n in range(-2, order + 1):
-        row = series.row(n)
+        row = dict(enumerate(series.rows[n])) if n >= 0 else {}
         for m in range(-2, order + 1):
             assert series.coefficient(n, m) == row.get(m, 0), (n, m)
 
@@ -130,8 +126,5 @@ def test_negative_indices_read_zero():
     series = gf_arndt().expand(6)
     assert series.coefficient(-1, 0) == 0
     assert series.coefficient(6, -1) == 0
-    assert series.row(-1) == {}
-    with pytest.raises(LookupError):
-        series.row(7)
     with pytest.raises(LookupError):
         series.coefficient(0, 7)

@@ -16,7 +16,7 @@ Agreement with those two routes is established in the verification suite.
 from __future__ import annotations
 
 import decimal
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from math import comb
 from operator import add
 from typing import Dict, Iterator, Optional, Tuple
@@ -111,19 +111,19 @@ def parts_rows_by_recurrence(max_n: int, max_m: Optional[int] = None
     is computed; only three rows are kept, so the caller must not change one.
 
     Seeds: count 1 at (0, 0); column m = 1 is identically 1 for n >= 1; rows
-    before row 0 are empty.  For m >= 2, with zero cells left out,
-    a(n,m) = a(n-1,m) + a(n-2,m) - a(n-3,m) + a(n-3,m-2).
+    before row 0 are empty.  Row n >= 1 fills only columns 1..(2n + 1) // 3,
+    in order, the most parts an Arndt composition of n has, all nonzero:
+    a(n,m) = a(n-1,m) + a(n-2,m) - a(n-3,m) + a(n-3,m-2) for m >= 2.
     max_m caps the columns (the recurrence never reads above column m).
     """
     before = ({}, {}, {})  # rows n-3, n-2 and n-1
+    cap = max_n if max_m is None else max_m
     for n in range(max_n + 1):
         row: Dict[int, int] = {0: 1} if n == 0 else {1: 1}
         back3, back2, back1 = before
-        for m in range(2, (n if max_m is None else min(n, max_m)) + 1):
-            v = (back1.get(m, 0) + back2.get(m, 0)
-                 - back3.get(m, 0) + back3.get(m - 2, 0))
-            if v:
-                row[m] = v
+        for m in range(2, min((2 * n + 1) // 3, cap) + 1):
+            row[m] = (back1.get(m, 0) + back2.get(m, 0)
+                      - back3.get(m, 0) + back3.get(m - 2, 0))
         yield n, row
         before = (back2, back1, row)
 
@@ -280,16 +280,14 @@ def bfile_texts(sequence: str, count: int) -> Iterator[Tuple[int, str]]:
     """(n, decimal text of term n) for n = 1..count of a sequence in BFILES,
     each as soon as it is computed.
 
-    The flat triangle reads row n >= 1 of parts_rows_by_recurrence over
-    m = 1..(2n + 1) // 3, the most parts an Arndt composition of n has, and
-    draws rows only until `count` terms are out.  The closed forms run
+    The flat triangle reads each row n >= 1 of parts_rows_by_recurrence in
+    order, drawing rows only until `count` terms are out.  The closed forms run
     s(n) = s(n-1) + s(n-2) in Decimal under _EXACT, whose methods do every
     operation, so no term depends on the thread's current context.
     """
     if sequence == "parts-triangle-flat":
         flat = chain.from_iterable(
-            map(row.get, range(1, (2 * n + 1) // 3 + 1), repeat(0))
-            for n, row in parts_rows_by_recurrence(count) if n)
+            row.values() for n, row in parts_rows_by_recurrence(count) if n)
         yield from enumerate(map(str, islice(flat, count)), start=1)
         return
     before, term, even_drop = map(decimal.Decimal,

@@ -116,17 +116,10 @@ class BivariatePolynomial:
         return self._coeffs == other._coeffs
 
     def __repr__(self):
-        if not self._coeffs:
-            return "BivariatePolynomial(0)"
-        bits = []
-        for (i, j), v in sorted(self._coeffs.items()):
-            term = str(v)
-            if i:
-                term += f"*x^{i}" if i > 1 else "*x"
-            if j:
-                term += f"*y^{j}" if j > 1 else "*y"
-            bits.append(term)
-        return f"BivariatePolynomial({' + '.join(bits)})"
+        bits = [str(v) + "".join(f"*{x}^{e}" if e > 1 else f"*{x}"
+                                 for x, e in (("x", i), ("y", j)) if e)
+                for (i, j), v in sorted(self._coeffs.items())]
+        return f"BivariatePolynomial({' + '.join(bits) or 0})"
 
 
 def integer_row(n: int, cells: list, require_nonnegative: bool = True
@@ -227,8 +220,9 @@ class RationalGF:
         as soon as it is computed.  With coefficients made ints by the lcm
         of their denominators and d den's constant term, x -> d x, y -> d y
         and den / d make den monic; row n is num's row n minus v * (row n - i,
-        shifted up by j) for each other den term v x^i y^j, so only the last
-        max i rows are kept, and cell (n, m) is yielded divided by d^(n+m+1)."""
+        shifted up by j) for each other den term v x^i y^j (for v = 1 or -1,
+        a subtraction or addition with no product), so only the last max i
+        rows are kept, and cell (n, m) is yielded divided by d^(n+m+1)."""
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
         scale = lcm(*(v.denominator for poly in (self.num, self.den)
@@ -249,8 +243,16 @@ class RationalGF:
             top = order if same_row else min(top, order)
             row = [own.get(m, 0) for m in range(top + 1)]
             for p, j, v in live:
-                for m, c in enumerate(p[:max(0, top + 1 - j)], j):
-                    row[m] -= v * c
+                cells = enumerate(p[:max(0, top + 1 - j)], j)
+                if v == 1:
+                    for m, c in cells:
+                        row[m] -= c
+                elif v == -1:
+                    for m, c in cells:
+                        row[m] += c
+                else:
+                    for m, c in cells:
+                        row[m] -= v * c
             if same_row:  # i == 0 terms read lower m of this row
                 for m in range(top + 1):
                     row[m] -= sum(v * row[m - j] for j, v in same_row if j <= m)

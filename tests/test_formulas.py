@@ -86,6 +86,30 @@ def test_recurrence_triangle_column_cap():
             assert capped[n].get(m, 0) == full[n].get(m, 0)
 
 
+def reference_recurrence_rows(max_n, max_m=None):
+    """(n, row n) of the parts triangle by the recurrence over columns
+    2..n, each tested for zero: the loop that parts_rows_by_recurrence ran
+    before it stopped at column (2n + 1) // 3."""
+    before = ({}, {}, {})
+    for n in range(max_n + 1):
+        row = {0: 1} if n == 0 else {1: 1}
+        back3, back2, back1 = before
+        for m in range(2, (n if max_m is None else min(n, max_m)) + 1):
+            v = (back1.get(m, 0) + back2.get(m, 0)
+                 - back3.get(m, 0) + back3.get(m - 2, 0))
+            if v:
+                row[m] = v
+        yield n, row
+        before = (back2, back1, row)
+
+
+@pytest.mark.parametrize("max_n, max_m", [(400, None), (120, 2), (120, 4),
+                                          (120, 7)])
+def test_recurrence_rows_equal_the_full_width_reference(max_n, max_m):
+    assert (list(parts_rows_by_recurrence(max_n, max_m))
+            == list(reference_recurrence_rows(max_n, max_m)))
+
+
 def test_count_triangle_access():
     assert not hasattr(counting, "CountTriangle")  # formulas owns it
     tri = parts_triangle_by_recurrence(12)
@@ -96,7 +120,7 @@ def test_count_triangle_access():
     with pytest.raises(LookupError):
         tri[tri.max_row + 1]            # beyond built rows is an error
     # the producer stores no zero cell
-    assert all(all(row.values()) for _, row in parts_rows_by_recurrence(60))
+    assert all(all(row.values()) for _, row in parts_rows_by_recurrence(400))
 
 
 @pytest.mark.parametrize("statistic", list(STATISTICS))

@@ -44,6 +44,15 @@ def test_poly_scale_and_diff():
     assert p.subst_y1() == poly((1, 0, 3), (2, 0, 1))
 
 
+def test_poly_repr_lists_sorted_terms():
+    assert repr(BivariatePolynomial()) == "BivariatePolynomial(0)"
+    assert repr(ONE) == "BivariatePolynomial(1)"
+    p = poly((0, 0, -3), (1, 0, 1), (2, 0, 2), (0, 1, -1), (0, 2, 5),
+             (1, 1, Fraction(1, 2)), (3, 4, 7))
+    assert repr(p) == ("BivariatePolynomial(-3 + -1*y + 5*y^2 + 1*x"
+                       " + 1/2*x*y + 2*x^2 + 7*x^3*y^4)")
+
+
 def test_poly_eval_requires_univariate():
     assert poly((2, 0, 1), (0, 0, -1)).eval_x(3) == 8
     with pytest.raises(ValueError):

@@ -86,6 +86,22 @@ def test_same_row_terms_and_dividing_constants(den, constant, num):
         assert_streamed_as_stored(gf, order, univariate=False)
 
 
+# Shift terms (i >= 1) with coefficients 1, -1, 2 and -3: the unit ones add
+# or subtract with no product, the others multiply.
+BRANCH_DEN = {(1, 0): 1, (1, 1): -1, (2, 0): 2, (3, 2): -3}
+
+
+@pytest.mark.parametrize("constant", [1, 2])
+def test_unit_and_other_shift_terms_equal_the_sparse_reference(constant):
+    gf = RationalGF(BivariatePolynomial({(0, 0): 1, (1, 1): 1, (2, 0): -1}),
+                    BivariatePolynomial({**BRANCH_DEN, (0, 0): constant}))
+    full = sparse_expand(gf, 12)
+    for order in range(13):
+        series = gf.expand(order)
+        assert series.as_polynomial() == BivariatePolynomial(cut(full, order))
+        assert_streamed_as_stored(gf, order, univariate=False)
+
+
 def test_integral_coefficients_are_stored_as_ints():
     two = BivariatePolynomial({(0, 0): Fraction(4, 2)}).constant()
     half = BivariatePolynomial({(0, 0): Fraction(1, 2)}).constant()

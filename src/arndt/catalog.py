@@ -5,13 +5,19 @@ statistic: number of parts everywhere except gf_last_part, where it marks the
 last part.  The constructors hard-code the closed rational forms; their
 series are validated coefficientwise against brute-force enumeration in the
 verification suite, which is the authority if the two ever disagree.
+
+gf_arndt, gf_reduced_ap, gf_antipalindromic and gf_k_arndt differ only in the
+pair kernel, one call of _pairs each.  Forms that checks compare with derived
+ones stay literal so a check never compares a form with itself: gf_last_part,
+gf_total_parts, gf_total_last, gf_k_arndt_total and the k-block references.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .compositions import ALL_COMPOSITIONS, ARNDT, STATISTICS, Family, check_k
+from .compositions import (ALL_COMPOSITIONS, ARNDT, Family, check_k,
+                           check_statistic)
 from .series import BivariatePolynomial, RationalGF
 
 
@@ -20,39 +26,34 @@ def _poly(*terms):
     return BivariatePolynomial.from_terms(terms)
 
 
-# Shared numerator 1 - x - x^2 + x^3 + x*y - x^3*y of the Arndt-like parts GFs.
-def _arndt_numerator():
-    return _poly((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1),
-                 (1, 1, 1), (3, 1, -1))
+def _pairs(*kernel) -> RationalGF:
+    """A run of descending pairs, each weighed by the kernel K(x) given as
+    (deg_x, coeff) terms, then at most one part, by weight and parts:
+
+    (1 - x^2)(1 - x + x y) / ((1 - x)(1 - x^2) - K(x) y^2)
+    """
+    num = _poly((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1),
+                (1, 1, 1), (3, 1, -1))
+    den = _poly((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1),
+                *((i, 2, -c) for i, c in kernel))
+    return RationalGF(num, den)
 
 
 def gf_arndt() -> RationalGF:
-    """Arndt compositions by weight and number of parts.
-
-    (1 - x - x^2 + x^3 + x y - x^3 y) / (1 - x - x^2 + x^3 - x^3 y^2)
-    """
-    den = _poly((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1), (3, 2, -1))
-    return RationalGF(_arndt_numerator(), den)
+    """Arndt compositions by weight and number of parts: pair kernel x^3."""
+    return _pairs((3, 1))
 
 
 def gf_antipalindromic() -> RationalGF:
-    """Anti-palindromic compositions by weight and number of parts.
-
-    Same numerator as gf_arndt over 1 - x - x^2 + x^3 - 2 x^3 y^2: each
-    mirrored pair can descend either way, doubling the pair kernel.
-    """
-    den = _poly((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1), (3, 2, -2))
-    return RationalGF(_arndt_numerator(), den)
+    """Anti-palindromic compositions by weight and number of parts: pair
+    kernel 2x^3, since each mirrored pair can descend either way."""
+    return _pairs((3, 2))
 
 
 def gf_reduced_ap() -> RationalGF:
-    """Reduced anti-palindromic compositions by weight and number of parts.
-
-    Halving the pair kernel of gf_antipalindromic gives back exactly the
-    polynomials of gf_arndt; the two constructors are interchangeable.
-    """
-    den = _poly((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1), (3, 2, -1))
-    return RationalGF(_arndt_numerator(), den)
+    """Reduced anti-palindromic compositions by weight and number of parts:
+    half the pair kernel of gf_antipalindromic, x^3, as in gf_arndt."""
+    return _pairs((3, 1))
 
 
 def gf_last_part() -> RationalGF:
@@ -93,21 +94,12 @@ def gf_total_last() -> RationalGF:
 
 
 def gf_k_arndt(k: int) -> RationalGF:
-    """k-Arndt compositions by weight and number of parts, any integer k.
-
-    Numerator (1 - x^2)(1 - x(1 - y)) in both cases; the denominator kernel
-    x^(3+k) y^2 for k >= 0 becomes x^2 y^2 + x^3 y^2 - x^(2-k) y^2 for k < 0,
-    where pairs whose second part is at most -k impose no constraint.
-    """
+    """k-Arndt compositions by weight and number of parts, any integer k: pair
+    kernel x^(3+k) for k >= 0 and x^2 + x^3 - x^(2-k) for k < 0, where pairs
+    whose second part is at most -k impose no constraint."""
     check_k("series", "k-arndt", k)
-    num = _poly((0, 0, 1), (2, 0, -1)) * _poly((0, 0, 1), (1, 0, -1), (1, 1, 1))
-    if k >= 0:
-        den = _poly((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1),
-                    (3 + k, 2, -1))
-    else:
-        den = _poly((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1),
-                    (2, 2, -1), (3, 2, -1), (2 - k, 2, 1))
-    return RationalGF(num, den)
+    return (_pairs((3 + k, 1)) if k >= 0
+            else _pairs((2, 1), (3, 1), (2 - k, -1)))
 
 
 def gf_k_arndt_total(k: int) -> RationalGF:
@@ -195,8 +187,7 @@ def series_gf(name: str, k: Optional[int] = None) -> RationalGF:
 def statistic_series(family: Family, statistic: str) -> Optional[str]:
     """The SERIES name of the GF counting `family` by weight and `statistic`
     (a name in compositions.STATISTICS), or None where the catalog has none."""
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
+    check_statistic(statistic)
     if statistic == "parts":
         return "compositions" if family == ALL_COMPOSITIONS else family.kind
     return "last-part" if family == ARNDT else None

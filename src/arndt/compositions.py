@@ -105,6 +105,13 @@ STATISTICS = {"parts": (len, len),
               "last": (lambda comp: comp[-1] if comp else 0, lambda p: 0)}
 
 
+def check_statistic(name: str) -> tuple:
+    """STATISTICS[name]; every route refuses another name by this ValueError."""
+    if name not in STATISTICS:
+        raise ValueError(f"unknown statistic {name!r}")
+    return STATISTICS[name]
+
+
 # Family kind or series name -> its least k, None for any int; an absent
 # name takes no k.  A block holds at least one part, a partition at least 0.
 TAKES_K = {"k-arndt": None, "block-arndt": 1, "distinct-parts": 0}

@@ -37,7 +37,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 # The two predicates are bound here only so that benchmarks/spans.py can
 # patch these names; nothing in this module calls them.
-from .compositions import (ALL_COMPOSITIONS, ARNDT, STATISTICS,  # noqa: F401
+from .compositions import (ALL_COMPOSITIONS, ARNDT, check_statistic,  # noqa: F401
                            Family, is_arndt, is_reduced_ap_representative)
 
 BRUTE_FORCE_CAP = 28
@@ -230,7 +230,7 @@ def tally(n: int, family: Family, statistic: str,
           cap: Optional[int] = BRUTE_FORCE_CAP) -> Dict[int, int]:
     """Family members of weight n tallied by a statistic from STATISTICS, a
     tail list counted once in C, added to one row shifted by its prefix."""
-    value, shift = STATISTICS[statistic]
+    value, shift = check_statistic(statistic)
     counted = lru_cache(TAIL_WEIGHT + 1)(
         lambda tails: Counter(map(value, tails)).items())
     row: Counter = Counter()

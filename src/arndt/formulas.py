@@ -21,7 +21,7 @@ from math import comb
 from operator import add
 from typing import Dict, Iterator, Optional, Tuple
 
-from .compositions import ARNDT, STATISTICS, Family
+from .compositions import ARNDT, Family, check_statistic
 
 
 class CountTriangle(list):
@@ -114,12 +114,12 @@ def parts_rows_by_recurrence(max_n: int, max_m: Optional[int] = None
     before row 0 are empty.  Row n >= 1 fills only columns 1..(2n + 1) // 3,
     in order, the most parts an Arndt composition of n has, all nonzero:
     a(n,m) = a(n-1,m) + a(n-2,m) - a(n-3,m) + a(n-3,m-2) for m >= 2.
-    max_m caps the columns (the recurrence never reads above column m).
+    max_m caps every column, seeds too: the recurrence never reads above m.
     """
     before = ({}, {}, {})  # rows n-3, n-2 and n-1
     cap = max_n if max_m is None else max_m
     for n in range(max_n + 1):
-        row: Dict[int, int] = {0: 1} if n == 0 else {1: 1}
+        row: Dict[int, int] = {} if min(n, 1) > cap else {min(n, 1): 1}
         back3, back2, back1 = before
         for m in range(2, min((2 * n + 1) // 3, cap) + 1):
             row[m] = (back1.get(m, 0) + back2.get(m, 0)
@@ -198,8 +198,7 @@ def statistic_rows(family: Family, statistic: str, max_n: int
                    ) -> Optional[Iterator[Tuple[int, Dict[int, int]]]]:
     """(n, row n), each made as drawn, for n = 0..max_n of the closed-form
     table counting `family` by `statistic`, or None where there is none."""
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
+    check_statistic(statistic)
     if family != ARNDT:
         return None
     return (parts_rows_by_recurrence(max_n) if statistic == "parts"

@@ -60,9 +60,6 @@ class BivariatePolynomial:
     def terms(self):
         return self._coeffs.items()
 
-    def constant(self) -> int:
-        return self.coefficient(0, 0)
-
     def degree_y(self) -> int:
         return max((j for _, j in self._coeffs), default=0)
 
@@ -157,12 +154,6 @@ class TruncatedSeries:
         self.order = order
         self.rows = rows
 
-    def coefficient(self, n: int, m: int = 0) -> int:
-        if n > self.order or m > self.order:
-            raise LookupError(f"({n}, {m}) beyond truncation order {self.order}")
-        row = self.rows[n] if n >= 0 else ()
-        return row[m] if 0 <= m < len(row) else 0
-
     def integer_rows(self) -> Dict[int, dict]:
         """All rows as nonnegative ints, each by integer_row."""
         return {n: integer_row(n, row) for n, row in enumerate(self.rows)}
@@ -187,7 +178,7 @@ class RationalGF:
     __slots__ = ("num", "den")
 
     def __init__(self, num: BivariatePolynomial, den: BivariatePolynomial):
-        if den.constant() == 0:
+        if den.coefficient(0, 0) == 0:
             raise ValueError(
                 "denominator constant term is zero; quotient is not a power series")
         self.num = num
@@ -227,7 +218,7 @@ class RationalGF:
             raise ValueError(f"order must be nonnegative, got {order}")
         scale = lcm(*(v.denominator for poly in (self.num, self.den)
                       for _, v in poly.terms()))
-        d = int(self.den.constant() * scale)
+        d = int(self.den.coefficient(0, 0) * scale)
         num: Dict[int, dict] = {}
         for (i, j), v in self.num.truncate_x(order).terms():
             num.setdefault(i, {})[j] = int(v * scale) * d ** (i + j)

@@ -7,7 +7,7 @@ from fractions import Fraction
 def sparse_expand(gf, order):
     """{(n, m): c(n, m)} for n, m <= order, nonzero cells only: den * c ==
     num solved cell by cell, in increasing (n, m), over the whole square."""
-    d00 = gf.den.constant()
+    d00 = gf.den.coefficient(0, 0)
     den_rest = [(i, j, v) for (i, j), v in gf.den.terms() if (i, j) != (0, 0)]
     coeffs = {}
     for n in range(order + 1):

@@ -78,6 +78,40 @@ def test_k_arndt_displayed_rows():
     assert rows[6] == {1: 1, 2: 4, 3: 9, 4: 10, 5: 5, 6: 1}
 
 
+def _terms(*terms):
+    return BivariatePolynomial.from_terms(terms)
+
+
+# The literal forms the pair constructors were written in before they shared
+# one kernel constructor, kept as the reference they must equal term by term.
+PAIR_NUM = _terms((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1),
+                  (1, 1, 1), (3, 1, -1))
+PAIR_DEN = ((0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1))
+
+
+def literal_k_arndt(k):
+    num = _terms((0, 0, 1), (2, 0, -1)) * _terms((0, 0, 1), (1, 0, -1),
+                                                 (1, 1, 1))
+    if k >= 0:
+        return num, _terms(*PAIR_DEN, (3 + k, 2, -1))
+    return num, _terms(*PAIR_DEN, (2, 2, -1), (3, 2, -1), (2 - k, 2, 1))
+
+
+@pytest.mark.parametrize("make, num, den", [
+    pytest.param(gf_arndt, PAIR_NUM, _terms(*PAIR_DEN, (3, 2, -1)),
+                 id="arndt"),
+    pytest.param(gf_reduced_ap, PAIR_NUM, _terms(*PAIR_DEN, (3, 2, -1)),
+                 id="reduced-ap"),
+    pytest.param(gf_antipalindromic, PAIR_NUM, _terms(*PAIR_DEN, (3, 2, -2)),
+                 id="antipalindromic"),
+    *(pytest.param(lambda k=k: gf_k_arndt(k), *literal_k_arndt(k),
+                   id=f"k-arndt-{k}") for k in range(-12, 13))])
+def test_pair_constructors_equal_their_literal_forms(make, num, den):
+    gf = make()
+    assert gf.num == num
+    assert gf.den == den
+
+
 def test_k_arndt_zero_is_arndt():
     a = gf_k_arndt(0).expand(30).integer_rows()
     b = gf_arndt().expand(30).integer_rows()

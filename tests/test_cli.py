@@ -461,7 +461,8 @@ def test_bfile_triangle_mismatch_exits_3(capsys, monkeypatch):
 
 def test_statistic_names_are_stated_alike():
     # compositions.STATISTICS names the statistics, which `table` offers as
-    # its kinds and catalog.statistic_series and formulas.statistic_rows read.
+    # its kinds and catalog.statistic_series, formulas.statistic_rows and
+    # counting.tally read; compositions.check_statistic refuses any other.
     parser = cli.build_parser()
     commands = next(action for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction))
@@ -473,7 +474,8 @@ def test_statistic_names_are_stated_alike():
         assert formulas.statistic_rows(ARNDT, statistic, 3) is not None
     for other in ("", "Parts", "last-part", "sum"):
         for lookup in (catalog.statistic_series,
-                       lambda *args: formulas.statistic_rows(*args, 3)):
+                       lambda *args: formulas.statistic_rows(*args, 3),
+                       lambda *args: counting.tally(5, *args)):
             with pytest.raises(ValueError, match=f"unknown statistic {other!r}"):
                 lookup(ARNDT, other)
 

@@ -123,6 +123,14 @@ def test_count_triangle_access():
     assert all(all(row.values()) for _, row in parts_rows_by_recurrence(400))
 
 
+@pytest.mark.parametrize("max_m", [-1, 0, 1])
+def test_max_m_caps_every_column_and_seed(max_m):
+    full = list(parts_rows_by_recurrence(30))
+    capped = list(parts_rows_by_recurrence(30, max_m))
+    assert capped == [(n, {m: v for m, v in row.items() if m <= max_m})
+                      for n, row in full]
+
+
 @pytest.mark.parametrize("statistic", list(STATISTICS))
 def test_statistic_rows_of_arndt(statistic):
     want = (list(parts_rows_by_recurrence(60)) if statistic == "parts"

@@ -36,7 +36,7 @@ def test_den_times_expansion_is_num(f, order):
     series = f.expand(order)
     product = f.den * series.as_polynomial()
     assert product.truncate_x(order) == f.num.truncate_x(order)
-    if f.den.constant() == 1:
+    if f.den.coefficient(0, 0) == 1:
         assert all(type(v) is int for _, v in series.as_polynomial().terms())
     want = sparse_expand(f, order)
     assert series.as_polynomial() == BivariatePolynomial(want)

@@ -14,6 +14,13 @@ prints it then; run_checks collects them.
 Each check takes upto, the clamp that iter_checks makes once from max_n:
 upto(default) is the desk-scale default range, or max_n when that is
 smaller, so a reduced run like ``verify bijection --max-n 10`` stays cheap.
+
+A run computes each brute-force row and each expansion once: checks call
+counting.tally and RationalGF.expand through _once, which keeps a result for
+the run under the call's arguments, a GF keyed by its polynomials' terms and
+never by its name.  Only identical calls of one route are shared: no route's
+rows stand in for another's.  The store lives for one run, and is set only
+while iter_checks runs a check; a call outside a run keeps nothing.
 """
 
 from __future__ import annotations
@@ -72,6 +79,21 @@ def _check(area: str, name: str):
     return register
 
 
+# The route results of the run whose check is running, or None.
+_store: Optional[dict] = None
+
+
+def _once(fn: Callable, *args):
+    """fn(*args), kept (read only) for the rest of the run, if one is open."""
+    if _store is None:
+        return fn(*args)
+    key = (fn, *((frozenset(a.num.terms()), frozenset(a.den.terms()))
+                 if isinstance(a, RationalGF) else a for a in args))
+    if key not in _store:
+        _store[key] = fn(*args)
+    return _store[key]
+
+
 # ---------------------------------------------------------------------------
 # composition predicates
 
@@ -122,7 +144,7 @@ def check_fibonacci_totals(upto):
     for n in range(1, upto(22) + 1):
         for statistic in STATISTICS:
             yield ("{} total at {} vs F(n)", statistic, n), \
-                sum(counting.tally(n, ARNDT, statistic).values()), \
+                sum(_once(counting.tally, n, ARNDT, statistic).values()), \
                 formulas.fibonacci(n)
 
 
@@ -131,16 +153,16 @@ def check_reduced_ap_rows(upto):
     """Reduced anti-palindromic counts by parts equal the Arndt counts."""
     for n in range(upto(14) + 1):
         yield ("reduced-ap vs arndt row {}", n), \
-            counting.tally(n, REDUCED_AP, "parts"), \
-            counting.tally(n, ARNDT, "parts")
+            _once(counting.tally, n, REDUCED_AP, "parts"), \
+            _once(counting.tally, n, ARNDT, "parts")
 
 
 @_check("counting", "antipalindromic-doubling")
 def check_antipalindromic_doubling(upto):
     """Anti-palindromic counts are 2^(m//2) times the reduced counts."""
     for n in range(upto(12) + 1):
-        ap = counting.tally(n, ANTIPALINDROMIC, "parts")
-        reduced = counting.tally(n, REDUCED_AP, "parts")
+        ap = _once(counting.tally, n, ANTIPALINDROMIC, "parts")
+        reduced = _once(counting.tally, n, REDUCED_AP, "parts")
         for m in set(ap) | set(reduced):
             yield ("({}, {}): anti-palindromic vs 2^(m//2) reduced", n, m), \
                 ap.get(m, 0), (1 << (m // 2)) * reduced.get(m, 0)
@@ -166,7 +188,7 @@ def _integer_rows(name: str, gf: RationalGF, order: int):
     """gf's expansion to order as int rows; a coefficient that is not a
     nonnegative integer fails the check with a detail that names gf."""
     try:
-        return gf.expand(order).integer_rows()
+        return _once(RationalGF.expand, gf, order).integer_rows()
     except ValueError as exc:
         raise CheckFailed(f"{name}: {exc}") from exc
 
@@ -181,7 +203,7 @@ def check_round_trip(upto):
     """denominator * expansion == numerator, truncated, for every catalog GF."""
     order = upto(40)
     for name, gf in _catalog_gfs():
-        expansion = gf.expand(order).as_polynomial()
+        expansion = _once(RationalGF.expand, gf, order).as_polynomial()
         yield ("{}: den * expansion vs num", name), \
             (gf.den * expansion).truncate_x(order), gf.num.truncate_x(order)
 
@@ -261,7 +283,17 @@ def check_catalog_vs_brute(upto):
             rows = _integer_rows(name, gf, max_n)
             for n in range(max_n + 1):
                 yield ("{} row {}", name, n), rows[n], \
-                    counting.tally(n, family, statistic)
+                    _once(counting.tally, n, family, statistic)
+    # Partitions into j distinct parts are the block-arndt members at k = j
+    # with j parts; for j = 0, the empty composition.
+    for j in _SAMPLE_K["distinct-parts"]:
+        name, gf = _series("distinct-parts", j)
+        rows = _integer_rows(name, gf, upto(12))
+        family = Family("block-arndt", j) if j else ALL_COMPOSITIONS
+        for n in range(upto(12) + 1):
+            row = _once(counting.tally, n, family, "parts")
+            yield ("{} row {}", name, n), rows[n], \
+                {m: c for m, c in row.items() if m == j}
 
 
 @_check("catalog", "reduced-equals-arndt")
@@ -337,7 +369,7 @@ def check_four_way_agreement(upto):
                            triangle[n].get(m, 0)), (rows[n].get(m, 0),) * 3
     for n in range(upto(14) + 1):
         yield ("recurrence row {} vs brute force", n), triangle[n], \
-            counting.tally(n, ARNDT, "parts")
+            _once(counting.tally, n, ARNDT, "parts")
 
 
 @_check("formulas", "wz-residual")
@@ -404,18 +436,20 @@ def check_last_closed_forms(upto):
 def check_totals(upto):
     """The totals closed forms match the series and brute force."""
     max_n = upto(40)
-    for name, closed, gf, brute, known, brute_n in (
+    for name, closed, gf, statistic, known, brute_n in (
             ("total_parts", formulas.total_parts_closed,
-             catalog.gf_total_parts, counting.total_parts, {6: 21, 7: 38}, 14),
+             catalog.gf_total_parts, "parts", {6: 21, 7: 38}, 14),
             ("total_last", formulas.total_last_closed,
-             catalog.gf_total_last, counting.total_last, {6: 17, 7: 29}, 20)):
+             catalog.gf_total_last, "last", {6: 17, 7: 29}, 20)):
         for n, want in known.items():
             yield ("{}_closed({})", name, n), closed(n), want
-        seq = gf().expand(max_n).sequence()
+        seq = _once(RationalGF.expand, gf(), max_n).sequence()
         for n in range(max_n + 1):
             yield ("{}_closed({}) vs series", name, n), closed(n), seq[n]
         for n in range(upto(brute_n) + 1):
-            yield ("{}_closed({}) vs brute force", name, n), closed(n), brute(n)
+            row = _once(counting.tally, n, ARNDT, statistic)
+            yield ("{}_closed({}) vs brute force", name, n), closed(n), \
+                sum(m * c for m, c in row.items())
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +581,22 @@ def iter_checks(scope: str = "all",
     def upto(default: int) -> int:
         return default if max_n is None else min(default, max_n)
 
+    global _store
+    store: dict = {}  # this run's, set as _store only while a check runs
     for area, name, fn in CHECKS:
         if scope not in ("all", area):
             continue
         full = f"{area}.{name}"
+        outer, _store = _store, store
         try:
-            cases = fn(upto)
+            result = CheckResult(full, True, cases=fn(upto))
         except CheckFailed as exc:
-            yield CheckResult(full, False, str(exc))
+            result = CheckResult(full, False, str(exc))
         except Exception as exc:  # a crashed check is a failed check
-            yield CheckResult(full, False, f"{type(exc).__name__}: {exc}")
-        else:
-            yield CheckResult(full, True, cases=cases)
+            result = CheckResult(full, False, f"{type(exc).__name__}: {exc}")
+        finally:
+            _store = outer
+        yield result
 
 
 def run_checks(scope: str = "all",

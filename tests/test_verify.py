@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from arndt import asymptotics, catalog, formulas, verify
+from arndt import asymptotics, catalog, counting, formulas, verify
 from arndt.series import BivariatePolynomial, RationalGF
 from arndt.verify import run_checks
 
@@ -62,7 +64,7 @@ DEFAULT_CASES = {
     "series.integrality": 20,
     "series.expand-linearity": 1352,
     "series.poly-associativity": 10,
-    "catalog.brute-agreement": 214,
+    "catalog.brute-agreement": 266,
     "catalog.reduced-equals-arndt": 2,
     "catalog.derivative-identities": 2,
     "catalog.block-references": 6,
@@ -89,7 +91,10 @@ def test_each_check_compares_its_pinned_cases_at_the_default_range():
     assert {r.name: r.cases for r in results} == DEFAULT_CASES
 
 
-def test_corrupted_catalog_is_caught(monkeypatch):
+@pytest.mark.parametrize("warm", [False, True])
+def test_corrupted_catalog_is_caught(monkeypatch, warm):
+    if warm:  # a run before the patch leaves nothing that the next one reads
+        assert all(r.passed for r in run_checks("catalog", max_n=8))
     # drop the x*y term from the numerator: the series then undercounts
     bad_num = BivariatePolynomial.from_terms(
         [(0, 0, 1), (1, 0, -1), (2, 0, -1), (3, 0, 1), (3, 1, -1)])
@@ -103,3 +108,69 @@ def test_corrupted_catalog_is_caught(monkeypatch):
             "formulas.four-way-agreement"} <= {r.name for r in failed}
     # a crash inside an expansion names the GF, like any other failure
     assert [r.name for r in failed if "gf_arndt" not in r.detail] == []
+
+
+# The route results that one run shares: one key, one computation.
+
+
+@pytest.mark.parametrize("max_n", [8, None])
+def test_a_shared_run_gives_the_results_of_an_unshared_one(monkeypatch,
+                                                            max_n):
+    shared = run_checks("all", max_n)
+    monkeypatch.setattr(verify, "_once", lambda fn, *args: fn(*args))
+    assert run_checks("all", max_n) == shared
+
+
+def test_a_run_computes_each_row_and_each_expansion_once(monkeypatch):
+    calls = Counter()
+    tally, expand = counting.tally, RationalGF.expand
+
+    def tally_spy(n, family, statistic):
+        calls["tally", n, family, statistic] += 1
+        return tally(n, family, statistic)
+
+    def expand_spy(gf, order):
+        calls[frozenset(gf.num.terms()), frozenset(gf.den.terms()), order] += 1
+        return expand(gf, order)
+
+    monkeypatch.setattr(counting, "tally", tally_spy)
+    monkeypatch.setattr(RationalGF, "expand", expand_spy)
+    assert all(r.passed for r in run_checks("all"))
+    assert len(calls) > 100
+    assert [key for key, count in calls.items() if count > 1] == []
+
+
+def test_the_store_lives_only_while_a_run_runs_a_check(monkeypatch):
+    calls = []
+    tally = counting.tally
+    monkeypatch.setattr(counting, "tally",
+                        lambda *args: calls.append(args) or tally(*args))
+    for _ in range(2):  # a direct call computes every time
+        assert verify.check_reduced_ap_rows(lambda default: 3) == 4
+    assert len(calls) == 16 and verify._store is None
+    run_checks("counting", max_n=3)
+    assert verify._store is None
+    stopped = verify.iter_checks("counting", max_n=3)
+    next(stopped)  # a consumer that stops early
+    assert verify._store is None
+
+
+def test_a_nested_run_has_its_own_store(monkeypatch):
+    stores = []
+
+    def probe(upto):
+        stores.append(verify._store)
+        return 1
+
+    def nest(upto):
+        outer = verify._store
+        run_checks("series")
+        assert verify._store is outer
+        return probe(upto)
+
+    monkeypatch.setattr(verify, "CHECKS", [("counting", "nest", nest),
+                                           ("series", "probe", probe)])
+    assert all(r.passed for r in run_checks("counting"))
+    inner, outer = stores
+    assert inner == {} and outer == {} and inner is not outer
+    assert verify._store is None

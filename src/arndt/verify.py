@@ -15,12 +15,13 @@ Each check takes upto, the clamp that iter_checks makes once from max_n:
 upto(default) is the desk-scale default range, or max_n when that is
 smaller, so a reduced run like ``verify bijection --max-n 10`` stays cheap.
 
-A run computes each brute-force row and each expansion once: checks call
-counting.tally and RationalGF.expand through _once, which keeps a result for
-the run under the call's arguments, a GF keyed by its polynomials' terms and
-never by its name.  Only identical calls of one route are shared: no route's
-rows stand in for another's.  The store lives for one run, and is set only
-while iter_checks runs a check; a call outside a run keeps nothing.
+A run computes each brute-force row, expansion and recurrence triangle once:
+checks call counting.tally, RationalGF.expand and the parts recurrence
+through _once, which keeps a result for the run under the call's arguments,
+a GF keyed by its polynomials' terms and never by its name.  Only identical
+calls of one route are shared: no route's rows stand in for another's.  The
+store lives for one run, and is set only while iter_checks runs a check; a
+call outside a run keeps nothing.
 """
 
 from __future__ import annotations
@@ -359,7 +360,7 @@ def check_block2_equals_arndt(upto):
 def check_four_way_agreement(upto):
     """Alternating sum == positive sum == recurrence == series coefficients."""
     max_n = upto(40)
-    triangle = formulas.parts_triangle_by_recurrence(max_n)
+    triangle = _once(formulas.parts_triangle_by_recurrence, max_n)
     rows = _integer_rows("gf_arndt", catalog.gf_arndt(), max_n)
     for n in range(max_n + 1):
         for m in range(n + 1):
@@ -387,7 +388,7 @@ def check_wz_residual(upto):
 def check_row_sums(upto):
     """Parts rows and last rows both sum to F(n)."""
     max_n = upto(40)
-    triangle = formulas.parts_triangle_by_recurrence(max_n)
+    triangle = _once(formulas.parts_triangle_by_recurrence, max_n)
     for n in range(1, max_n + 1):
         want = formulas.fibonacci(n)
         yield ("parts row {} sum vs F(n)", n), triangle.row_sum(n), want

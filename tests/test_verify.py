@@ -121,9 +121,10 @@ def test_a_shared_run_gives_the_results_of_an_unshared_one(monkeypatch,
     assert run_checks("all", max_n) == shared
 
 
-def test_a_run_computes_each_row_and_each_expansion_once(monkeypatch):
+def test_a_run_makes_each_route_call_once(monkeypatch):
     calls = Counter()
     tally, expand = counting.tally, RationalGF.expand
+    triangle = formulas.parts_triangle_by_recurrence
 
     def tally_spy(n, family, statistic):
         calls["tally", n, family, statistic] += 1
@@ -133,8 +134,13 @@ def test_a_run_computes_each_row_and_each_expansion_once(monkeypatch):
         calls[frozenset(gf.num.terms()), frozenset(gf.den.terms()), order] += 1
         return expand(gf, order)
 
+    def triangle_spy(max_n, **kwargs):
+        calls["triangle", max_n, *kwargs.items()] += 1
+        return triangle(max_n, **kwargs)
+
     monkeypatch.setattr(counting, "tally", tally_spy)
     monkeypatch.setattr(RationalGF, "expand", expand_spy)
+    monkeypatch.setattr(formulas, "parts_triangle_by_recurrence", triangle_spy)
     assert all(r.passed for r in run_checks("all"))
     assert len(calls) > 100
     assert [key for key, count in calls.items() if count > 1] == []

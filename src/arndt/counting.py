@@ -37,7 +37,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 # The two predicates are bound here only so that benchmarks/spans.py can
 # patch these names; nothing in this module calls them.
-from .compositions import (ALL_COMPOSITIONS, ARNDT, check_statistic,  # noqa: F401
+from .compositions import (ALL_COMPOSITIONS, check_statistic,  # noqa: F401
                            Family, is_arndt, is_reduced_ap_representative)
 
 BRUTE_FORCE_CAP = 28
@@ -242,13 +242,3 @@ def tally(n: int, family: Family, statistic: str,
         for m, count in counted(tails):
             row[m + add] += count
     return dict(row)
-
-
-def total_parts(n: int) -> int:
-    """Sum of the number of parts over all Arndt compositions of n."""
-    return sum(m * c for m, c in tally(n, ARNDT, "parts").items())
-
-
-def total_last(n: int) -> int:
-    """Sum of the last part over all Arndt compositions of n (0 for ())."""
-    return sum(m * c for m, c in tally(n, ARNDT, "last").items())

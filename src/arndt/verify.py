@@ -11,17 +11,15 @@ its arguments, formatted only when its comparison fails.  iter_checks
 yields each check's result as soon as the check ends, so `arndt verify`
 prints it then; run_checks collects them.
 
-Each check takes upto, the clamp that iter_checks makes once from max_n:
-upto(default) is the desk-scale default range, or max_n when that is
-smaller, so a reduced run like ``verify bijection --max-n 10`` stays cheap.
-
-A run computes each brute-force row, expansion and recurrence triangle once:
-checks call counting.tally, RationalGF.expand and the parts recurrence
-through _once, which keeps a result for the run under the call's arguments,
-a GF keyed by its polynomials' terms and never by its name.  Only identical
-calls of one route are shared: no route's rows stand in for another's.  The
-store lives for one run, and is set only while iter_checks runs a check; a
-call outside a run keeps nothing.
+Each check takes the one Run that iter_checks makes from max_n.
+run(default) is the check's desk-scale default range, or max_n when that
+is smaller, so a reduced run like ``verify bijection --max-n 10`` stays
+cheap.  Checks call counting.tally, RationalGF.expand and the parts
+recurrence through run.once, which computes each result once per run and
+keeps it under the call's arguments, a GF keyed by its polynomials' terms
+and never by its name.  Only identical calls of one route are shared: no
+route's rows stand in for another's.  The module keeps no state between
+runs; a direct call of a check passes its own Run.
 """
 
 from __future__ import annotations
@@ -50,9 +48,38 @@ class CheckResult(NamedTuple):
     cases: int = 0  # comparisons made; 0 means the check compared nothing
 
 
-# (area, name, run): run(upto) makes every comparison of the check before it
+class Run:
+    """One run of checks: its range clamp and its shared route results."""
+
+    def __init__(self, max_n: Optional[int] = None):
+        if max_n is not None and max_n < 0:
+            raise ValueError(f"max_n must be nonnegative, got {max_n}")
+        self.max_n = max_n
+        self.results: dict = {}
+
+    def __call__(self, default: int) -> int:
+        return default if self.max_n is None else min(default, self.max_n)
+
+    def once(self, fn: Callable, *args):
+        """fn(*args), kept (read only) for the rest of this run."""
+        key = (fn, *((frozenset(a.num.terms()), frozenset(a.den.terms()))
+                     if isinstance(a, RationalGF) else a for a in args))
+        if key not in self.results:
+            self.results[key] = fn(*args)
+        return self.results[key]
+
+    def integer_rows(self, name: str, gf: RationalGF, order: int):
+        """gf's shared expansion to order as int rows; a coefficient that is
+        not a nonnegative integer fails the check with a detail naming gf."""
+        try:
+            return self.once(RationalGF.expand, gf, order).integer_rows()
+        except ValueError as exc:
+            raise CheckFailed(f"{name}: {exc}") from exc
+
+
+# (area, name, fn): fn(run) makes every comparison of the check before it
 # returns their number.
-CHECKS: List[Tuple[str, str, Callable[[Callable[[int], int]], int]]] = []
+CHECKS: List[Tuple[str, str, Callable[[Run], int]]] = []
 
 
 def _cut(value) -> str:
@@ -65,9 +92,9 @@ def _check(area: str, name: str):
     """Register a generator of (case, got, want) triples as a check."""
     def register(cases):
         @functools.wraps(cases)
-        def run(upto: Callable[[int], int]) -> int:
+        def compare(run: Run) -> int:
             compared = 0
-            for case, got, want in cases(upto):
+            for case, got, want in cases(run):
                 if got != want:
                     label = case if isinstance(case, str) else \
                         case[0].format(*case[1:])
@@ -75,24 +102,9 @@ def _check(area: str, name: str):
                         f"{label}: got {_cut(got)}, want {_cut(want)}")
                 compared += 1
             return compared
-        CHECKS.append((area, name, run))
-        return run
+        CHECKS.append((area, name, compare))
+        return compare
     return register
-
-
-# The route results of the run whose check is running, or None.
-_store: Optional[dict] = None
-
-
-def _once(fn: Callable, *args):
-    """fn(*args), kept (read only) for the rest of the run, if one is open."""
-    if _store is None:
-        return fn(*args)
-    key = (fn, *((frozenset(a.num.terms()), frozenset(a.den.terms()))
-                 if isinstance(a, RationalGF) else a for a in args))
-    if key not in _store:
-        _store[key] = fn(*args)
-    return _store[key]
 
 
 # ---------------------------------------------------------------------------
@@ -100,23 +112,23 @@ def _once(fn: Callable, *args):
 
 
 @_check("compositions", "family-coincidences")
-def check_family_coincidences(upto):
+def check_family_coincidences(run):
     """k-Arndt at k=0 and 2-block Arndt both coincide with Arndt."""
-    for n in range(upto(14) + 1):
+    for n in range(run(14) + 1):
         for comp in counting.compositions_of(n):
             a = is_arndt(comp)
             yield ("is_k_arndt({}, 0)", comp), is_k_arndt(comp, 0), a
             yield ("is_k_block_arndt({}, 2)", comp), is_k_block_arndt(comp, 2), a
-    for n in range(upto(12) + 1):
+    for n in range(run(12) + 1):
         for comp in counting.compositions_of(n):
             yield ("is_k_block_arndt({}, 1)", comp), \
                 is_k_block_arndt(comp, 1), True
 
 
 @_check("compositions", "flip-classes")
-def check_flip_classes(upto):
+def check_flip_classes(run):
     """Flip classes have size 2^(l//2) and a unique canonical representative."""
-    for n in range(upto(12) + 1):
+    for n in range(run(12) + 1):
         for comp in counting.family_members(n, ANTIPALINDROMIC):
             cls = flip_class(comp)
             yield ("flip class size of {}", comp), len(cls), 1 << (len(comp) // 2)
@@ -129,9 +141,9 @@ def check_flip_classes(upto):
 
 
 @_check("counting", "stream")
-def check_stream(upto):
+def check_stream(run):
     """Streams are duplicate-free, complete, and in decreasing lex order."""
-    for n in range(upto(12) + 1):
+    for n in range(run(12) + 1):
         seen = list(counting.compositions_of(n))
         yield ("distinct compositions of {}", n), len(set(seen)), len(seen)
         yield ("wrong weights at {}", n), [c for c in seen if sum(c) != n], []
@@ -140,30 +152,30 @@ def check_stream(upto):
 
 
 @_check("counting", "fibonacci-totals")
-def check_fibonacci_totals(upto):
+def check_fibonacci_totals(run):
     """Brute-force Arndt counts by parts and by last part both sum to F(n)."""
-    for n in range(1, upto(22) + 1):
+    for n in range(1, run(22) + 1):
         for statistic in STATISTICS:
             yield ("{} total at {} vs F(n)", statistic, n), \
-                sum(_once(counting.tally, n, ARNDT, statistic).values()), \
+                sum(run.once(counting.tally, n, ARNDT, statistic).values()), \
                 formulas.fibonacci(n)
 
 
 @_check("counting", "reduced-ap-rows")
-def check_reduced_ap_rows(upto):
+def check_reduced_ap_rows(run):
     """Reduced anti-palindromic counts by parts equal the Arndt counts."""
-    for n in range(upto(14) + 1):
+    for n in range(run(14) + 1):
         yield ("reduced-ap vs arndt row {}", n), \
-            _once(counting.tally, n, REDUCED_AP, "parts"), \
-            _once(counting.tally, n, ARNDT, "parts")
+            run.once(counting.tally, n, REDUCED_AP, "parts"), \
+            run.once(counting.tally, n, ARNDT, "parts")
 
 
 @_check("counting", "antipalindromic-doubling")
-def check_antipalindromic_doubling(upto):
+def check_antipalindromic_doubling(run):
     """Anti-palindromic counts are 2^(m//2) times the reduced counts."""
-    for n in range(upto(12) + 1):
-        ap = _once(counting.tally, n, ANTIPALINDROMIC, "parts")
-        reduced = _once(counting.tally, n, REDUCED_AP, "parts")
+    for n in range(run(12) + 1):
+        ap = run.once(counting.tally, n, ANTIPALINDROMIC, "parts")
+        reduced = run.once(counting.tally, n, REDUCED_AP, "parts")
         for m in set(ap) | set(reduced):
             yield ("({}, {}): anti-palindromic vs 2^(m//2) reduced", n, m), \
                 ap.get(m, 0), (1 << (m // 2)) * reduced.get(m, 0)
@@ -185,45 +197,36 @@ def _series(name: str, k: Optional[int] = None) -> Tuple[str, RationalGF]:
     return label, catalog.series_gf(name, k)
 
 
-def _integer_rows(name: str, gf: RationalGF, order: int):
-    """gf's expansion to order as int rows; a coefficient that is not a
-    nonnegative integer fails the check with a detail that names gf."""
-    try:
-        return _once(RationalGF.expand, gf, order).integer_rows()
-    except ValueError as exc:
-        raise CheckFailed(f"{name}: {exc}") from exc
-
-
 def _catalog_gfs() -> List[Tuple[str, RationalGF]]:
     return [_series(name, k)
             for name in catalog.SERIES for k in _SAMPLE_K.get(name, (None,))]
 
 
 @_check("series", "round-trip")
-def check_round_trip(upto):
+def check_round_trip(run):
     """denominator * expansion == numerator, truncated, for every catalog GF."""
-    order = upto(40)
+    order = run(40)
     for name, gf in _catalog_gfs():
-        expansion = _once(RationalGF.expand, gf, order).as_polynomial()
+        expansion = run.once(RationalGF.expand, gf, order).as_polynomial()
         yield ("{}: den * expansion vs num", name), \
             (gf.den * expansion).truncate_x(order), gf.num.truncate_x(order)
 
 
 @_check("series", "integrality")
-def check_integrality(upto):
+def check_integrality(run):
     """Catalog coefficients are nonnegative integers with y-degree <= weight."""
-    order = upto(40)
+    order = run(40)
     for name, gf in _catalog_gfs():
-        rows = _integer_rows(name, gf, order)
+        rows = run.integer_rows(name, gf, order)
         yield ("{}: y-degree above n", name), \
             [(n, m) for n, row in rows.items() for m in row if m > n], []
 
 
 @_check("series", "expand-linearity")
-def check_expand_linearity(upto):
+def check_expand_linearity(run):
     """expand(f + g) == expand(f) + expand(g) on random small inputs."""
     rng = random.Random(20230517)
-    order = upto(12)
+    order = run(12)
 
     def random_poly(max_deg, force_constant=False):
         coeffs = {}
@@ -247,7 +250,7 @@ def check_expand_linearity(upto):
 
 
 @_check("series", "poly-associativity")
-def check_poly_associativity(upto):
+def check_poly_associativity(run):
     """(p q) r == p (q r) on random polynomials of degree <= 6."""
     rng = random.Random(987123)
 
@@ -267,7 +270,7 @@ def check_poly_associativity(upto):
 
 
 @_check("catalog", "brute-agreement")
-def check_catalog_vs_brute(upto):
+def check_catalog_vs_brute(run):
     """Each GF that catalog.statistic_series names for a family and a
     statistic has the brute-force rows of that family by that statistic."""
     families = [(ARNDT, 14), (REDUCED_AP, 14), (ANTIPALINDROMIC, 12),
@@ -280,25 +283,25 @@ def check_catalog_vs_brute(upto):
             if series is None:
                 continue
             name, gf = _series(series, family.k)
-            max_n = upto(default)
-            rows = _integer_rows(name, gf, max_n)
+            max_n = run(default)
+            rows = run.integer_rows(name, gf, max_n)
             for n in range(max_n + 1):
                 yield ("{} row {}", name, n), rows[n], \
-                    _once(counting.tally, n, family, statistic)
+                    run.once(counting.tally, n, family, statistic)
     # Partitions into j distinct parts are the block-arndt members at k = j
     # with j parts; for j = 0, the empty composition.
     for j in _SAMPLE_K["distinct-parts"]:
         name, gf = _series("distinct-parts", j)
-        rows = _integer_rows(name, gf, upto(12))
+        rows = run.integer_rows(name, gf, run(12))
         family = Family("block-arndt", j) if j else ALL_COMPOSITIONS
-        for n in range(upto(12) + 1):
-            row = _once(counting.tally, n, family, "parts")
+        for n in range(run(12) + 1):
+            row = run.once(counting.tally, n, family, "parts")
             yield ("{} row {}", name, n), rows[n], \
                 {m: c for m, c in row.items() if m == j}
 
 
 @_check("catalog", "reduced-equals-arndt")
-def check_reduced_equals_arndt(upto):
+def check_reduced_equals_arndt(run):
     """gf_reduced_ap and gf_arndt are the same polynomial pair."""
     a, b = catalog.gf_arndt(), catalog.gf_reduced_ap()
     yield "gf_reduced_ap numerator vs gf_arndt", b.num, a.num
@@ -306,7 +309,7 @@ def check_reduced_equals_arndt(upto):
 
 
 @_check("catalog", "derivative-identities")
-def check_derivative_identities(upto):
+def check_derivative_identities(run):
     """The displayed totals GFs equal the y-derivatives at y = 1."""
     derivative = catalog.gf_arndt().diff_y_at_1()
     yield "d/dy gf_arndt at y=1 == gf_total_parts", \
@@ -317,7 +320,7 @@ def check_derivative_identities(upto):
 
 
 @_check("catalog", "block-references")
-def check_block_references(upto):
+def check_block_references(run):
     """The assembled k-block GFs match their displayed closed forms."""
     prefixes = {3: [1, 1, 1, 2, 2, 3, 4, 6, 8, 13],
                 4: [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]}
@@ -334,7 +337,7 @@ def check_block_references(upto):
 
 
 @_check("catalog", "k-arndt-y1")
-def check_k_arndt_y1(upto):
+def check_k_arndt_y1(run):
     """Setting y = 1 in gf_k_arndt gives the displayed totals GF, |k| <= 5."""
     for k in range(-5, 6):
         yield ("gf_k_arndt({0}) at y=1 == gf_k_arndt_total({0})", k), \
@@ -343,11 +346,11 @@ def check_k_arndt_y1(upto):
 
 
 @_check("catalog", "block2-equals-arndt")
-def check_block2_equals_arndt(upto):
+def check_block2_equals_arndt(run):
     """gf_k_block(2) and gf_arndt agree coefficientwise."""
-    order = upto(30)
-    a = _integer_rows("gf_k_block(2)", catalog.gf_k_block(2), order)
-    b = _integer_rows("gf_arndt", catalog.gf_arndt(), order)
+    order = run(30)
+    a = run.integer_rows("gf_k_block(2)", catalog.gf_k_block(2), order)
+    b = run.integer_rows("gf_arndt", catalog.gf_arndt(), order)
     for n in range(order + 1):
         yield ("gf_k_block(2) row {} vs gf_arndt", n), a[n], b[n]
 
@@ -357,27 +360,28 @@ def check_block2_equals_arndt(upto):
 
 
 @_check("formulas", "four-way-agreement")
-def check_four_way_agreement(upto):
+def check_four_way_agreement(run):
     """Alternating sum == positive sum == recurrence == series coefficients."""
-    max_n = upto(40)
-    triangle = _once(formulas.parts_triangle_by_recurrence, max_n)
-    rows = _integer_rows("gf_arndt", catalog.gf_arndt(), max_n)
+    max_n = run(40)
+    # one triangle for the three formulas checks: wz-residual reads 2 rows on
+    triangle = run.once(formulas.parts_triangle_by_recurrence, max_n + 2)
+    rows = run.integer_rows("gf_arndt", catalog.gf_arndt(), max_n)
     for n in range(max_n + 1):
         for m in range(n + 1):
             yield ("({}, {}): alternating, positive, recurrence vs series",
                    n, m), (formulas.parts_count_alternating(n, m),
                            formulas.parts_count_positive(n, m),
                            triangle[n].get(m, 0)), (rows[n].get(m, 0),) * 3
-    for n in range(upto(14) + 1):
+    for n in range(run(14) + 1):
         yield ("recurrence row {} vs brute force", n), triangle[n], \
-            _once(counting.tally, n, ARNDT, "parts")
+            run.once(counting.tally, n, ARNDT, "parts")
 
 
 @_check("formulas", "wz-residual")
-def check_wz_residual(upto):
+def check_wz_residual(run):
     """The three-term relation annihilates the triangle everywhere."""
-    max_n = upto(40)
-    triangle = formulas.parts_triangle_by_recurrence(max_n + 2)
+    max_n = run(40)
+    triangle = run.once(formulas.parts_triangle_by_recurrence, max_n + 2)
     for n in range(max_n + 1):
         for m in range(n + 3):
             yield ("wz residual at ({}, {})", n, m), \
@@ -385,10 +389,10 @@ def check_wz_residual(upto):
 
 
 @_check("formulas", "row-sums")
-def check_row_sums(upto):
+def check_row_sums(run):
     """Parts rows and last rows both sum to F(n)."""
-    max_n = upto(40)
-    triangle = _once(formulas.parts_triangle_by_recurrence, max_n)
+    max_n = run(40)
+    triangle = run.once(formulas.parts_triangle_by_recurrence, max_n + 2)
     for n in range(1, max_n + 1):
         want = formulas.fibonacci(n)
         yield ("parts row {} sum vs F(n)", n), triangle.row_sum(n), want
@@ -397,9 +401,9 @@ def check_row_sums(upto):
 
 
 @_check("formulas", "fibonacci-double-sums")
-def check_fibonacci_double_sums(upto):
+def check_fibonacci_double_sums(run):
     """Both double sums evaluate to F(n)."""
-    for n in range(1, upto(40) + 1):
+    for n in range(1, run(40) + 1):
         want = formulas.fibonacci(n)
         yield ("alternating double sum at {}", n), \
             formulas.fibonacci_from_alternating_sum(n), want
@@ -408,11 +412,11 @@ def check_fibonacci_double_sums(upto):
 
 
 @_check("formulas", "last-closed-forms")
-def check_last_closed_forms(upto):
+def check_last_closed_forms(run):
     """last_count matches the series, the shifted-Fibonacci identity, and
     the cumulative closed forms."""
-    max_n = upto(40)
-    rows = _integer_rows("gf_last_part", catalog.gf_last_part(), max_n)
+    max_n = run(40)
+    rows = run.integer_rows("gf_last_part", catalog.gf_last_part(), max_n)
     for n in range(max_n + 1):
         yield ("last_count row {} vs series", n), formulas.last_row(n), rows[n]
     for m in range(1, 9):
@@ -434,9 +438,9 @@ def check_last_closed_forms(upto):
 
 
 @_check("formulas", "totals")
-def check_totals(upto):
+def check_totals(run):
     """The totals closed forms match the series and brute force."""
-    max_n = upto(40)
+    max_n = run(40)
     for name, closed, gf, statistic, known, brute_n in (
             ("total_parts", formulas.total_parts_closed,
              catalog.gf_total_parts, "parts", {6: 21, 7: 38}, 14),
@@ -444,11 +448,11 @@ def check_totals(upto):
              catalog.gf_total_last, "last", {6: 17, 7: 29}, 20)):
         for n, want in known.items():
             yield ("{}_closed({})", name, n), closed(n), want
-        seq = _once(RationalGF.expand, gf(), max_n).sequence()
+        seq = run.once(RationalGF.expand, gf(), max_n).sequence()
         for n in range(max_n + 1):
             yield ("{}_closed({}) vs series", name, n), closed(n), seq[n]
-        for n in range(upto(brute_n) + 1):
-            row = _once(counting.tally, n, ARNDT, statistic)
+        for n in range(run(brute_n) + 1):
+            row = run.once(counting.tally, n, ARNDT, statistic)
             yield ("{}_closed({}) vs brute force", name, n), closed(n), \
                 sum(m * c for m, c in row.items())
 
@@ -458,12 +462,12 @@ def check_totals(upto):
 
 
 @_check("bijection", "round-trip-bijective")
-def check_bijection(upto):
+def check_bijection(run):
     """reduced_ap_to_arndt is a weight/parts-preserving bijection with
     identity round trips."""
     yield "worked example (2, 3, 6, 2, 1)", \
         bijection.reduced_ap_to_arndt((2, 3, 6, 2, 1)), (2, 1, 3, 2, 6)
-    for n in range(upto(18) + 1):
+    for n in range(run(18) + 1):
         image = []
         for comp in counting.family_members(n, REDUCED_AP):
             out = bijection.reduced_ap_to_arndt(comp)
@@ -500,7 +504,7 @@ class _AtMost:
 
 
 @_check("asymptotics", "fibonacci-gf")
-def check_fibonacci_asymptotic(upto):
+def check_fibonacci_asymptotic(run):
     """The transfer formula tracks F(n) within 0.5% from n = 30 on."""
     gf = catalog.gf_k_arndt_total(0)  # (1 - x^2)/(1 - x - x^2)
     pole = asymptotics.PoleSpec(asymptotics.GOLDEN_RATIO, 1)
@@ -515,7 +519,7 @@ def check_fibonacci_asymptotic(upto):
 
 
 @_check("asymptotics", "total-parts-gf")
-def check_total_parts_asymptotic(upto):
+def check_total_parts_asymptotic(run):
     """The double-pole estimate tracks the exact totals at O(1/n) rate.
 
     The relative error decays like c/n with c about 1.6, calibrated against
@@ -532,7 +536,7 @@ def check_total_parts_asymptotic(upto):
 
 
 @_check("asymptotics", "parts-count-ratio")
-def check_parts_count_asymptotic(upto):
+def check_parts_count_asymptotic(run):
     """a(600, m) is within 15% of its asymptotic form for m = 3, 4."""
     triangle = formulas.parts_triangle_by_recurrence(600, max_m=4)
     for m in (3, 4):
@@ -542,7 +546,7 @@ def check_parts_count_asymptotic(upto):
 
 
 @_check("asymptotics", "last-count-ratio")
-def check_last_count_asymptotic(upto):
+def check_last_count_asymptotic(run):
     """b(60, m) is within 0.1% of its asymptotic form for m <= 3."""
     for m in (1, 2, 3):
         est = asymptotics.last_count_asymptotic(60, m)
@@ -551,7 +555,7 @@ def check_last_count_asymptotic(upto):
 
 
 @_check("asymptotics", "expected-values")
-def check_expected_values(upto):
+def check_expected_values(run):
     """Expected parts and last part approach their displayed limits."""
     slope = float(asymptotics.expected_parts(200)) / 200
     yield "expected parts slope error", \
@@ -578,25 +582,17 @@ def iter_checks(scope: str = "all",
     as that check ends."""
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; choose from {SCOPES}")
-
-    def upto(default: int) -> int:
-        return default if max_n is None else min(default, max_n)
-
-    global _store
-    store: dict = {}  # this run's, set as _store only while a check runs
+    run = Run(max_n)
     for area, name, fn in CHECKS:
         if scope not in ("all", area):
             continue
         full = f"{area}.{name}"
-        outer, _store = _store, store
         try:
-            result = CheckResult(full, True, cases=fn(upto))
+            result = CheckResult(full, True, cases=fn(run))
         except CheckFailed as exc:
             result = CheckResult(full, False, str(exc))
         except Exception as exc:  # a crashed check is a failed check
             result = CheckResult(full, False, f"{type(exc).__name__}: {exc}")
-        finally:
-            _store = outer
         yield result
 
 

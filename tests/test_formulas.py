@@ -8,7 +8,7 @@ from reference_predicates import reference_gen_binomial
 from arndt import counting
 from arndt.catalog import gf_arndt, gf_last_part
 from arndt.compositions import ARNDT, FAMILY_KINDS, STATISTICS, Family
-from arndt.counting import total_last, total_parts
+from arndt.counting import tally
 from arndt.formulas import (bfile_texts, fibonacci,
                             fibonacci_from_alternating_sum,
                             fibonacci_from_positive_sum, gen_binomial,
@@ -267,9 +267,11 @@ def test_totals_closed():
     assert total_last_closed(0) == 0
     assert total_last_closed(1) == 1
     for n in range(15):
-        assert total_parts_closed(n) == total_parts(n)
+        assert total_parts_closed(n) == sum(
+            m * c for m, c in tally(n, ARNDT, "parts").items())
     for n in range(21):
-        assert total_last_closed(n) == total_last(n)
+        assert total_last_closed(n) == sum(
+            m * c for m, c in tally(n, ARNDT, "last").items())
 
 
 def _total_parts_by_recurrence(max_n):

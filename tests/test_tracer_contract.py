@@ -1,10 +1,11 @@
 """The benchmark tracer patches arndt functions and methods by name; if one
 of them is renamed or deleted, installing the tracer fails here."""
 
+from collections import Counter
 from pathlib import Path
 
 import arndt.cli  # noqa: F401  (the tracer wraps every layer the CLI loads)
-from arndt import formulas
+from arndt import formulas, verify
 from arndt.series import RationalGF
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -37,3 +38,25 @@ def test_tracer_reads_the_count_triangle(monkeypatch):
     assert tracer.counters["formulas.triangle_rows"] == 6  # rows 0..5
     assert triangle.max_row == 5
     assert triangle.row_sum(5) == formulas.fibonacci(5)
+
+
+def test_checks_pass_under_the_tracer(monkeypatch):
+    # The tracer wraps each entry of verify.CHECKS and hands the wrapped
+    # check what iter_checks passes it; every check must still compare
+    # cases and pass, each in its own span.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    from spans import Tracer
+    checks = list(verify.CHECKS)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        results = verify.run_checks("catalog", max_n=6)
+    finally:
+        tracer.restore()
+    assert results and [r.name for r in results
+                        if not r.passed or r.cases <= 0] == []
+    spans = Counter(s[0] for s in tracer.spans
+                    if s[0].startswith("verify.check."))
+    assert spans == Counter(f"verify.check.{r.name}" for r in results)
+    assert verify.CHECKS == checks
+    assert all(a[2] is b[2] for a, b in zip(verify.CHECKS, checks))

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from arndt import asymptotics, catalog, counting, formulas, verify
+from arndt.compositions import ARNDT
 from arndt.series import BivariatePolynomial, RationalGF
 from arndt.verify import run_checks
 
@@ -43,10 +44,21 @@ def test_unknown_scope():
         run_checks("nonsense")
 
 
+def test_negative_max_n_is_refused_before_any_check_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "CHECKS",
+                        [("counting", "spy", lambda run: ran.append(run))])
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_checks("all", max_n=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(verify.iter_checks("counting", max_n=-1))
+    assert ran == []
+
+
 @pytest.mark.parametrize("max_n, want", [(None, 40), (10, 10), (50, 40)])
 def test_max_n_clamps_each_default_range(monkeypatch, max_n, want):
     monkeypatch.setattr(verify, "CHECKS",
-                        [("spy", "range", lambda upto: upto(40))])
+                        [("spy", "range", lambda run: run(40))])
     [result] = run_checks("all", max_n)
     assert result.cases == want
 
@@ -117,7 +129,8 @@ def test_corrupted_catalog_is_caught(monkeypatch, warm):
 def test_a_shared_run_gives_the_results_of_an_unshared_one(monkeypatch,
                                                             max_n):
     shared = run_checks("all", max_n)
-    monkeypatch.setattr(verify, "_once", lambda fn, *args: fn(*args))
+    monkeypatch.setattr(verify.Run, "once",
+                        lambda run, fn, *args: fn(*args))
     assert run_checks("all", max_n) == shared
 
 
@@ -144,39 +157,58 @@ def test_a_run_makes_each_route_call_once(monkeypatch):
     assert all(r.passed for r in run_checks("all"))
     assert len(calls) > 100
     assert [key for key, count in calls.items() if count > 1] == []
+    # the three formulas checks share one triangle, two rows past their range
+    assert [key for key in calls if key[0] == "triangle"] == [
+        ("triangle", 42), ("triangle", 600, ("max_m", 4))]
 
 
-def test_the_store_lives_only_while_a_run_runs_a_check(monkeypatch):
-    calls = []
+def _count_tally_calls(monkeypatch):
+    calls = Counter()
     tally = counting.tally
-    monkeypatch.setattr(counting, "tally",
-                        lambda *args: calls.append(args) or tally(*args))
-    for _ in range(2):  # a direct call computes every time
-        assert verify.check_reduced_ap_rows(lambda default: 3) == 4
-    assert len(calls) == 16 and verify._store is None
+
+    def tally_spy(*args):
+        calls[args] += 1
+        return tally(*args)
+
+    monkeypatch.setattr(counting, "tally", tally_spy)
+    return calls
+
+
+def test_a_direct_call_with_a_fresh_run_computes_every_time(monkeypatch):
+    calls = _count_tally_calls(monkeypatch)
+    for _ in range(2):
+        assert verify.check_reduced_ap_rows(verify.Run(3)) == 4
+    assert len(calls) == 8 and set(calls.values()) == {2}
+
+
+def test_two_runs_share_nothing(monkeypatch):
+    calls = _count_tally_calls(monkeypatch)
     run_checks("counting", max_n=3)
-    assert verify._store is None
-    stopped = verify.iter_checks("counting", max_n=3)
-    next(stopped)  # a consumer that stops early
-    assert verify._store is None
+    once = Counter(calls)
+    assert once and set(once.values()) == {1}
+    run_checks("counting", max_n=3)
+    assert calls == once + once
 
 
-def test_a_nested_run_has_its_own_store(monkeypatch):
-    stores = []
+def test_a_nested_run_leaves_the_outer_runs_results_untouched(monkeypatch):
+    key = (counting.tally, 3, ARNDT, "parts")
+    runs = []
 
-    def probe(upto):
-        stores.append(verify._store)
+    def probe(run):
+        runs.append(run)
+        return len(run.once(*key))
+
+    def nest(run):
+        row = run.once(*key)
+        outer = dict(run.results)
+        assert all(r.passed for r in run_checks("series"))
+        assert run.results == outer and run.results[key] is row
+        runs.append(run)
         return 1
-
-    def nest(upto):
-        outer = verify._store
-        run_checks("series")
-        assert verify._store is outer
-        return probe(upto)
 
     monkeypatch.setattr(verify, "CHECKS", [("counting", "nest", nest),
                                            ("series", "probe", probe)])
     assert all(r.passed for r in run_checks("counting"))
-    inner, outer = stores
-    assert inner == {} and outer == {} and inner is not outer
-    assert verify._store is None
+    inner, outer = runs
+    assert inner is not outer and list(inner.results) == [key]
+    assert inner.results[key] is not outer.results[key]

@@ -13,6 +13,7 @@ stay exact (Fraction) and only their limits are floating.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .formulas import fibonacci, total_last_closed, total_parts_closed
@@ -27,22 +28,17 @@ EXPECTED_LAST_LIMIT = math.sqrt(5)
 _ROOT_TOLERANCE = 1e-8
 
 
-class PoleSpec:
+class PoleSpec(namedtuple("PoleSpec", "beta multiplicity", defaults=[1])):
     """Growth base beta and multiplicity nu of the pole at 1/beta."""
 
-    __slots__ = ("beta", "multiplicity")
+    __slots__ = ()
 
-    def __init__(self, beta: float, multiplicity: int = 1):
+    def __new__(cls, beta: float, multiplicity: int = 1):
         if beta <= 0:
             raise ValueError(f"growth base must be positive, got {beta}")
         if multiplicity < 1:
             raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
-        self.beta = beta
-        self.multiplicity = multiplicity
-
-    def __repr__(self):
-        return (f"PoleSpec(beta={self.beta!r}, "
-                f"multiplicity={self.multiplicity!r})")
+        return super().__new__(cls, beta, multiplicity)
 
 
 def dominant_asymptotic(gf: RationalGF, pole: PoleSpec, n: int) -> float:

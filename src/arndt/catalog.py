@@ -7,9 +7,10 @@ series are validated coefficientwise against brute-force enumeration in the
 verification suite, which is the authority if the two ever disagree.
 
 gf_arndt, gf_reduced_ap, gf_antipalindromic and gf_k_arndt differ only in the
-pair kernel, one call of _pairs each.  Forms that checks compare with derived
-ones stay literal so a check never compares a form with itself: gf_last_part,
-gf_total_parts, gf_total_last, gf_k_arndt_total and the k-block references.
+pair kernel, one call of _pairs each; gf_reduced_ap repeats gf_arndt's, so only
+catalog.brute-agreement and bijection.round-trip-bijective test that the two
+count alike.  gf_last_part, gf_total_parts, gf_total_last, gf_k_arndt_total and
+the k-block references stay literal, for checks against derived forms.
 """
 
 from __future__ import annotations

@@ -155,8 +155,10 @@ _SEQUENCE_LINES = {"plain": "{} {}", "csv": "{},{}",
 
 def _sequence_lines(values: Iterable[Tuple[int, int]],
                     fmt: str) -> Iterator[str]:
-    header = ["n,value"] if fmt == "csv" else []
-    return chain(header, starmap(_SEQUENCE_LINES[fmt].format, values))
+    lines = starmap(_SEQUENCE_LINES[fmt].format, values)
+    if fmt == "csv":  # one item with term 0: no write of the header alone
+        lines = chain(map("n,value\n".__add__, islice(lines, 1)), lines)
+    return lines
 
 
 def _integer_rows(gf, order: int) -> Iterator[Tuple[int, Dict[int, int]]]:

@@ -7,7 +7,7 @@ the obvious ones: ``sum(c)`` is the weight, ``len(c)`` the number of parts,
 ``c[-1]`` the last part (undefined for the empty composition).  STATISTICS
 names the two that the paper counts by, for every route.
 
-Families handled here, with ``l = len(c)``:
+A family is the named tuple Family(kind, k); the kinds, with ``l = len(c)``:
 
 * Arndt: each complete consecutive pair descends, c[0] > c[1], c[2] > c[3],
   and so on; a trailing unpaired part is unconstrained.
@@ -33,6 +33,7 @@ each mirrored pair, and k-block Arndt takes one all() per offset in a block.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import gt, lt, ne, sub
 from typing import Callable, Optional, Tuple
 
@@ -152,45 +153,32 @@ FAMILY_KINDS = {
 }
 
 
-class Family:
-    """A composition family: a kind from FAMILY_KINDS, with the integer k
-    that kind requires.  Kind 'all' is the unrestricted family (every
-    composition is a member).  Families are equal, and hash alike, when
-    their kind and k are.
-    """
+class Family(namedtuple("Family", "kind k", defaults=[None])):
+    """A composition family: a kind from FAMILY_KINDS with the k it needs;
+    kind 'all' is every composition.  bound, mirror and member read the
+    kind's row there when called, so that table alone says what a kind is."""
 
-    __slots__ = ("kind", "k", "_test", "bound", "mirror")
+    __slots__ = ()
 
-    def __init__(self, kind: str, k: Optional[int] = None):
+    def __new__(cls, kind: str, k: Optional[int] = None):
         if kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {kind!r}")
-        test, bound, mirror = FAMILY_KINDS[kind]
         check_k("family", kind, k)
-        self.kind = kind
-        self.k = k
-        # The kind's predicate, looked up once: member() runs per composition.
-        self._test = test
-        # (period, drop) from the kind's prefix bound at this k, or None.
-        self.bound: Optional[Tuple[int, int]] = (
-            None if bound is None else bound(k))
-        # The kind's mirror comparison, or None.
-        self.mirror: Optional[Callable[[int, int], bool]] = mirror
+        return super().__new__(cls, kind, k)
+
+    @property
+    def bound(self) -> Optional[Tuple[int, int]]:
+        """(period, drop) from the kind's prefix bound at this k, or None."""
+        bound = FAMILY_KINDS[self.kind][1]
+        return None if bound is None else bound(self.k)
+
+    @property
+    def mirror(self) -> Optional[Callable[[int, int], bool]]:
+        return FAMILY_KINDS[self.kind][2]
 
     def member(self, comp) -> bool:
-        if self.k is None:
-            return self._test(comp)
-        return self._test(comp, self.k)
-
-    def __eq__(self, other):
-        if type(other) is not Family:
-            return NotImplemented
-        return (self.kind, self.k) == (other.kind, other.k)
-
-    def __hash__(self):
-        return hash((self.kind, self.k))
-
-    def __repr__(self):
-        return f"Family(kind={self.kind!r}, k={self.k!r})"
+        test = FAMILY_KINDS[self.kind][0]
+        return test(comp) if self.k is None else test(comp, self.k)
 
     def __str__(self):
         if self.k is None:

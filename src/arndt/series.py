@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 DEFAULT_ORDER = 64
 
@@ -145,14 +145,11 @@ def sequence_term(n: int, cells: list) -> int:
     return row.get(0, 0)
 
 
-class TruncatedSeries:
+class TruncatedSeries(NamedTuple):
     """Exact c(n, m) for n, m <= order: rows[n][m], or 0 past rows[n]'s end."""
 
-    __slots__ = ("order", "rows")
-
-    def __init__(self, order: int, rows: List[list]):
-        self.order = order
-        self.rows = rows
+    order: int
+    rows: List[list]
 
     def integer_rows(self) -> Dict[int, dict]:
         """All rows as nonnegative ints, each by integer_row."""

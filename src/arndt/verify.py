@@ -8,8 +8,8 @@ comparator runs each: it raises CheckFailed at the first got != want, or
 returns how many triples it compared, so a check that compared nothing is
 told apart from one that passed.  A case is a label, or a format string and
 its arguments, formatted only when its comparison fails.  iter_checks
-yields each check's result as soon as the check ends, so `arndt verify`
-prints it then; run_checks collects them.
+refuses a bad scope or max_n when called; each check then runs as its
+result is drawn, so `arndt verify` prints it then; run_checks collects them.
 
 Each check takes the one Run that iter_checks makes from max_n.
 run(default) is the check's desk-scale default range, or max_n when that
@@ -576,24 +576,24 @@ def check_expected_values(run):
 SCOPES = ("all",) + tuple(dict.fromkeys(area for area, _, _ in CHECKS))
 
 
+def _result(run: Run, area: str, name: str, fn) -> CheckResult:
+    full = f"{area}.{name}"
+    try:
+        return CheckResult(full, True, cases=fn(run))
+    except CheckFailed as exc:
+        return CheckResult(full, False, str(exc))
+    except Exception as exc:  # a crashed check is a failed check
+        return CheckResult(full, False, f"{type(exc).__name__}: {exc}")
+
+
 def iter_checks(scope: str = "all",
                 max_n: Optional[int] = None) -> Iterator[CheckResult]:
-    """Run the selected checks in order, yielding each one's result as soon
-    as that check ends."""
+    """The selected checks' results in order, each made as it is drawn."""
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; choose from {SCOPES}")
     run = Run(max_n)
-    for area, name, fn in CHECKS:
-        if scope not in ("all", area):
-            continue
-        full = f"{area}.{name}"
-        try:
-            result = CheckResult(full, True, cases=fn(run))
-        except CheckFailed as exc:
-            result = CheckResult(full, False, str(exc))
-        except Exception as exc:  # a crashed check is a failed check
-            result = CheckResult(full, False, f"{type(exc).__name__}: {exc}")
-        yield result
+    return (_result(run, area, name, fn) for area, name, fn in CHECKS
+            if scope in ("all", area))
 
 
 def run_checks(scope: str = "all",

@@ -51,10 +51,18 @@ def test_invalid_poles():
         dominant_asymptotic(FIB_GF, PoleSpec(2.0), 10)      # 1/2 is no root
     with pytest.raises(ValueError):
         dominant_asymptotic(FIB_GF, PoleSpec(GOLDEN_RATIO, 2), 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="growth base must be positive"):
         PoleSpec(-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="multiplicity must be >= 1, got 0"):
         PoleSpec(1.0, 0)
+
+
+def test_a_pole_is_an_immutable_record():
+    pole = PoleSpec(2.0)
+    assert repr(pole) == "PoleSpec(beta=2.0, multiplicity=1)"
+    assert pole == PoleSpec(2.0, multiplicity=1) != PoleSpec(2.0, 2)
+    with pytest.raises(AttributeError):
+        pole.beta = 3.0
 
 
 def test_dominant_asymptotic_rejects_bivariate():

@@ -177,6 +177,7 @@ def test_formula_parts_table_streams_its_rows(capsys, monkeypatch, fmt):
 GF_STREAMS = {
     **{f"series last-part --format {fmt}": ROW_0[fmt] for fmt in ROW_0},
     "series total-last --format bfile": "0 0\n",
+    "series total-last --format csv": "n,value\n0,0\n",
     **{f"table last --method gf --format {fmt}": ROW_0[fmt] for fmt in ROW_0}}
 
 
@@ -676,8 +677,9 @@ def test_sequence_lines_equal_the_reference_formatting():
     terms = [(0, 0), (1, -1), (7, 13), (5000, 7 ** 900)]
     assert list(cli._sequence_lines(terms, "jsonl")) == \
         [json.dumps({"n": n, "value": v}) for n, v in terms]
+    # The csv header is one item with term 0, so it is never written alone.
     assert list(cli._sequence_lines(terms, "csv")) == \
-        ["n,value"] + [f"{n},{v}" for n, v in terms]
+        ["n,value\n0,0"] + [f"{n},{v}" for n, v in terms[1:]]
     assert list(cli._sequence_lines(terms, "plain")) == \
         [f"{n} {v}" for n, v in terms]
 

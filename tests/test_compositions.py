@@ -103,6 +103,28 @@ def test_family_validation():
         Family("fibonacci")
 
 
+@pytest.mark.parametrize("family, text, shown", [
+    (ARNDT, "arndt", "Family(kind='arndt', k=None)"),
+    (Family("all"), "all", "Family(kind='all', k=None)"),
+    (Family("k-arndt", -1), "k-arndt(k=-1)", "Family(kind='k-arndt', k=-1)"),
+    (Family("block-arndt", 3), "block-arndt(k=3)",
+     "Family(kind='block-arndt', k=3)")],
+    ids=["arndt", "all", "k-arndt", "block-arndt"])
+def test_a_family_is_the_immutable_record_of_its_kind_and_k(family, text,
+                                                            shown):
+    kind, k = family
+    assert repr(family) == shown
+    assert str(family) == text
+    assert hash(family) == hash((kind, k))
+    assert family == Family(kind, k)
+    assert (family == ARNDT) == (kind == "arndt")
+    assert (family == Family("all")) == (kind == "all")
+    bound = family.bound
+    with pytest.raises(AttributeError):
+        family.k = 3
+    assert family.k == k and family.bound == bound
+
+
 @pytest.mark.parametrize("kind", ["k-arndt", "block-arndt"])
 @pytest.mark.parametrize("k", [1.5, 2.0, "2", True])
 def test_family_rejects_a_k_that_is_not_an_int(kind, k):

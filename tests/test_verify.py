@@ -44,6 +44,14 @@ def test_unknown_scope():
         run_checks("nonsense")
 
 
+def test_iter_checks_refuses_bad_input_at_the_call():
+    # No next(): the refusal comes where the iterator is made.
+    with pytest.raises(ValueError, match="unknown scope 'nonsense'"):
+        verify.iter_checks("nonsense")
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify.iter_checks("all", -1)
+
+
 def test_negative_max_n_is_refused_before_any_check_runs(monkeypatch):
     ran = []
     monkeypatch.setattr(verify, "CHECKS",

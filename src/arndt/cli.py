@@ -116,31 +116,32 @@ def _write_triangle(rows: Iterable[Tuple[int, Dict[int, int]]], fmt: str):
     if fmt == "plain":
         _write_lines(_grid_lines(list(rows)))
     elif fmt == "csv":
-        write("n,m,count\n")
+        head = "n,m,count\n"  # written with row 0: no write of it alone
         for n, row in rows:
-            write("".join(f"{n},{m},{row[m]}\n" for m in sorted(row)))
+            write(head + "".join(f"{n},{m},{row[m]}\n" for m in sorted(row)))
+            head = ""
     else:
         for n, row in rows:
             counts = {str(m): row[m] for m in sorted(row)}
             write(json.dumps({"n": n, "counts": counts}) + "\n")
 
 
-def _grid_width(rows: List[Tuple[int, Dict[int, int]]], max_m: int) -> int:
+def _grid_width(rows: List[Tuple[int, Dict[int, int]]], top_m: int) -> int:
     """The width of the widest text in the grid of _grid_lines: of a label,
     or of the largest or the most negative cell, as no other int's text is
     longer."""
     cells = [end(row.values()) for _, row in rows if row for end in (max, min)]
-    widest = [max_m, *(n for n, _ in rows)] + (
+    widest = [top_m, *(n for n, _ in rows)] + (
         [max(cells), min(cells)] if cells else [])
     return max(len("n\\m"), *(len(str(v)) for v in widest))
 
 
 def _grid_lines(rows: List[Tuple[int, Dict[int, int]]]) -> Iterator[str]:
     """An aligned grid; each row runs to its last nonzero column."""
-    max_m = max((max(row) for _, row in rows if row), default=0)
-    width = _grid_width(rows, max_m)
+    top_m = max((max(row) for _, row in rows if row), default=0)
+    width = _grid_width(rows, top_m)
     yield "  ".join(["n\\m".rjust(width)]
-                    + [str(m).rjust(width) for m in range(max_m + 1)])
+                    + [str(m).rjust(width) for m in range(top_m + 1)])
     for n, row in rows:
         hi = max(row) if row else 0
         cells = [str(row.get(m, 0)).rjust(width) for m in range(hi + 1)]

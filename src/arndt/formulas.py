@@ -26,7 +26,7 @@ from .compositions import ARNDT, Family, check_statistic
 
 class CountTriangle(list):
     """Rows 0..max_row, each {m: count} without zeros; IndexError outside.
-    The benchmark reads max_row and row_sum, and the row-sums check row_sum."""
+    Only the benchmark harness reads max_row and row_sum."""
 
     def __getitem__(self, n: int) -> Dict[int, int]:  # no row before row 0
         return super().__getitem__(n if n >= 0 else len(self))
@@ -105,7 +105,7 @@ def parts_count_positive(n: int, m: int) -> int:
                for l in range(upper // 2 + 1))
 
 
-def parts_rows_by_recurrence(max_n: int, max_m: Optional[int] = None
+def parts_rows_by_recurrence(max_n: int
                              ) -> Iterator[Tuple[int, Dict[int, int]]]:
     """(n, row n) of the parts triangle for n = 0..max_n, each as soon as it
     is computed; only three rows are kept, so the caller must not change one.
@@ -114,25 +114,21 @@ def parts_rows_by_recurrence(max_n: int, max_m: Optional[int] = None
     before row 0 are empty.  Row n >= 1 fills only columns 1..(2n + 1) // 3,
     in order, the most parts an Arndt composition of n has, all nonzero:
     a(n,m) = a(n-1,m) + a(n-2,m) - a(n-3,m) + a(n-3,m-2) for m >= 2.
-    max_m caps every column, seeds too: the recurrence never reads above m.
     """
     before = ({}, {}, {})  # rows n-3, n-2 and n-1
-    cap = max_n if max_m is None else max_m
     for n in range(max_n + 1):
-        row: Dict[int, int] = {} if min(n, 1) > cap else {min(n, 1): 1}
+        row: Dict[int, int] = {min(n, 1): 1}
         back3, back2, back1 = before
-        for m in range(2, min((2 * n + 1) // 3, cap) + 1):
+        for m in range(2, (2 * n + 1) // 3 + 1):
             row[m] = (back1.get(m, 0) + back2.get(m, 0)
                       - back3.get(m, 0) + back3.get(m - 2, 0))
         yield n, row
         before = (back2, back1, row)
 
 
-def parts_triangle_by_recurrence(max_n: int,
-                                 max_m: Optional[int] = None) -> CountTriangle:
+def parts_triangle_by_recurrence(max_n: int) -> CountTriangle:
     """Rows 0..max_n of the parts triangle, from parts_rows_by_recurrence."""
-    rows = parts_rows_by_recurrence(max_n, max_m)
-    return CountTriangle(row for _, row in rows)
+    return CountTriangle(row for _, row in parts_rows_by_recurrence(max_n))
 
 
 def wz_residual(n: int, m: int, triangle: CountTriangle) -> int:

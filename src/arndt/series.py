@@ -15,8 +15,8 @@ only the rows that den reaches back to, and stored by expand; row n is filled
 only up to the y-degree it can reach: the numerator's, or row n - i's top plus
 j for a den term x^i y^j with i >= 1 (the order, if a term has i == 0 < j).
 The stored rows are read as nonnegative ints by integer_rows, or as the terms
-of a series in x alone by sequence; integer_row and sequence_term are the one
-rule for a single row, which the streaming readers apply as rows are drawn.
+of a series in x alone by sequence; integer_row and sequence_term each state
+the rule for one row, which the streaming readers apply as rows are drawn.
 
 Conventions: exponent pairs are (deg_x, deg_y); a polynomial is "univariate"
 when every stored term has deg_y == 0.
@@ -119,30 +119,32 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({' + '.join(bits) or 0})"
 
 
-def integer_row(n: int, cells: list, require_nonnegative: bool = True
-                ) -> Dict[int, int]:
-    """Row n's nonzero cells as {m: int}: a row of ints, nonnegative where
-    required, passes by a check in C; any other is gone through cell by cell,
+def integer_row(n: int, cells: list) -> Dict[int, int]:
+    """Row n's nonzero cells as {m: int}, all nonnegative: a row of such
+    ints passes by a check in C; any other is gone through cell by cell,
     making an integral Fraction an int or naming the first that fails."""
     row = {m: v for m, v in enumerate(cells) if v}
-    if set(map(type, row.values())) <= {int} and not (
-            require_nonnegative and min(row.values(), default=0) < 0):
+    if (set(map(type, row.values())) <= {int}
+            and min(row.values(), default=0) >= 0):
         return row
     for m, v in row.items():
         if v.denominator != 1:
             raise ValueError(f"coefficient at ({n}, {m}) is {v}, not an integer")
-        if require_nonnegative and v < 0:
+        if v < 0:
             raise ValueError(f"coefficient at ({n}, {m}) is negative: {v}")
         row[m] = int(v)
     return row
 
 
 def sequence_term(n: int, cells: list) -> int:
-    """Term n of a univariate series: row n by integer_row, with no y-term."""
-    row = integer_row(n, cells, require_nonnegative=False)
-    if row.keys() - {0}:
+    """Term n of a univariate series: cell 0 of row n as an int of any sign,
+    0 for an empty row; a nonzero later cell is a y-term."""
+    term = cells[0] if cells else 0
+    if term.denominator != 1:
+        raise ValueError(f"coefficient at ({n}, 0) is {term}, not an integer")
+    if any(cells[1:]):
         raise ValueError(f"series has a y-term in row {n}")
-    return row.get(0, 0)
+    return int(term)
 
 
 class TruncatedSeries(NamedTuple):

@@ -178,10 +178,11 @@ def test_criterion_11_asymptotics():
     for n in range(30, 121, 10):
         est = asymptotics.dominant_asymptotic(fib_gf, pole, n)
         assert est == pytest.approx(formulas.fibonacci(n), rel=0.005), n
-    tri = formulas.parts_triangle_by_recurrence(600, max_m=4)
+    # a(600, m) by two exact routes, the full recurrence and the binomial sum
+    tri = formulas.parts_triangle_by_recurrence(600)
     for m in (3, 4):
-        ratio = (tri[600].get(m, 0)
-                 / asymptotics.parts_count_asymptotic(600, m))
+        assert tri[600][m] == formulas.parts_count_positive(600, m), m
+        ratio = tri[600][m] / asymptotics.parts_count_asymptotic(600, m)
         assert abs(ratio - 1) <= 0.15, m
     for m in (1, 2, 3):
         ratio = formulas.last_count(60, m) / asymptotics.last_count_asymptotic(60, m)

@@ -78,15 +78,7 @@ def test_recurrence_triangle():
             assert tri[n].get(m, 0) == parts_count_alternating(n, m)
 
 
-def test_recurrence_triangle_column_cap():
-    full = parts_triangle_by_recurrence(30)
-    capped = parts_triangle_by_recurrence(30, max_m=4)
-    for n in range(31):
-        for m in range(5):
-            assert capped[n].get(m, 0) == full[n].get(m, 0)
-
-
-def reference_recurrence_rows(max_n, max_m=None):
+def reference_recurrence_rows(max_n):
     """(n, row n) of the parts triangle by the recurrence over columns
     2..n, each tested for zero: the loop that parts_rows_by_recurrence ran
     before it stopped at column (2n + 1) // 3."""
@@ -94,7 +86,7 @@ def reference_recurrence_rows(max_n, max_m=None):
     for n in range(max_n + 1):
         row = {0: 1} if n == 0 else {1: 1}
         back3, back2, back1 = before
-        for m in range(2, (n if max_m is None else min(n, max_m)) + 1):
+        for m in range(2, n + 1):
             v = (back1.get(m, 0) + back2.get(m, 0)
                  - back3.get(m, 0) + back3.get(m - 2, 0))
             if v:
@@ -103,11 +95,10 @@ def reference_recurrence_rows(max_n, max_m=None):
         before = (back2, back1, row)
 
 
-@pytest.mark.parametrize("max_n, max_m", [(400, None), (120, 2), (120, 4),
-                                          (120, 7)])
-def test_recurrence_rows_equal_the_full_width_reference(max_n, max_m):
-    assert (list(parts_rows_by_recurrence(max_n, max_m))
-            == list(reference_recurrence_rows(max_n, max_m)))
+@pytest.mark.parametrize("max_n", [400, 120])
+def test_recurrence_rows_equal_the_full_width_reference(max_n):
+    assert (list(parts_rows_by_recurrence(max_n))
+            == list(reference_recurrence_rows(max_n)))
 
 
 def test_count_triangle_access():
@@ -121,14 +112,6 @@ def test_count_triangle_access():
         tri[tri.max_row + 1]            # beyond built rows is an error
     # the producer stores no zero cell
     assert all(all(row.values()) for _, row in parts_rows_by_recurrence(400))
-
-
-@pytest.mark.parametrize("max_m", [-1, 0, 1])
-def test_max_m_caps_every_column_and_seed(max_m):
-    full = list(parts_rows_by_recurrence(30))
-    capped = list(parts_rows_by_recurrence(30, max_m))
-    assert capped == [(n, {m: v for m, v in row.items() if m <= max_m})
-                      for n, row in full]
 
 
 @pytest.mark.parametrize("statistic", list(STATISTICS))

@@ -7,7 +7,7 @@ from arndt.catalog import (gf_arndt, gf_compositions, gf_distinct_parts,
 from arndt.compositions import ALL_COMPOSITIONS
 from arndt.counting import tally
 from arndt.series import (BivariatePolynomial, RationalGF, TruncatedSeries,
-                          integer_row)
+                          integer_row, sequence_term)
 
 
 def poly(*terms):
@@ -133,10 +133,29 @@ def test_integer_rows_makes_integral_fractions_ints():
     with pytest.raises(ValueError, match=r"^coefficient at \(1, 1\) is "
                                          r"negative: -5$"):
         series.integer_rows()
-    rows = [integer_row(0, series.rows[0]),
-            integer_row(1, series.rows[1], require_nonnegative=False)]
-    assert rows == [{0: 2}, {0: 3, 1: -5}]
-    assert {type(v) for row in rows for v in row.values()} == {int}
+    values = [*integer_row(0, series.rows[0]).values(),
+              sequence_term(1, [Fraction(-10, 2)])]
+    assert values == [2, -5]
+    assert {type(v) for v in values} == {int}
+
+
+@pytest.mark.parametrize("cells, want", [
+    ([-5], -5), ([Fraction(4, 2)], 2), ([], 0), ([0, 0], 0)])
+def test_sequence_term_reads_cell_0_of_any_sign(cells, want):
+    got = sequence_term(3, cells)
+    assert got == want and type(got) is int
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([Fraction(1, 2)], "coefficient at (3, 0) is 1/2, not an integer"),
+    ([Fraction(1, 2), 1], "coefficient at (3, 0) is 1/2, not an integer"),
+    ([1, 0, 2], "series has a y-term in row 3"),
+    ([1, Fraction(1, 2)], "series has a y-term in row 3"),  # not integrality
+])
+def test_sequence_term_names_what_fails(cells, message):
+    with pytest.raises(ValueError) as exc:
+        sequence_term(3, cells)
+    assert str(exc.value) == message
 
 
 def test_sequence_rejects_bivariate():

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from importlib import resources
-from itertools import chain, islice, starmap
+from itertools import chain, compress, count, islice, starmap
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import catalog, counting, formulas, verify
@@ -107,45 +107,42 @@ def _write_compositions(blocks: Iterable[tuple], fmt: str):
     _write_lines(starmap(text, blocks))
 
 
-def _write_triangle(rows: Iterable[Tuple[int, Dict[int, int]]], fmt: str):
-    """Write a triangle given as (n, {m: count}) pairs in increasing n; zero
-    cells are implicit.  csv and jsonl write each row as soon as it is drawn,
-    in one write; the plain grid reads every row first, because its column
-    width depends on all of them."""
-    write = sys.stdout.write
+def _write_triangle(rows: Iterable[Tuple[int, List[int]]], fmt: str):
+    """Write (n, row n) pairs in increasing n, each row a list, cell m at
+    index m, up to its last nonzero cell.  csv and jsonl write a row's
+    nonzero cells as soon as it is drawn, in one write; the plain grid holds
+    every row first, because its column width depends on all of them."""
     if fmt == "plain":
-        _write_lines(_grid_lines(list(rows)))
-    elif fmt == "csv":
-        head = "n,m,count\n"  # written with row 0: no write of it alone
-        for n, row in rows:
-            write(head + "".join(f"{n},{m},{row[m]}\n" for m in sorted(row)))
+        return _write_lines(_grid_lines(list(rows)))
+    write = sys.stdout.write
+    head = "n,m,count\n" if fmt == "csv" else ""  # written with row 0
+    for n, row in rows:
+        cells = compress(enumerate(row), row)
+        if fmt == "csv":
+            write(head + "".join(starmap(f"{n},{{}},{{}}\n".format, cells)))
             head = ""
-    else:
-        for n, row in rows:
-            counts = {str(m): row[m] for m in sorted(row)}
-            write(json.dumps({"n": n, "counts": counts}) + "\n")
+        else:  # the line json.dumps({"n": n, "counts": {"m": count, ...}})
+            write('{"n": %d, "counts": {%s}}\n'
+                  % (n, ", ".join(starmap('"{}": {}'.format, cells))))
 
 
-def _grid_width(rows: List[Tuple[int, Dict[int, int]]], top_m: int) -> int:
-    """The width of the widest text in the grid of _grid_lines: of a label,
-    or of the largest or the most negative cell, as no other int's text is
-    longer."""
-    cells = [end(row.values()) for _, row in rows if row for end in (max, min)]
-    widest = [top_m, *(n for n, _ in rows)] + (
-        [max(cells), min(cells)] if cells else [])
+def _grid_width(rows: List[Tuple[int, List[int]]], top_m: int) -> int:
+    """The width of the widest text in the grid of _grid_lines: a label, or
+    the largest or most negative cell, as no other int's text is longer."""
+    cells = [end(row or [0]) for _, row in rows for end in (max, min)] + [0]
+    widest = [top_m, max(cells), min(cells), *(n for n, _ in rows)]
     return max(len("n\\m"), *(len(str(v)) for v in widest))
 
 
-def _grid_lines(rows: List[Tuple[int, Dict[int, int]]]) -> Iterator[str]:
-    """An aligned grid; each row runs to its last nonzero column."""
-    top_m = max((max(row) for _, row in rows if row), default=0)
+def _grid_lines(rows: List[Tuple[int, List[int]]]) -> Iterator[str]:
+    """An aligned grid; each row runs to its last nonzero column (or 0)."""
+    top_m = max([1, *(len(row) for _, row in rows)]) - 1
     width = _grid_width(rows, top_m)
     yield "  ".join(["n\\m".rjust(width)]
                     + [str(m).rjust(width) for m in range(top_m + 1)])
     for n, row in rows:
-        hi = max(row) if row else 0
-        cells = [str(row.get(m, 0)).rjust(width) for m in range(hi + 1)]
-        yield "  ".join([str(n).rjust(width)] + cells)
+        yield "  ".join([str(n).rjust(width)]
+                        + [str(c).rjust(width) for c in row or [0]])
 
 
 # Format -> the line of one term (n, value); a csv sequence has a header.
@@ -162,11 +159,6 @@ def _sequence_lines(values: Iterable[Tuple[int, int]],
     return lines
 
 
-def _integer_rows(gf, order: int) -> Iterator[Tuple[int, Dict[int, int]]]:
-    """(n, row n as ints) of gf's expansion, each checked as it is drawn."""
-    return ((n, integer_row(n, row)) for n, row in enumerate(gf.iter_rows(order)))
-
-
 def cmd_enumerate(args, parser) -> int:
     family = _usage(parser, Family, args.family, args.k)
     blocks = counting.family_blocks(args.n, family, args.max_n)
@@ -179,14 +171,16 @@ def cmd_table(args, parser) -> int:
     if args.method == "brute":
         # Refuse before any row is written, at the first weight refused.
         counting.check_weight(min(args.n, args.max_n + 1), args.max_n)
-        rows = ((n, counting.tally(n, family, args.kind, args.max_n))
-                for n in range(args.n + 1))
+        tallies = (counting.tally(n, family, args.kind, args.max_n)
+                   for n in range(args.n + 1))
+        rows = enumerate([t.get(m, 0) for m in range(max(t, default=-1) + 1)]
+                         for t in tallies)
     elif args.method == "formula":
         rows = formulas.statistic_rows(family, args.kind, args.n)
     else:
         series = catalog.statistic_series(family, args.kind)
-        rows = series and _integer_rows(catalog.series_gf(series, family.k),
-                                        args.n)
+        gf = series and catalog.series_gf(series, family.k)
+        rows = gf and enumerate(map(integer_row, count(), gf.iter_rows(args.n)))
     if rows is None:  # brute force covers every family, the others may not
         parser.error(f"the {args.kind} table has a {args.method} path only "
                      f"for --family {ARNDT.kind}; use --method brute")
@@ -207,7 +201,8 @@ def cmd_series(args, parser) -> int:
         terms = starmap(sequence_term, enumerate(gf.iter_rows(args.n)))
         _write_lines(_sequence_lines(enumerate(terms), fmt))
     else:
-        _write_triangle(_integer_rows(gf, args.n), args.format)
+        rows = map(integer_row, count(), gf.iter_rows(args.n))
+        _write_triangle(enumerate(rows), args.format)
     return 0
 
 

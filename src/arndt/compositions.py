@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from operator import gt, lt, ne, sub
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 
 def is_arndt(comp) -> bool:
@@ -111,6 +111,11 @@ def check_statistic(name: str) -> tuple:
     if name not in STATISTICS:
         raise ValueError(f"unknown statistic {name!r}")
     return STATISTICS[name]
+
+
+def sparse_row(row: list) -> Dict[int, int]:
+    """A row of counts, cell m at index m, as {m: count} of its nonzero cells."""
+    return {m: count for m, count in enumerate(row) if count}
 
 
 # Family kind or series name -> its least k, None for any int; an absent

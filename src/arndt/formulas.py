@@ -2,12 +2,13 @@
 
 Everything here is exact integer arithmetic: Fibonacci/Lucas caches,
 generalised binomial sums, the three-term recurrence and the
-shifted-Fibonacci closed form, whose tables leave as plain rows {m: count}
-(statistic_rows names them), and the Fibonacci and Lucas closed forms for
-the totals.  The one exception is the text of long b-file terms: bfile_texts
-runs the Fibonacci and Lucas recurrences in exact decimal arithmetic, under
-this module's _EXACT context, because a Decimal prints in time linear in its
-digits where an int takes quadratic time; only the text leaves this module.
+shifted-Fibonacci closed form, whose tables leave as lists, cell m at index
+m, up to the last nonzero cell (statistic_rows names them), and the
+Fibonacci and Lucas closed forms for the totals.  The one exception is the
+text of long b-file terms: bfile_texts runs the Fibonacci and Lucas
+recurrences in exact decimal arithmetic, under this module's _EXACT context,
+because a Decimal prints in time linear in its digits where an int takes
+quadratic time; only the text leaves this module.
 This route imports neither the brute-force nor the series modules: no
 composition is enumerated and no generating function is expanded here.
 Agreement with those two routes is established in the verification suite.
@@ -19,9 +20,9 @@ import decimal
 from itertools import chain, islice
 from math import comb
 from operator import add
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .compositions import ARNDT, Family, check_statistic
+from .compositions import ARNDT, Family, check_statistic, sparse_row
 
 
 class CountTriangle(list):
@@ -105,30 +106,25 @@ def parts_count_positive(n: int, m: int) -> int:
                for l in range(upper // 2 + 1))
 
 
-def parts_rows_by_recurrence(max_n: int
-                             ) -> Iterator[Tuple[int, Dict[int, int]]]:
-    """(n, row n) of the parts triangle for n = 0..max_n, each as soon as it
-    is computed; only three rows are kept, so the caller must not change one.
-
-    Seeds: count 1 at (0, 0); column m = 1 is identically 1 for n >= 1; rows
-    before row 0 are empty.  Row n >= 1 fills only columns 1..(2n + 1) // 3,
-    in order, the most parts an Arndt composition of n has, all nonzero:
-    a(n,m) = a(n-1,m) + a(n-2,m) - a(n-3,m) + a(n-3,m-2) for m >= 2.
-    """
-    before = ({}, {}, {})  # rows n-3, n-2 and n-1
+def parts_rows_by_recurrence(max_n: int) -> Iterator[Tuple[int, List[int]]]:
+    """(n, row n) of the parts triangle for n = 0..max_n, each a new list
+    made as it is drawn: row 0 is [1]; row n >= 1 is 0, 1, then up to column
+    (2n + 1) // 3, the most parts an Arndt composition of n has, the nonzero
+    a(n,m) = a(n-1,m) + a(n-2,m) - a(n-3,m) + a(n-3,m-2).  Rows n-1..n-3
+    are kept with two zeros added, so a(n,m) reads each cell by its index."""
+    back3 = back2 = back1 = []  # no cell is read before row 3
     for n in range(max_n + 1):
-        row: Dict[int, int] = {min(n, 1): 1}
-        back3, back2, back1 = before
-        for m in range(2, (2 * n + 1) // 3 + 1):
-            row[m] = (back1.get(m, 0) + back2.get(m, 0)
-                      - back3.get(m, 0) + back3.get(m - 2, 0))
+        row = [0, 1] if n else [1]
+        row += [back1[m] + back2[m] - back3[m] + back3[m - 2]
+                for m in range(2, (2 * n + 1) // 3 + 1)]
+        back3, back2, back1 = back2, back1, row + [0, 0]
         yield n, row
-        before = (back2, back1, row)
 
 
 def parts_triangle_by_recurrence(max_n: int) -> CountTriangle:
     """Rows 0..max_n of the parts triangle, from parts_rows_by_recurrence."""
-    return CountTriangle(row for _, row in parts_rows_by_recurrence(max_n))
+    return CountTriangle(sparse_row(row)
+                         for _, row in parts_rows_by_recurrence(max_n))
 
 
 def wz_residual(n: int, m: int, triangle: CountTriangle) -> int:
@@ -172,8 +168,8 @@ def last_count(n: int, m: int) -> int:
     return total
 
 
-def last_row(n: int) -> Dict[int, int]:
-    """Row n of the last-part triangle, {m: last_count(n, m)} without zeros.
+def last_row(n: int) -> List[int]:
+    """Row n of the last-part triangle, last_count(n, m) at index m = 0..n.
 
     The row is built whole from last_count's two kernels, each a slice of
     the Fibonacci cache: for m = 1..n the first kernel at n - m runs
@@ -181,17 +177,17 @@ def last_row(n: int) -> Dict[int, int]:
     ..., F(1 or 2), then 1 when n is odd.
     """
     if n == 0:
-        return {0: 1}
+        return [1]
     fibonacci(n)  # the cache now holds every index read below
     cells = ([1, 0] + _FIB[:max(n - 2, 0)])[n - 1::-1]
     if n >= 3:
         second = _FIB[n - 3:0:-2] + [1] * (n % 2)
         cells[:len(second)] = map(add, cells, second)
-    return {m: v for m, v in enumerate(cells, 1) if v}
+    return [0] + cells
 
 
 def statistic_rows(family: Family, statistic: str, max_n: int
-                   ) -> Optional[Iterator[Tuple[int, Dict[int, int]]]]:
+                   ) -> Optional[Iterator[Tuple[int, List[int]]]]:
     """(n, row n), each made as drawn, for n = 0..max_n of the closed-form
     table counting `family` by `statistic`, or None where there is none."""
     check_statistic(statistic)
@@ -282,7 +278,7 @@ def bfile_texts(sequence: str, count: int) -> Iterator[Tuple[int, str]]:
     """
     if sequence == "parts-triangle-flat":
         flat = chain.from_iterable(
-            row.values() for n, row in parts_rows_by_recurrence(count) if n)
+            row[1:] for n, row in parts_rows_by_recurrence(count) if n)
         yield from enumerate(map(str, islice(flat, count)), start=1)
         return
     before, term, even_drop = map(decimal.Decimal,

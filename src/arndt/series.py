@@ -14,9 +14,9 @@ An expansion's rows of y-coefficients are streamed by iter_rows, which keeps
 only the rows that den reaches back to, and stored by expand; row n is filled
 only up to the y-degree it can reach: the numerator's, or row n - i's top plus
 j for a den term x^i y^j with i >= 1 (the order, if a term has i == 0 < j).
-The stored rows are read as nonnegative ints by integer_rows, or as the terms
-of a series in x alone by sequence; integer_row and sequence_term each state
-the rule for one row, which the streaming readers apply as rows are drawn.
+The stored rows are read as {m: count} of nonnegative ints by integer_rows,
+or as the terms of a series in x alone by sequence; integer_row and
+sequence_term each state the rule for one row, applied as rows are drawn.
 
 Conventions: exponent pairs are (deg_x, deg_y); a polynomial is "univariate"
 when every stored term has deg_y == 0.
@@ -26,8 +26,11 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import compress, count
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
+
+from .compositions import sparse_row
 
 DEFAULT_ORDER = 64
 
@@ -119,15 +122,14 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({' + '.join(bits) or 0})"
 
 
-def integer_row(n: int, cells: list) -> Dict[int, int]:
-    """Row n's nonzero cells as {m: int}, all nonnegative: a row of such
-    ints passes by a check in C; any other is gone through cell by cell,
-    making an integral Fraction an int or naming the first that fails."""
-    row = {m: v for m, v in enumerate(cells) if v}
-    if (set(map(type, row.values())) <= {int}
-            and min(row.values(), default=0) >= 0):
+def integer_row(n: int, cells: list) -> List[int]:
+    """Row n up to its last nonzero cell, a new list of nonnegative ints: a
+    row of such ints passes by a check in C; any other is gone through cell by
+    cell, making an integral Fraction an int or naming the first that fails."""
+    row = cells[:max(compress(count(1), cells), default=0)]
+    if set(map(type, row)) <= {int} and min(row, default=0) >= 0:
         return row
-    for m, v in row.items():
+    for m, v in enumerate(row):
         if v.denominator != 1:
             raise ValueError(f"coefficient at ({n}, {m}) is {v}, not an integer")
         if v < 0:
@@ -154,8 +156,9 @@ class TruncatedSeries(NamedTuple):
     rows: List[list]
 
     def integer_rows(self) -> Dict[int, dict]:
-        """All rows as nonnegative ints, each by integer_row."""
-        return {n: integer_row(n, row) for n, row in enumerate(self.rows)}
+        """All rows as {m: count} of nonnegative ints, each by integer_row."""
+        return {n: sparse_row(integer_row(n, row))
+                for n, row in enumerate(self.rows)}
 
     def sequence(self) -> List[int]:
         """Integer coefficients of a univariate series, each by sequence_term."""

@@ -33,7 +33,7 @@ from . import asymptotics, bijection, catalog, counting, formulas
 from .compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
                            REDUCED_AP, STATISTICS, Family, flip_class,
                            is_arndt, is_k_arndt, is_k_block_arndt,
-                           is_reduced_ap_representative)
+                           is_reduced_ap_representative, sparse_row)
 from .series import BivariatePolynomial, RationalGF
 
 
@@ -418,7 +418,8 @@ def check_last_closed_forms(run):
     max_n = run(40)
     rows = run.integer_rows("gf_last_part", catalog.gf_last_part(), max_n)
     for n in range(max_n + 1):
-        yield ("last_count row {} vs series", n), formulas.last_row(n), rows[n]
+        yield ("last_count row {} vs series", n), \
+            sparse_row(formulas.last_row(n)), rows[n]
     for m in range(1, 9):
         for n in range(2 * m + 2, max_n + 1):
             yield ("last_count({}, {}) vs shifted-Fibonacci identity", n, m), \

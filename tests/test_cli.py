@@ -16,7 +16,7 @@ from conftest import TABLE_LAST, TABLE_PARTS
 from arndt import catalog, cli, counting, formulas, verify
 from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
                                 FAMILY_KINDS, REDUCED_AP, STATISTICS, TAKES_K,
-                                Family)
+                                Family, sparse_row)
 from arndt.series import RationalGF
 from arndt.verify import _SAMPLE_K
 
@@ -232,10 +232,55 @@ def test_streamed_series_holds_a_window_of_rows():
     assert peak <= 2 ** 20, peak
 
 
+def test_formula_grid_holds_list_rows():
+    # The plain grid holds all 401 rows of the parts recurrence before its
+    # first line, because its width depends on every cell; as lists of ints
+    # they take about 1.7 MB less than as {m: count} dicts.  Traced peak
+    # (Python 3.11): 3.34 MB with list rows, 5.03 MB with dict rows.
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", _TRACED_COMMAND, "table", "parts", "--N",
+         "400", "--method", "formula"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    code, peak = map(int, result.stderr.split())
+    assert code == 0
+    assert peak < 4 * 10 ** 6, peak
+
+
+# Command lines that write a triangle, by every method of `table` and by a
+# bivariate `series`, one with empty rows.
+TRIANGLE_COMMANDS = [
+    "table parts --N 9 --method brute", "table last --N 9 --method brute "
+    "--family k-arndt --k -3 --format csv", "table parts --N 30 --method "
+    "formula --format jsonl", "table last --N 30 --method formula",
+    "table parts --N 30", "table last --N 30 --format csv",
+    "series block-arndt --k 3 --N 30", "series distinct-parts --k 3 --N 12"]
+
+
+@pytest.mark.parametrize("command", TRIANGLE_COMMANDS)
+def test_triangle_rows_reach_the_writer_as_lists(capsys, monkeypatch,
+                                                 command):
+    _, whole, _ = run(capsys, *command.split())
+    real = cli._write_triangle
+    handed = []
+
+    def spy(rows, fmt):
+        handed.extend(rows)
+        real(handed, fmt)
+
+    monkeypatch.setattr(cli, "_write_triangle", spy)
+    code, out, _ = run(capsys, *command.split())
+    assert (code, out) == (0, whole)
+    assert [n for n, _ in handed] == list(range(len(handed)))
+    assert all(type(row) is list and (not row or row[-1])
+               for _, row in handed)
+
+
 def test_formula_table_takes_its_rows_from_formulas(capsys, monkeypatch):
     # The CLI keeps no rule of which family has a formula table: rows that
     # formulas.statistic_rows offers for another family are printed.
-    offered = [(0, {0: 1}), (1, {1: 2}), (2, {1: 3, 2: 4}), (3, {2: 5})]
+    offered = [(0, [1]), (1, [0, 2]), (2, [0, 3, 4]), (3, [0, 0, 5])]
     asked = []
 
     def rows(family, statistic, max_n):
@@ -247,7 +292,8 @@ def test_formula_table_takes_its_rows_from_formulas(capsys, monkeypatch):
                        "formula", "--family", "k-arndt", "--k", "1")
     assert code == 0
     assert asked == [(Family("k-arndt", 1), "parts", 3)]
-    assert parse_plain_triangle(out) == dict(offered)
+    assert parse_plain_triangle(out) == {n: sparse_row(row)
+                                         for n, row in offered}
 
 
 def test_table_past_the_cap_writes_and_tallies_nothing(capsys, monkeypatch):
@@ -450,7 +496,7 @@ def test_bfile_triangle_mismatch_exits_3(capsys, monkeypatch):
 
     def off_by_one_at_row_5(max_n):
         for n, row in real(max_n):
-            yield n, ({**row, 1: row[1] + 1} if n == 5 else row)
+            yield n, ([row[0], row[1] + 1, *row[2:]] if n == 5 else row)
 
     monkeypatch.setattr(formulas, "parts_rows_by_recurrence",
                         off_by_one_at_row_5)

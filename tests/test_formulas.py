@@ -4,10 +4,12 @@ from itertools import chain, islice, repeat
 import pytest
 
 from conftest import TABLE_LAST, TABLE_PARTS
+from dict_rows import dense
 from reference_predicates import reference_gen_binomial
 from arndt import counting
 from arndt.catalog import gf_arndt, gf_last_part
-from arndt.compositions import ARNDT, FAMILY_KINDS, STATISTICS, Family
+from arndt.compositions import (ARNDT, FAMILY_KINDS, STATISTICS, Family,
+                                sparse_row)
 from arndt.counting import tally
 from arndt.formulas import (bfile_texts, fibonacci,
                             fibonacci_from_alternating_sum,
@@ -98,20 +100,24 @@ def reference_recurrence_rows(max_n):
 @pytest.mark.parametrize("max_n", [400, 120])
 def test_recurrence_rows_equal_the_full_width_reference(max_n):
     assert (list(parts_rows_by_recurrence(max_n))
-            == list(reference_recurrence_rows(max_n)))
+            == [(n, dense(row))
+                for n, row in reference_recurrence_rows(max_n)])
 
 
 def test_count_triangle_access():
     assert not hasattr(counting, "CountTriangle")  # formulas owns it
     tri = parts_triangle_by_recurrence(12)
-    assert tri == [row for _, row in parts_rows_by_recurrence(12)]
+    assert tri == [sparse_row(row) for _, row in parts_rows_by_recurrence(12)]
     assert tri.max_row == 12
     assert tri[2].get(5, 0) == 0        # absent cell inside range is zero
     assert tri.row_sum(12) == fibonacci(12)
     with pytest.raises(LookupError):
         tri[tri.max_row + 1]            # beyond built rows is an error
-    # the producer stores no zero cell
-    assert all(all(row.values()) for _, row in parts_rows_by_recurrence(400))
+    # the triangle stores no zero cell, and the producer none past column 0
+    assert all(all(row.values()) for row in parts_triangle_by_recurrence(400))
+    rows = list(parts_rows_by_recurrence(400))
+    assert rows[0] == (0, [1])
+    assert all(row[0] == 0 and all(row[1:]) for _, row in rows[1:])
 
 
 @pytest.mark.parametrize("statistic", list(STATISTICS))
@@ -191,8 +197,9 @@ def test_last_count_matches_series():
 
 def test_last_row_equals_its_cells_by_last_count():
     for n in range(601):
-        assert last_row(n) == {m: v for m in range(n + 1)
-                               if (v := last_count(n, m))}, n
+        row = last_row(n)
+        assert row == [last_count(n, m) for m in range(n + 1)], n
+        assert row[-1], n  # the row ends at its last nonzero cell
 
 
 @pytest.mark.parametrize("sequence, closed_form", [
@@ -211,7 +218,7 @@ def reference_flat_terms(count):
     recurrence over m = 1..(2n + 1) // 3, flattened, as the CLI made the
     terms before bfile_texts did."""
     flat = chain.from_iterable(
-        map(row.get, range(1, (2 * n + 1) // 3 + 1), repeat(0))
+        map(sparse_row(row).get, range(1, (2 * n + 1) // 3 + 1), repeat(0))
         for n, row in parts_rows_by_recurrence(count) if n)
     return enumerate(islice(flat, count), start=1)
 

@@ -17,6 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from dict_rows import dense
 from arndt import cli
 from arndt.bijection import arndt_to_reduced_ap, reduced_ap_to_arndt
 from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC,
@@ -154,12 +155,11 @@ def test_bijection_round_trips_on_pairs_laid_out_by_hand(drawn):
        st.integers(0, 10 ** 4))
 def test_grid_width_equals_the_width_over_every_cell(rows, first):
     # Rows at increasing weights from `first`, with negative cells and
-    # empty rows included.
-    rows = list(enumerate(rows, first))
-    max_m = max((max(row) for _, row in rows if row), default=0)
+    # empty rows included, each as the list that the writers read.
+    rows = [(n, dense(row)) for n, row in enumerate(rows, first)]
+    max_m = max((len(row) - 1 for _, row in rows if row), default=0)
     every_cell = max([len(str(max_m)), len("n\\m")]
-                     + [len(str(v)) for n, row in rows
-                        for v in (n, *row.values())])
+                     + [len(str(v)) for n, row in rows for v in (n, *row)])
     assert cli._grid_width(rows, max_m) == every_cell
 
 

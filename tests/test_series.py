@@ -133,7 +133,7 @@ def test_integer_rows_makes_integral_fractions_ints():
     with pytest.raises(ValueError, match=r"^coefficient at \(1, 1\) is "
                                          r"negative: -5$"):
         series.integer_rows()
-    values = [*integer_row(0, series.rows[0]).values(),
+    values = [*integer_row(0, series.rows[0]),
               sequence_term(1, [Fraction(-10, 2)])]
     assert values == [2, -5]
     assert {type(v) for v in values} == {int}

@@ -14,6 +14,7 @@ from arndt import catalog, verify
 from arndt.catalog import gf_arndt, gf_total_last
 from arndt.series import (BivariatePolynomial, RationalGF, integer_row,
                           sequence_term)
+from dict_rows import dense
 from sparse_expand import cut, rows_of, sparse_expand
 
 GATE_ORDER = 64
@@ -50,7 +51,8 @@ def assert_streamed_as_stored(gf, order, univariate):
     assert drawn(gf, order) == stored.rows, order
     assert outcome(lambda: [
         (n, integer_row(n, row)) for n, row in enumerate(gf.iter_rows(order))
-    ]) == outcome(lambda: list(stored.integer_rows().items())), order
+    ]) == outcome(lambda: [(n, dense(row))
+                           for n, row in stored.integer_rows().items()]), order
     if univariate:
         assert [sequence_term(n, row) for n, row in
                 enumerate(gf.iter_rows(order))] == stored.sequence(), order

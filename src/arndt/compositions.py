@@ -186,9 +186,7 @@ class Family(namedtuple("Family", "kind k", defaults=[None])):
         return test(comp) if self.k is None else test(comp, self.k)
 
     def __str__(self):
-        if self.k is None:
-            return self.kind
-        return f"{self.kind}(k={self.k})"
+        return self.kind if self.k is None else f"{self.kind}(k={self.k})"
 
 
 ARNDT = Family("arndt")

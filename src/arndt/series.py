@@ -10,10 +10,10 @@ the catalog writes each GF over its natural denominator, so degrees stay
 small, and the denominator * expansion == numerator round-trip check in the
 verification suite guards correctness.
 
-An expansion's rows of y-coefficients are streamed by iter_rows, which keeps
-only the rows that den reaches back to, and stored by expand; row n is filled
-only up to the y-degree it can reach: the numerator's, or row n - i's top plus
-j for a den term x^i y^j with i >= 1 (the order, if a term has i == 0 < j).
+An expansion's rows of y-coefficients are streamed by iter_rows, whose stages
+(one per factor 1 - x^l of den) keep their own l rows, and stored by expand;
+row n is filled only up to the y-degree it can reach: the numerator's, or row
+n - i's top plus j for a den term x^i y^j, i >= 1 (the order if i == 0 < j).
 The stored rows are read as {m: count} of nonnegative ints by integer_rows,
 or as the terms of a series in x alone by sequence; integer_row and
 sequence_term each state the rule for one row, applied as rows are drawn.
@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import compress, count
+from itertools import accumulate, compress, count
 from math import lcm
+from operator import add
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .compositions import sparse_row
@@ -169,6 +170,19 @@ class TruncatedSeries(NamedTuple):
                                     for m, v in enumerate(row)})
 
 
+def _peel(xs: Dict[int, int]) -> Tuple[List[int], Dict[int, int]]:
+    """The l (largest first) and r's terms but 1 in 1 + sum xs[i] x^i = prod
+    (1 - x^l) * r; 1 - x^l divides while each class mod l sums to 0."""
+    d0, ls = [1, *(xs.get(i, 0) for i in range(1, max(xs) + 1))], []
+    for l in reversed(range(1, len(d0))):
+        while len(d0) > l and not any(sum(d0[s::l]) for s in range(l)):
+            for s in range(l):  # the quotient's class s: running sums
+                d0[s::l] = accumulate(d0[s::l])
+            del d0[-l:]
+            ls.append(l)
+    return ls, {i: v for i, v in enumerate(d0) if i and v}
+
+
 class RationalGF:
     """A formal power series numerator/denominator of exact polynomials.
 
@@ -212,10 +226,10 @@ class RationalGF:
         """Rows 0..order of the expansion, each yielded (not to be changed)
         as soon as it is computed.  With coefficients made ints by the lcm
         of their denominators and d den's constant term, x -> d x, y -> d y
-        and den / d make den monic; row n is num's row n minus v * (row n - i,
-        shifted up by j) for each other den term v x^i y^j (for v = 1 or -1,
-        a subtraction or addition with no product), so only the last max i
-        rows are kept, and cell (n, m) is yielded divided by d^(n+m+1)."""
+        and den / d make den monic; V = prod (1 - x^l) * series, l from _peel,
+        has row n num's row n minus v * (row n - i, of V if j == 0, shifted
+        up by j) for each other den term v x^i y^j, and each l's stage adds
+        its own row n - l.  Cell (n, m) is yielded divided by d^(n+m+1)."""
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
         scale = lcm(*(v.denominator for poly in (self.num, self.den)
@@ -226,11 +240,16 @@ class RationalGF:
             num.setdefault(i, {})[j] = int(v * scale) * d ** (i + j)
         den = [(i, j, int(v * scale) * d ** (i + j - 1))
                for (i, j), v in self.den.terms() if i or j]
-        shifts = [(i, j, v) for i, j, v in den if i]
         same_row = [(j, v) for i, j, v in den if not i]
-        back = deque(maxlen=max((i for i, _, _ in shifts), default=0))
+        xs = {i: v for i, j, v in den if not j}
+        # With an x term in den, the stages fill no row further than den.
+        ls, r = _peel(xs) if xs.get(1) and not same_row else ([], xs)
+        shifts = [(i, j, v, 0) for i, j, v in den if i and j]  # series rows
+        shifts += [(i, 0, v, 1) for i, v in r.items()]  # rows of V
+        back = deque(maxlen=max((i for i, *_ in shifts), default=0))
+        stages = [deque([[]] * l, maxlen=l) for l in ls]
         for n in range(order + 1):
-            live = [(back[-i], j, v) for i, j, v in shifts if i <= n]
+            live = [(back[-i][of], j, v) for i, j, v, of in shifts if i <= n]
             own = num.get(n, {})
             top = max([*own, *(len(p) - 1 + j for p, j, _ in live)], default=-1)
             top = order if same_row else min(top, order)
@@ -249,7 +268,12 @@ class RationalGF:
             if same_row:  # i == 0 terms read lower m of this row
                 for m in range(top + 1):
                     row[m] -= sum(v * row[m - j] for j, v in same_row if j <= m)
-            back.append(row)
+            v_row = row
+            for stage in stages:  # stage[0] is its row n - l
+                p = stage[0]
+                row = [*map(add, row, p), *(row[len(p):] or p[len(row):])]
+                stage.append(row)
+            back.append((row, v_row))
             yield row if d == 1 else [Fraction(e, d ** (n + m + 1))
                                       for m, e in enumerate(row)]
 

@@ -229,11 +229,8 @@ def check_expand_linearity(run):
     order = run(12)
 
     def random_poly(max_deg, force_constant=False):
-        coeffs = {}
-        for i in range(max_deg + 1):
-            for j in range(max_deg + 1):
-                if rng.random() < 0.4:
-                    coeffs[(i, j)] = rng.randint(-3, 3)
+        coeffs = {(i, j): rng.randint(-3, 3) for i in range(max_deg + 1)
+                  for j in range(max_deg + 1) if rng.random() < 0.4}
         if force_constant:
             coeffs[(0, 0)] = rng.randint(1, 3)
         return BivariatePolynomial(coeffs)

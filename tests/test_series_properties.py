@@ -1,17 +1,19 @@
 """Property tests of RationalGF.expand: den * expand(num / den) == num, the
 expansion equals the sparse reference it replaced, for any exact
-coefficients too, and a product expands to the product of the two
-expansions."""
+coefficients too, a product expands to the product of the two expansions,
+and a denominator with (1 - x^l) factors streams the rows of the engine that
+applied every term of the expanded denominator."""
 
 from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arndt.series import BivariatePolynomial, RationalGF
 from sparse_expand import sparse_expand
+from unpeeled_rows import unpeeled_rows
 
 # Exponents (i, j) with j <= i: every series term then has y-degree at most
 # its x-degree, so truncating in x alone keeps the product exact.
@@ -75,3 +77,44 @@ def test_any_exact_input_expands_as_the_sparse_reference(f, order):
 def test_product_expands_to_the_product_of_the_expansions(f, g, order):
     want = f.expand(order).as_polynomial() * g.expand(order).as_polynomial()
     assert (f * g).expand(order).as_polynomial() == want.truncate_x(order)
+
+
+def _product(polys):
+    out = BivariatePolynomial({(0, 0): 1})
+    for poly in polys:
+        out = out * poly
+    return out
+
+
+@st.composite
+def factored_gfs(draw):
+    """den = c * prod (1 - x^l) * r + y-terms, l <= 6, r a random polynomial
+    in x with constant term 1, and x^0 y^j terms when `same_row` is drawn;
+    coefficients are ints, or in some draws any exact value."""
+    coeffs = draw(st.sampled_from((_coeffs, _coeffs, _exact)))
+    factors = draw(st.lists(st.integers(1, 6), max_size=4))
+    r = draw(st.dictionaries(st.integers(1, 3), coeffs, max_size=3))
+    y_terms = draw(st.dictionaries(
+        st.tuples(st.integers(0 if draw(st.booleans()) else 1, 4),
+                  st.integers(1, 3)), coeffs, max_size=3))
+    constant = draw(st.sampled_from((1, 1, 1, -1, 2, 3)))
+    den = _product([BivariatePolynomial({(0, 0): 1, (l, 0): -1})
+                    for l in factors])
+    den = den * BivariatePolynomial({(0, 0): constant, **{
+        (i, 0): constant * v for i, v in r.items()}})
+    den = den + BivariatePolynomial(y_terms)
+    num = draw(st.dictionaries(_pairs, coeffs, min_size=1, max_size=4))
+    return RationalGF(BivariatePolynomial(num), den)
+
+
+# (1 - x)(1 + x + 5x^3) has no x term: a stage of 1 - x would fill row 1,
+# which no term of the expanded denominator reaches.
+@settings(max_examples=200, deadline=None)
+@given(factored_gfs(), st.integers(0, 14))
+@example(RationalGF(BivariatePolynomial({(0, 1): 1}), BivariatePolynomial(
+    {(0, 0): 1, (2, 0): -1, (3, 0): 5, (4, 0): -5})), 4)
+def test_factored_dens_stream_the_unpeeled_rows(f, order):
+    assert [list(row) for row in f.iter_rows(order)] == \
+        list(unpeeled_rows(f, order))
+    want = sparse_expand(f, order)
+    assert f.expand(order).as_polynomial() == BivariatePolynomial(want)

@@ -1,8 +1,10 @@
 """RationalGF.expand, which stores rows and fills each row only as far as
 it can reach, against the sparse full-square expansion it replaced; the
-rows that RationalGF.iter_rows streams, against the stored ones; the stored
-cell that TruncatedSeries.coefficient reads, against rows[n]; and the ints
-that polynomials and catalog expansions hold."""
+rows that RationalGF.iter_rows streams, against the stored ones and against
+the rows of the engine that applied every term of the expanded denominator;
+the (1 - x^l) factors that each catalog denominator is divided by; the
+stored cell that TruncatedSeries.coefficient reads, against rows[n]; and the
+ints that polynomials and catalog expansions hold."""
 
 from fractions import Fraction
 from itertools import product
@@ -10,12 +12,13 @@ from math import comb
 
 import pytest
 
-from arndt import catalog, verify
-from arndt.catalog import gf_arndt, gf_total_last
+from arndt import catalog, series, verify
+from arndt.catalog import gf_arndt, gf_k_block, gf_total_last
 from arndt.series import (BivariatePolynomial, RationalGF, integer_row,
                           sequence_term)
 from dict_rows import dense
 from sparse_expand import cut, rows_of, sparse_expand
+from unpeeled_rows import unpeeled_rows
 
 GATE_ORDER = 64
 
@@ -127,6 +130,88 @@ def test_rows_stop_where_they_can_reach():
     assert sum(len(row) for row in univariate.rows) <= 801
     for n, row in enumerate(gf_arndt().expand(40).rows):
         assert len(row) <= n + 1, n
+    # A stage adds rows cell by cell: it must not widen a row past the
+    # reach of the expanded denominator's terms, with zeros or otherwise.
+    for k in (3, 9):
+        gf = gf_k_block(k)
+        for n, (row, want) in enumerate(zip(gf.iter_rows(80),
+                                            unpeeled_rows(gf, 80))):
+            assert len(row) <= len(want), (k, n)
+
+
+PEEL_ORDER = 60
+# Every catalog GF that verify expands, gf_k_block(k) for k <= 12 and
+# gf_k_arndt(k) for |k| <= 6, each once, by the label verify gives it.
+PEEL_GFS = {**dict(verify._catalog_gfs()),
+            **{f"gf_k_block({k})": gf_k_block(k) for k in range(1, 13)},
+            **{f"gf_k_arndt({k})": catalog.gf_k_arndt(k)
+               for k in range(-6, 7)}}
+
+
+@pytest.mark.parametrize("gf", [pytest.param(gf, id=name)
+                                for name, gf in PEEL_GFS.items()])
+def test_streamed_rows_equal_the_unpeeled_rows(gf):
+    assert drawn(gf, PEEL_ORDER) == list(unpeeled_rows(gf, PEEL_ORDER))
+
+
+@pytest.fixture
+def peel(monkeypatch):
+    """peel(gf): the l of the (1 - x^l) factors that gf's expansion divides
+    by, largest first, and the rest r's terms but its 1, as {i: coefficient}
+    ({} for r = 1), from the _peel call of iter_rows; ([], None) when
+    iter_rows splits nothing off and does not call it."""
+    calls = []
+
+    def spy(xs):
+        calls.append(real(xs))
+        return calls[-1]
+
+    def peel(gf):
+        calls.clear()
+        next(gf.iter_rows(0))
+        assert len(calls) <= 1
+        return calls[0] if calls else ([], None)
+
+    real = series._peel
+    monkeypatch.setattr(series, "_peel", spy)
+    return peel
+
+
+# x^i y^j -> coefficient of (1 - x)(1 - x^2) - x^3 y^2, gf_arndt's den.
+PAIRS_DEN = {(0, 0): 1, (1, 0): -1, (2, 0): -1, (3, 0): 1, (3, 2): -1}
+
+
+def test_catalog_denominators_peel_their_factors(peel):
+    for k in range(1, 13):  # prod_{l <= k} (1 - x^l), and r = 1
+        assert peel(gf_k_block(k)) == (list(range(k, 0, -1)), {}), k
+        assert peel(catalog.gf_distinct_parts(k)) == \
+            (list(range(k, 0, -1)), {}), k
+    pairs = [gf_arndt(), catalog.gf_antipalindromic(), catalog.gf_reduced_ap()]
+    pairs += [catalog.gf_k_arndt(k) for k in range(-6, 7)]
+    for gf in pairs:  # (1 - x)(1 - x^2) - K(x) y^2
+        assert peel(gf) == ([2, 1], {}), gf
+    assert peel(catalog.gf_compositions()) == ([1], {})
+    # (1 - x^2)(1 - x - x^2): 1 - x - x^2 stays as r.
+    assert peel(gf_total_last()) == ([2], {1: -1, 2: -1})
+    for gf in (catalog.gf_last_part(), catalog.gf_total_parts()):
+        assert peel(gf)[0] == [], gf
+
+
+@pytest.mark.parametrize("den", [
+    pytest.param({**PAIRS_DEN, (0, 1): 1}, id="same-row-term"),
+    pytest.param({key: 2 * v for key, v in PAIRS_DEN.items()},
+                 id="constant-2"),
+    pytest.param({key: 3 * v for key, v in PAIRS_DEN.items()},
+                 id="constant-3"),
+    # (1 - x^2)(1 - x^3): the factors read no row the terms do not, but
+    # without an x term that is not certain, so nothing is split off.
+    pytest.param({(0, 0): 1, (2, 0): -1, (3, 0): -1, (5, 0): 1, (3, 2): -1},
+                 id="no-x-term")])
+def test_dens_that_peel_nothing(peel, den):
+    gf = RationalGF(BivariatePolynomial({(0, 0): 1, (1, 1): 1}),
+                    BivariatePolynomial(den))
+    assert peel(gf)[0] == []
+    assert drawn(gf, 30) == list(unpeeled_rows(gf, 30))
 
 
 @pytest.mark.parametrize(
@@ -139,3 +224,23 @@ def test_coefficient_reads_the_cell_of_its_row(gf):
         row = dict(enumerate(series.rows[n])) if n >= 0 else {}
         for m in range(-2, order + 1):
             assert cells.coefficient(n, m) == row.get(m, 0), (n, m)
+
+
+# A factor may repeat.  A constant d other than 1 scales x to d x, which
+# can still leave factors 1 - x^l: 2 - x becomes 1 - x, and
+# -(1 - x)(1 - x^2) becomes (1 - x^2)(1 + x); their cells are divided by
+# powers of d as before.
+@pytest.mark.parametrize("den, split", [
+    pytest.param({(0, 0): 1, (1, 0): -1, (2, 0): -2, (3, 0): 2, (4, 0): 1,
+                  (5, 0): -1, (4, 1): -1}, ([2, 2, 1], {}),
+                 id="(1-x^2)^2(1-x)"),
+    pytest.param({(0, 0): 2, (1, 0): -1, (2, 1): -1}, ([1], {}), id="2-x"),
+    pytest.param({key: -v for key, v in PAIRS_DEN.items()}, ([2], {1: 1}),
+                 id="constant-minus-1")])
+def test_other_dens_peel_as_pinned(peel, den, split):
+    gf = RationalGF(BivariatePolynomial({(0, 0): 1, (1, 1): 1}),
+                    BivariatePolynomial(den))
+    assert peel(gf) == split
+    assert drawn(gf, 30) == list(unpeeled_rows(gf, 30))
+    assert gf.expand(12).as_polynomial() == \
+        BivariatePolynomial(sparse_expand(gf, 12))

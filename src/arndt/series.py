@@ -171,8 +171,9 @@ class TruncatedSeries(NamedTuple):
 
 
 def _peel(xs: Dict[int, int]) -> Tuple[List[int], Dict[int, int]]:
-    """The l (largest first) and r's terms but 1 in 1 + sum xs[i] x^i = prod
-    (1 - x^l) * r; 1 - x^l divides while each class mod l sums to 0."""
+    """Split 1 + sum xs[i] x^i into prod (1 - x^l) * r, largest l first, and
+    return the l and r's terms but its 1: 1 - x^l divides exactly while the
+    coefficients of each residue class mod l sum to 0."""
     d0, ls = [1, *(xs.get(i, 0) for i in range(1, max(xs) + 1))], []
     for l in reversed(range(1, len(d0))):
         while len(d0) > l and not any(sum(d0[s::l]) for s in range(l)):

@@ -79,29 +79,24 @@ def test_product_expands_to_the_product_of_the_expansions(f, g, order):
     assert (f * g).expand(order).as_polynomial() == want.truncate_x(order)
 
 
-def _product(polys):
-    out = BivariatePolynomial({(0, 0): 1})
-    for poly in polys:
-        out = out * poly
-    return out
-
-
 @st.composite
 def factored_gfs(draw):
     """den = c * prod (1 - x^l) * r + y-terms, l <= 6, r a random polynomial
-    in x with constant term 1, and x^0 y^j terms when `same_row` is drawn;
-    coefficients are ints, or in some draws any exact value."""
+    in x with constant term 1; the y-terms include x^0 y^j ones when
+    `least_i` is 0.  Coefficients are ints, or in some draws any exact
+    value."""
     coeffs = draw(st.sampled_from((_coeffs, _coeffs, _exact)))
     factors = draw(st.lists(st.integers(1, 6), max_size=4))
     r = draw(st.dictionaries(st.integers(1, 3), coeffs, max_size=3))
+    least_i = draw(st.sampled_from((0, 1)))
     y_terms = draw(st.dictionaries(
-        st.tuples(st.integers(0 if draw(st.booleans()) else 1, 4),
-                  st.integers(1, 3)), coeffs, max_size=3))
+        st.tuples(st.integers(least_i, 4), st.integers(1, 3)), coeffs,
+        max_size=3))
     constant = draw(st.sampled_from((1, 1, 1, -1, 2, 3)))
-    den = _product([BivariatePolynomial({(0, 0): 1, (l, 0): -1})
-                    for l in factors])
-    den = den * BivariatePolynomial({(0, 0): constant, **{
+    den = BivariatePolynomial({(0, 0): constant, **{
         (i, 0): constant * v for i, v in r.items()}})
+    for l in factors:
+        den = den * BivariatePolynomial({(0, 0): 1, (l, 0): -1})
     den = den + BivariatePolynomial(y_terms)
     num = draw(st.dictionaries(_pairs, coeffs, min_size=1, max_size=4))
     return RationalGF(BivariatePolynomial(num), den)

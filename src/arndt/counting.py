@@ -23,9 +23,9 @@ walk to the predicate-filtered stream.  tally is the one brute-force count:
 members by a statistic of compositions.STATISTICS, a block at a time, each
 tail list in C.
 
-Counts are exact Python ints (unbounded).  check_weight refuses weights
-beyond a cap, BRUTE_FORCE_CAP by default, on every path; only
-compositions_of, family_blocks, family_members and tally let a caller set it.
+Counts are exact Python ints (unbounded).  Every brute-force stream starts at
+family_blocks, which alone refuses a weight above the cap, at its first draw;
+the cap is BRUTE_FORCE_CAP unless the caller of a stream or of tally sets it.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class Stored(list):
     __hash__ = object.__hash__
 
 
-def _descend(n: int, bound: tuple, cap: Optional[int]) -> Iterator[tuple]:
+def _descend(n: int, bound: tuple) -> Iterator[tuple]:
     """Yield as blocks, in decreasing lex order, the members of weight n of
     the families with prefix bound (period, drop): in them every part at an
     index j with j % period != 0 is at most the part before it minus drop.
@@ -93,7 +93,6 @@ def _descend(n: int, bound: tuple, cap: Optional[int]) -> Iterator[tuple]:
     period, with r <= TAIL_WEIGHT left, comes with _stored(r, bound), one
     of weight n with WHOLE.  Every prefix the bound allows is a member, and
     so is its join to a tail: no block end is bounded by the part before."""
-    check_weight(n, cap)
     period, drop = bound
     parts: List[int] = []
     rest = n  # weight not yet placed
@@ -121,7 +120,7 @@ def _descend(n: int, bound: tuple, cap: Optional[int]) -> Iterator[tuple]:
 def _stored(weight: int, bound: tuple) -> Stored:
     """The members of weight 1..TAIL_WEIGHT of the families with this prefix
     bound: one list, while cached, for every stream and every mirror."""
-    return Stored(_joined(_descend(weight, bound, None)))
+    return Stored(_joined(_descend(weight, bound)))
 
 
 # compress reads a selector of one byte per member: "0" and "1" to 0 and 1.
@@ -157,17 +156,15 @@ def _frames(rest: int, mirror) -> tuple:
     return lengths, refused, nonmember
 
 
-def _mirrored(n: int, family: Family, cap: Optional[int]) -> Iterator[tuple]:
+def _mirrored(n: int, mirror) -> Iterator[tuple]:
     """Yield as blocks, in decreasing lex order, the members of weight n of
-    a family with a mirror comparison.  Depth first, largest part first,
-    over prefixes with the lengths l they allow; a new part is tested
+    the family with this mirror comparison.  Depth first, largest part
+    first, over prefixes with the lengths l they allow; a new part is tested
     against its mirror or `least` only, so a prefix that leaves nothing is a
     member once a length fits it.  A prefix of j parts with 0 < left <=
     TAIL_WEIGHT is finished by one mask (_frames) over the stored
     compositions of left: for l < 2j a tail of l - j parts faces the prefix, and for
     l >= 2j its last j parts face the prefix reversed around a member."""
-    check_weight(n, cap)
-    mirror = family.mirror
     least = 2 - mirror(2, 1)  # the least part that another may face
 
     def finish(prefix: tuple, left: int, fits: List[int]) -> Stored:
@@ -205,14 +202,14 @@ def _mirrored(n: int, family: Family, cap: Optional[int]) -> Iterator[tuple]:
 
 def family_blocks(n: int, family: Family,
                   cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
-    """The members of a family at weight n, in the order of compositions_of,
-    as (prefix, tails) blocks: the prefix joined to each tail, in order.
-    The family's bound or mirror comparison builds them, not a predicate.
-    Tails are WHOLE or a Stored list, which a walked family shares with
-    every stream of its bound, and a mirrored one makes per block."""
-    if family.mirror is None:
-        return _descend(n, family.bound, cap)
-    return _mirrored(n, family, cap)
+    """Every brute-force stream, refused by check_weight at its first draw:
+    a family's members of weight n in the order of compositions_of, as
+    (prefix, tails) blocks, built by its bound or mirror comparison, not a
+    predicate.  Tails are WHOLE or a Stored list, which a walked family
+    shares with every stream of its bound; a mirror makes one per block."""
+    check_weight(n, cap)
+    yield from (_descend(n, family.bound) if family.mirror is None
+                else _mirrored(n, family.mirror))
 
 
 def _joined(blocks: Iterable[tuple]) -> Iterator[tuple]:

@@ -87,7 +87,7 @@ def test_enumerate_cap(capsys):
 
 
 def test_enumerate_streams_its_output(capsys, monkeypatch):
-    def descend(n, bound, cap):
+    def descend(n, bound):
         yield (3,), counting.WHOLE
         # the first member is printed before the second is generated
         assert capsys.readouterr().out == "(3)\n"

@@ -318,9 +318,9 @@ def spy_walks(monkeypatch):
     walks = []
     descend = counting._descend
 
-    def spy(n, bound, cap):
+    def spy(n, bound):
         walks.append(n)
-        return descend(n, bound, cap)
+        return descend(n, bound)
 
     counting._stored.cache_clear()
     monkeypatch.setattr(counting, "_descend", spy)
@@ -382,13 +382,23 @@ def test_both_streams_check_the_weight_at_the_first_item():
 
 
 def test_pruned_stream_keeps_the_cap_and_its_message():
-    for family in [ARNDT] + MIRRORED:
+    # Every kind is refused by family_blocks at the first draw, not before,
+    # with the message of the exhaustive stream, and also by tally.
+    for family in [Family(kind, {"k-arndt": -3, "block-arndt": 3}.get(kind))
+                   for kind in FAMILY_KINDS]:
         for n, error in ((29, BruteForceCapExceeded), (-1, ValueError)):
-            with pytest.raises(error) as pruned:
-                next(family_members(n, family))
+            blocks = family_blocks(n, family)
             with pytest.raises(error) as exhaustive:
                 next(compositions_of(n))
-            assert str(pruned.value) == str(exhaustive.value), str(family)
+            for draw in (lambda: next(blocks),
+                         lambda: next(family_members(n, family)),
+                         lambda: tally(n, family, "parts")):
+                with pytest.raises(error) as pruned:
+                    draw()
+                assert type(pruned.value) is error, str(family)
+                assert str(pruned.value) == str(exhaustive.value), str(family)
+        prefix, tails = next(family_blocks(29, family, cap=None))
+        assert prefix + tails[0] == (29,)
         assert next(family_members(29, family, cap=None)) == (29,)
 
 

@@ -4,6 +4,8 @@ of them is renamed or deleted, installing the tracer fails here."""
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import arndt.cli  # noqa: F401  (the tracer wraps every layer the CLI loads)
 from arndt import formulas, verify
 from arndt.series import RationalGF
@@ -60,3 +62,27 @@ def test_checks_pass_under_the_tracer(monkeypatch):
     assert spans == Counter(f"verify.check.{r.name}" for r in results)
     assert verify.CHECKS == checks
     assert all(a[2] is b[2] for a, b in zip(verify.CHECKS, checks))
+
+
+@pytest.mark.parametrize("family", ["all", "antipalindromic"])
+def test_brute_force_stream_is_spanned_until_exhausted(monkeypatch, capsys,
+                                                       family):
+    # family_blocks is a stream: its span runs from the first block drawn
+    # to the last, so the walk and the writing of its members fall in it,
+    # not in the cli.main span around it.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    from spans import Tracer
+    arndt.cli.build_parser()  # built once per process: not what is timed
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = arndt.cli.main(["enumerate", "--n", "14", "--family", family])
+    finally:
+        tracer.restore()
+    assert code == 0 and capsys.readouterr().out
+    (main,) = [i for i, s in enumerate(tracer.spans) if s[0] == "cli.main"]
+    blocks = [s for s in tracer.spans
+              if s[0] == "counting.family_blocks" and s[3] == main]
+    main_s = tracer.spans[main][2] - tracer.spans[main][1]
+    assert blocks and max(end - start for _, start, end, _ in blocks) \
+        >= main_s / 2

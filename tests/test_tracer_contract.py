@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-import arndt.cli  # noqa: F401  (the tracer wraps every layer the CLI loads)
+import arndt.cli  # the tracer wraps every layer the CLI loads
 from arndt import formulas, verify
 from arndt.series import RationalGF
 

@@ -22,8 +22,7 @@ from .compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
                            REDUCED_AP, Family, flip_class, is_antipalindromic,
                            is_arndt, is_k_arndt, is_k_block_arndt,
                            is_reduced_ap_representative)
-from .counting import (BRUTE_FORCE_CAP, BruteForceCapExceeded,
-                       compositions_of, family_members, tally)
+from .counting import compositions_of, family_members, tally
 from .formulas import (CountTriangle, fibonacci,
                        fibonacci_from_alternating_sum,
                        fibonacci_from_positive_sum, gen_binomial, last_count,

@@ -6,11 +6,11 @@ last part.  The constructors hard-code the closed rational forms; their
 series are validated coefficientwise against brute-force enumeration in the
 verification suite, which is the authority if the two ever disagree.
 
-gf_arndt, gf_reduced_ap, gf_antipalindromic and gf_k_arndt differ only in the
-pair kernel, one call of _pairs each; gf_reduced_ap repeats gf_arndt's, so only
-catalog.brute-agreement and bijection.round-trip-bijective test that the two
-count alike.  gf_last_part, gf_total_parts, gf_total_last, gf_k_arndt_total and
-the k-block references stay literal, for checks against derived forms.
+gf_arndt, gf_antipalindromic and gf_k_arndt differ only in the pair kernel,
+one call of _pairs each; gf_reduced_ap is gf_arndt under a second name, held
+by catalog.reduced-equals-arndt to gf_k_block(2).  gf_last_part,
+gf_total_parts, gf_total_last, gf_k_arndt_total and the k-block references
+stay literal, for checks against derived forms.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ def gf_antipalindromic() -> RationalGF:
     return _pairs((3, 2))
 
 
-def gf_reduced_ap() -> RationalGF:
-    """Reduced anti-palindromic compositions by weight and number of parts:
-    half the pair kernel of gf_antipalindromic, x^3, as in gf_arndt."""
-    return _pairs((3, 1))
+# Reduced anti-palindromic compositions by weight and number of parts: half
+# of gf_antipalindromic's pair kernel 2x^3 is x^3, which is gf_arndt's.
+gf_reduced_ap = gf_arndt
 
 
 def gf_last_part() -> RationalGF:

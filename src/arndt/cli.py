@@ -3,9 +3,11 @@ OEIS b-file export, and the cross-validation suite.
 
 stdout carries data, stderr carries diagnostics.  Exit codes: 0 success,
 1 verification failure, brute-force cap exceeded or stdout closed early by
-its reader (silently), 2 usage error, 3 reference-prefix mismatch.  `main`
-may be called many times in one process; build_parser() returns the one
-parser they share, which callers must not change.
+its reader (silently), 2 usage error, 3 reference-prefix mismatch.  The cap
+is the CLI's: enumerate and table --method brute refuse a weight above
+--max-n (default BRUTE_FORCE_CAP) before any stream starts.  `main` may be
+called many times in one process; build_parser() returns the one parser
+they share, which callers must not change.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import catalog, counting, formulas, verify
 from .compositions import ARNDT, FAMILY_KINDS, STATISTICS, TAKES_K, Family
-from .counting import BRUTE_FORCE_CAP, BruteForceCapExceeded
 from .series import DEFAULT_ORDER, integer_row, sequence_term
 
 FORMAT_CHOICES = ("plain", "csv", "jsonl")
+BRUTE_FORCE_CAP = 28  # the default --max-n
 
 
 def _int_at_least(lowest: int):
@@ -37,6 +39,13 @@ def _int_at_least(lowest: int):
         return value
     parse.__name__ = "int"  # a non-number reads "invalid int value: ..."
     return parse
+
+
+def _refuse(n: int, max_n: int) -> int:
+    """Refuse weight n, above the brute-force cap max_n: exit code 1."""
+    print(f"error: enumerating weight {n} means 2^{n - 1} compositions; the "
+          f"cap is {max_n} (override it to proceed)", file=sys.stderr)
+    return 1
 
 
 def _usage(parser, make: Callable, *args):
@@ -161,7 +170,9 @@ def _sequence_lines(values: Iterable[Tuple[int, int]],
 
 def cmd_enumerate(args, parser) -> int:
     family = _usage(parser, Family, args.family, args.k)
-    blocks = counting.family_blocks(args.n, family, args.max_n)
+    if args.n > args.max_n:
+        return _refuse(args.n, args.max_n)
+    blocks = counting.family_blocks(args.n, family)
     _write_compositions(blocks, args.format)
     return 0
 
@@ -170,8 +181,9 @@ def cmd_table(args, parser) -> int:
     family = _usage(parser, Family, args.family, args.k)
     if args.method == "brute":
         # Refuse before any row is written, at the first weight refused.
-        counting.check_weight(min(args.n, args.max_n + 1), args.max_n)
-        tallies = (counting.tally(n, family, args.kind, args.max_n)
+        if args.n > args.max_n:
+            return _refuse(args.max_n + 1, args.max_n)
+        tallies = (counting.tally(n, family, args.kind)
                    for n in range(args.n + 1))
         rows = enumerate([t.get(m, 0) for m in range(max(t, default=-1) + 1)]
                          for t in tallies)
@@ -333,9 +345,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args, args.parser)  # the command's own parser
-    except BruteForceCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -24,8 +24,9 @@ members by a statistic of compositions.STATISTICS, a block at a time, each
 tail list in C.
 
 Counts are exact Python ints (unbounded).  Every brute-force stream starts at
-family_blocks, which alone refuses a weight above the cap, at its first draw;
-the cap is BRUTE_FORCE_CAP unless the caller of a stream or of tally sets it.
+family_blocks, which refuses a negative weight at its first draw.  No stream
+takes a cap: the CLI, where a weight comes from outside, refuses one above
+its --max-n before it starts a stream.
 """
 
 from __future__ import annotations
@@ -33,40 +34,21 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, compress
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List
 
 # The two predicates are bound here only so that benchmarks/spans.py can
 # patch these names; nothing in this module calls them.
 from .compositions import (ALL_COMPOSITIONS, check_statistic,  # noqa: F401
                            Family, is_arndt, is_reduced_ap_representative)
 
-BRUTE_FORCE_CAP = 28
-
-
-class BruteForceCapExceeded(ValueError):
-    """An exhaustive enumeration would exceed the configured cap."""
-
-
-def check_weight(n: int, cap: Optional[int]):
-    """Refuse a negative weight, and one above cap unless cap is None."""
-    if n < 0:
-        raise ValueError(f"weight must be nonnegative, got {n}")
-    if cap is not None and n > cap:
-        raise BruteForceCapExceeded(
-            f"enumerating weight {n} means 2^{n - 1} compositions; the cap "
-            f"is {cap} (override it to proceed)")
-
-
-def compositions_of(n: int, cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
+def compositions_of(n: int) -> Iterator[tuple]:
     """Yield every composition of n exactly once, in decreasing lex order.
 
     The order is lexicographically decreasing on part tuples: (4), (3,1),
     (2,2), (2,1,1), (1,3), (1,2,1), (1,1,2), (1,1,1,1).  For n = 0 the only
     composition is the empty tuple; for n >= 1 there are 2^(n-1).
-
-    Pass cap=None (or a larger value) to enumerate past the default cap.
     """
-    yield from family_members(n, ALL_COMPOSITIONS, cap)
+    yield from family_members(n, ALL_COMPOSITIONS)
 
 
 # A prefix that ends a block with at most this much weight left is finished
@@ -200,14 +182,14 @@ def _mirrored(n: int, mirror) -> Iterator[tuple]:
     yield from walk((), n, list(range(1, n + 1))) if n else [((), WHOLE)]
 
 
-def family_blocks(n: int, family: Family,
-                  cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
-    """Every brute-force stream, refused by check_weight at its first draw:
-    a family's members of weight n in the order of compositions_of, as
+def family_blocks(n: int, family: Family) -> Iterator[tuple]:
+    """Every brute-force stream, refused at its first draw if n < 0: a
+    family's members of weight n in the order of compositions_of, as
     (prefix, tails) blocks, built by its bound or mirror comparison, not a
     predicate.  Tails are WHOLE or a Stored list, which a walked family
     shares with every stream of its bound; a mirror makes one per block."""
-    check_weight(n, cap)
+    if n < 0:
+        raise ValueError(f"weight must be nonnegative, got {n}")
     yield from (_descend(n, family.bound) if family.mirror is None
                 else _mirrored(n, family.mirror))
 
@@ -216,22 +198,20 @@ def _joined(blocks: Iterable[tuple]) -> Iterator[tuple]:
     return chain.from_iterable(map(p.__add__, tails) for p, tails in blocks)
 
 
-def family_members(n: int, family: Family,
-                   cap: Optional[int] = BRUTE_FORCE_CAP) -> Iterator[tuple]:
+def family_members(n: int, family: Family) -> Iterator[tuple]:
     """The members of a family at weight n, in the order of compositions_of:
     the blocks of family_blocks joined in C."""
-    return _joined(family_blocks(n, family, cap))
+    return _joined(family_blocks(n, family))
 
 
-def tally(n: int, family: Family, statistic: str,
-          cap: Optional[int] = BRUTE_FORCE_CAP) -> Dict[int, int]:
+def tally(n: int, family: Family, statistic: str) -> Dict[int, int]:
     """Family members of weight n tallied by a statistic from STATISTICS, a
     tail list counted once in C, added to one row shifted by its prefix."""
     value, shift = check_statistic(statistic)
     counted = lru_cache(TAIL_WEIGHT + 1)(
         lambda tails: Counter(map(value, tails)).items())
     row: Counter = Counter()
-    for prefix, tails in family_blocks(n, family, cap):
+    for prefix, tails in family_blocks(n, family):
         if tails is WHOLE:
             row[value(prefix)] += 1
             continue

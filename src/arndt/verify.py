@@ -298,10 +298,12 @@ def check_catalog_vs_brute(run):
 
 @_check("catalog", "reduced-equals-arndt")
 def check_reduced_equals_arndt(run):
-    """gf_reduced_ap and gf_arndt are the same polynomial pair."""
-    a, b = catalog.gf_arndt(), catalog.gf_reduced_ap()
-    yield "gf_reduced_ap numerator vs gf_arndt", b.num, a.num
-    yield "gf_reduced_ap denominator vs gf_arndt", b.den, a.den
+    """gf_reduced_ap equals gf_k_block(2); at y = 1, gf_k_arndt_total(0)."""
+    reduced = catalog.gf_reduced_ap()
+    yield "gf_reduced_ap == gf_k_block(2)", \
+        reduced.series_equal(catalog.gf_k_block(2)), True
+    yield "gf_reduced_ap at y=1 == gf_k_arndt_total(0)", \
+        reduced.eval_y1().series_equal(catalog.gf_k_arndt_total(0)), True
 
 
 @_check("catalog", "derivative-identities")

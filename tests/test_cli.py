@@ -86,6 +86,33 @@ def test_enumerate_cap(capsys):
     assert "cap" in err
 
 
+# The --k that each parameterised family kind is run with.
+K_ARGS = {"k-arndt": ["--k", "-3"], "block-arndt": ["--k", "3"]}
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_a_weight_past_the_cap_is_refused_before_any_walk(capsys, monkeypatch,
+                                                          kind):
+    # enumerate names the weight asked for, a brute-force table the first
+    # weight past --max-n; neither starts a walk or writes to stdout.
+    walks = []
+    for walk in ("_descend", "_mirrored"):
+        monkeypatch.setattr(counting, walk,
+                            lambda *args: walks.append(args) or iter(()))
+    family = ["--family", kind, *K_ARGS.get(kind, [])]
+    for argv, n, cap in [
+            (["enumerate", "--n", "29"], 29, 28),
+            (["enumerate", "--n", "12", "--max-n", "11"], 12, 11),
+            *((["table", stat, "--N", "40", "--method", "brute"], 29, 28)
+              for stat in STATISTICS),
+            *((["table", stat, "--N", "14", "--method", "brute",
+                "--max-n", "11"], 12, 11) for stat in STATISTICS)]:
+        assert run(capsys, *argv, *family) == (1, "", (
+            f"error: enumerating weight {n} means 2^{n - 1} compositions;"
+            f" the cap is {cap} (override it to proceed)\n")), argv
+    assert walks == []
+
+
 def test_enumerate_streams_its_output(capsys, monkeypatch):
     def descend(n, bound):
         yield (3,), counting.WHOLE
@@ -119,7 +146,7 @@ def test_enumerate_streams_pruned_members(capsys, monkeypatch):
     assert code == 0
     assert out == "(2,1)\n"
     monkeypatch.undo()
-    # the pruned stream keeps the cap, also before anything is printed
+    # the CLI refuses a pruned family past the cap before printing anything
     code, out, _ = run(capsys, "enumerate", "--n", "29")
     assert code == 1
     assert out == ""
@@ -878,8 +905,8 @@ def test_verify_prints_each_line_as_its_check_ends(capsys, monkeypatch):
 def test_verify_fail_detail_is_one_bounded_line(capsys, monkeypatch):
     stream = counting.compositions_of
 
-    def misordered(n, cap=counting.BRUTE_FORCE_CAP):
-        return reversed(list(stream(n, cap))) if n == 12 else stream(n, cap)
+    def misordered(n):
+        return reversed(list(stream(n))) if n == 12 else stream(n)
 
     monkeypatch.setattr(counting, "compositions_of", misordered)
     code, out, _ = run(capsys, "verify", "counting", "--max-n", "12")

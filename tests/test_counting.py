@@ -16,8 +16,8 @@ from arndt import counting
 from arndt.compositions import (ALL_COMPOSITIONS, ANTIPALINDROMIC, ARNDT,
                                 FAMILY_KINDS, REDUCED_AP, STATISTICS, Family,
                                 is_arndt)
-from arndt.counting import (WHOLE, BruteForceCapExceeded, compositions_of,
-                            family_blocks, family_members, tally)
+from arndt.counting import (WHOLE, compositions_of, family_blocks,
+                            family_members, tally)
 from arndt.formulas import fibonacci
 from arndt.verify import _SAMPLE_K
 
@@ -48,12 +48,9 @@ def test_compositions_stream_properties():
         assert comps == sorted(comps, reverse=True)
 
 
-def test_cap():
-    with pytest.raises(BruteForceCapExceeded):
-        next(compositions_of(29))
-    # raising or dropping the cap both unlock the stream
-    assert next(compositions_of(29, cap=29)) == (29,)
-    assert next(compositions_of(29, cap=None)) == (29,)
+def test_streams_take_no_cap():
+    # the brute-force cap is the CLI's: a stream past its default starts
+    assert next(compositions_of(29)) == (29,)
 
 
 def test_arndt_members_of_6():
@@ -104,8 +101,7 @@ def test_family_members_is_the_filtered_stream(family, references_to_16):
     for reference in references_to_16[:13]:
         assert list(family_members(reference.n, family)) == \
             reference.members(family)
-    with pytest.raises(BruteForceCapExceeded):
-        next(family_members(29, family))
+    assert next(family_members(29, family)) == (29,)
 
 
 # Every family with a prefix bound, at the k values its pruned stream is
@@ -309,7 +305,7 @@ def test_streams_call_no_predicate(monkeypatch, references_to_16):
 
 def test_member_counts_at_raised_caps():
     assert sum(1 for _ in family_members(27, ARNDT)) == fibonacci(27)
-    assert sum(1 for _ in family_members(29, ARNDT, cap=29)) == fibonacci(29)
+    assert sum(1 for _ in family_members(29, ARNDT)) == fibonacci(29)
 
 
 def spy_walks(monkeypatch):
@@ -358,13 +354,13 @@ def test_streams_of_a_family_share_the_stored_tails(family):
 
 def test_first_composition_comes_before_any_tail(monkeypatch):
     walks = spy_walks(monkeypatch)
-    assert next(compositions_of(40, cap=None)) == (40,)
+    assert next(compositions_of(40)) == (40,)
     assert walks == [40]
     assert counting._stored.cache_info().currsize == 0
 
 
 def test_pruned_streams_never_walk_every_composition(monkeypatch):
-    def refuse(n, cap=None):
+    def refuse(n):
         raise AssertionError("the exhaustive stream was walked")
 
     monkeypatch.setattr(counting, "compositions_of", refuse)
@@ -373,33 +369,32 @@ def test_pruned_streams_never_walk_every_composition(monkeypatch):
 
 
 def test_both_streams_check_the_weight_at_the_first_item():
-    streams = [compositions_of(29), compositions_of(-1)] + \
-        [family_members(n, family) for family in [ARNDT] + MIRRORED
-         for n in (29, -1)]
+    streams = [compositions_of(-1)] + \
+        [family_members(-1, family) for family in [ARNDT] + MIRRORED]
     for stream in streams:  # building a stream checks nothing yet
         with pytest.raises(ValueError):
             next(stream)
 
 
-def test_pruned_stream_keeps_the_cap_and_its_message():
+def test_pruned_stream_refuses_a_negative_weight_with_its_message():
     # Every kind is refused by family_blocks at the first draw, not before,
-    # with the message of the exhaustive stream, and also by tally.
+    # with the message of the exhaustive stream, and also by tally.  No
+    # stream takes a cap: each kind starts at weight 29.
     for family in [Family(kind, {"k-arndt": -3, "block-arndt": 3}.get(kind))
                    for kind in FAMILY_KINDS]:
-        for n, error in ((29, BruteForceCapExceeded), (-1, ValueError)):
-            blocks = family_blocks(n, family)
-            with pytest.raises(error) as exhaustive:
-                next(compositions_of(n))
-            for draw in (lambda: next(blocks),
-                         lambda: next(family_members(n, family)),
-                         lambda: tally(n, family, "parts")):
-                with pytest.raises(error) as pruned:
-                    draw()
-                assert type(pruned.value) is error, str(family)
-                assert str(pruned.value) == str(exhaustive.value), str(family)
-        prefix, tails = next(family_blocks(29, family, cap=None))
+        blocks = family_blocks(-1, family)
+        with pytest.raises(ValueError) as exhaustive:
+            next(compositions_of(-1))
+        for draw in (lambda: next(blocks),
+                     lambda: next(family_members(-1, family)),
+                     lambda: tally(-1, family, "parts")):
+            with pytest.raises(ValueError) as pruned:
+                draw()
+            assert type(pruned.value) is ValueError, str(family)
+            assert str(pruned.value) == str(exhaustive.value), str(family)
+        prefix, tails = next(family_blocks(29, family))
         assert prefix + tails[0] == (29,)
-        assert next(family_members(29, family, cap=None)) == (29,)
+        assert next(family_members(29, family)) == (29,)
 
 
 def test_reduced_antipalindromic():

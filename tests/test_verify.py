@@ -130,6 +130,17 @@ def test_corrupted_catalog_is_caught(monkeypatch, warm):
     assert [r.name for r in failed if "gf_arndt" not in r.detail] == []
 
 
+def test_reduced_ap_gf_is_checked_against_an_independent_form(monkeypatch):
+    # Both constructors given the anti-palindromic kernel 2x^3 still agree
+    # with each other; the check must compare gf_reduced_ap with another form.
+    for name in ("gf_arndt", "gf_reduced_ap"):
+        monkeypatch.setattr(catalog, name, lambda: catalog._pairs((3, 2)))
+    [result] = [r for r in run_checks("catalog")
+                if r.name == "catalog.reduced-equals-arndt"]
+    assert not result.passed
+    assert "gf_reduced_ap" in result.detail
+
+
 # The route results that one run shares: one key, one computation.
 
 

@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-from importlib import resources
 from itertools import chain, compress, count, islice, starmap
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -219,6 +218,7 @@ def cmd_series(args, parser) -> int:
 
 
 def _load_reference(name: str) -> Tuple[dict, Dict[int, int]]:
+    from importlib import resources  # it imports inspect from Python 3.12 on
     data = resources.files("arndt.data")
     meta = json.loads(data.joinpath("oeis.json").read_text())[name]
     lines = data.joinpath(meta["file"]).read_text().splitlines()

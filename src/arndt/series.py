@@ -1,19 +1,19 @@
 """Exact bivariate polynomials, rational generating functions, and truncated
 series expansion.
 
-Coefficients are plain ints: every catalog GF has integer coefficients over
-a denominator with constant term 1, so expansion never divides; any other
-exact input expands in ints, one division per cell.  Integrality of
-combinatorial answers is asserted at extraction time, never assumed.
-Rational arithmetic is plain cross-multiplication with no gcd normalisation:
-the catalog writes each GF over its natural denominator, so degrees stay
-small, and the denominator * expansion == numerator round-trip check in the
-verification suite guards correctness.
+Coefficients are ints, over a denominator whose x^0 part is 1: every GF here
+counts a class whose atoms weigh at least 1 in x.  BivariatePolynomial and
+RationalGF refuse anything else when built, so expansion never divides.
+Nonnegativity of combinatorial answers is asserted at extraction time, never
+assumed.  Rational arithmetic is plain cross-multiplication with no gcd
+normalisation: the catalog writes each GF over its natural denominator, so
+degrees stay small, and the denominator * expansion == numerator round-trip
+check in the verification suite guards correctness.
 
 An expansion's rows of y-coefficients are streamed by iter_rows, whose stages
 (one per factor 1 - x^l of den) keep their own l rows, and stored by expand;
 row n is filled only up to the y-degree it can reach: the numerator's, or row
-n - i's top plus j for a den term x^i y^j, i >= 1 (the order if i == 0 < j).
+n - i's top plus j for a den term x^i y^j other than its 1.
 The stored rows are read as {m: count} of nonnegative ints by integer_rows,
 or as the terms of a series in x alone by sequence; integer_row and
 sequence_term each state the rule for one row, applied as rows are drawn.
@@ -25,9 +25,7 @@ when every stored term has deg_y == 0.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from itertools import accumulate, compress, count
-from math import lcm
 from operator import add
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
@@ -37,7 +35,7 @@ DEFAULT_ORDER = 64
 
 
 class BivariatePolynomial:
-    """Finitely many exact terms c * x^i * y^j, stored sparsely."""
+    """Finitely many terms c * x^i * y^j, c an int, stored sparsely."""
 
     __slots__ = ("_coeffs",)
 
@@ -46,8 +44,10 @@ class BivariatePolynomial:
         for (i, j), v in (coeffs or {}).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent ({i}, {j})")
-            if v:  # an integral Fraction is stored as its int
-                clean[(i, j)] = v if v.denominator != 1 else v.numerator
+            if type(v) is not int:
+                raise ValueError(f"coefficient at ({i}, {j}) is {v!r}, not an int")
+            if v:
+                clean[(i, j)] = v
         self._coeffs = clean
 
     @classmethod
@@ -125,29 +125,21 @@ class BivariatePolynomial:
 
 def integer_row(n: int, cells: list) -> List[int]:
     """Row n up to its last nonzero cell, a new list of nonnegative ints: a
-    row of such ints passes by a check in C; any other is gone through cell by
-    cell, making an integral Fraction an int or naming the first that fails."""
+    row of such ints passes by a check in C; any other names its first
+    negative cell."""
     row = cells[:max(compress(count(1), cells), default=0)]
-    if set(map(type, row)) <= {int} and min(row, default=0) >= 0:
+    if min(row, default=0) >= 0:
         return row
-    for m, v in enumerate(row):
-        if v.denominator != 1:
-            raise ValueError(f"coefficient at ({n}, {m}) is {v}, not an integer")
-        if v < 0:
-            raise ValueError(f"coefficient at ({n}, {m}) is negative: {v}")
-        row[m] = int(v)
-    return row
+    m = next(m for m, v in enumerate(row) if v < 0)
+    raise ValueError(f"coefficient at ({n}, {m}) is negative: {row[m]}")
 
 
 def sequence_term(n: int, cells: list) -> int:
-    """Term n of a univariate series: cell 0 of row n as an int of any sign,
-    0 for an empty row; a nonzero later cell is a y-term."""
-    term = cells[0] if cells else 0
-    if term.denominator != 1:
-        raise ValueError(f"coefficient at ({n}, 0) is {term}, not an integer")
+    """Term n of a univariate series: cell 0 of row n, of any sign, 0 for an
+    empty row; a nonzero later cell is a y-term."""
     if any(cells[1:]):
         raise ValueError(f"series has a y-term in row {n}")
-    return int(term)
+    return cells[0] if cells else 0
 
 
 class TruncatedSeries(NamedTuple):
@@ -185,19 +177,20 @@ def _peel(xs: Dict[int, int]) -> Tuple[List[int], Dict[int, int]]:
 
 
 class RationalGF:
-    """A formal power series numerator/denominator of exact polynomials.
+    """A formal power series numerator/denominator of int polynomials.
 
-    The denominator's constant term must be nonzero, which makes the quotient
-    a well-defined formal power series.  Arithmetic is cross-multiplication;
-    equality of the represented series is decided the same way.
+    The denominator's x^0 part must be 1, as it is for every class whose
+    atoms weigh at least 1: the quotient is then a formal power series with
+    int coefficients, expanded without division.  Arithmetic is
+    cross-multiplication; equality of the represented series is decided the
+    same way.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: BivariatePolynomial, den: BivariatePolynomial):
-        if den.coefficient(0, 0) == 0:
-            raise ValueError(
-                "denominator constant term is zero; quotient is not a power series")
+        if [(j, v) for (i, j), v in den.terms() if not i] != [(0, 1)]:
+            raise ValueError("denominator's x^0 part is not 1")
         self.num = num
         self.den = den
 
@@ -213,7 +206,7 @@ class RationalGF:
         return RationalGF(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RationalGF"):
-        # __init__ rejects a quotient whose other.num has zero constant term.
+        # __init__ rejects a quotient whose other.num's x^0 part is not 1.
         return RationalGF(self.num * other.den, self.den * other.num)
 
     def series_equal(self, other: "RationalGF") -> bool:
@@ -225,27 +218,20 @@ class RationalGF:
 
     def iter_rows(self, order: int) -> Iterator[list]:
         """Rows 0..order of the expansion, each yielded (not to be changed)
-        as soon as it is computed.  With coefficients made ints by the lcm
-        of their denominators and d den's constant term, x -> d x, y -> d y
-        and den / d make den monic; V = prod (1 - x^l) * series, l from _peel,
-        has row n num's row n minus v * (row n - i, of V if j == 0, shifted
-        up by j) for each other den term v x^i y^j, and each l's stage adds
-        its own row n - l.  Cell (n, m) is yielded divided by d^(n+m+1)."""
+        as soon as it is computed.  V = prod (1 - x^l) * series, l from
+        _peel, has row n num's row n minus v * (row n - i, of V if j == 0,
+        shifted up by j) for each den term v x^i y^j, i >= 1, and each l's
+        stage adds its own row n - l."""
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
-        scale = lcm(*(v.denominator for poly in (self.num, self.den)
-                      for _, v in poly.terms()))
-        d = int(self.den.coefficient(0, 0) * scale)
         num: Dict[int, dict] = {}
         for (i, j), v in self.num.truncate_x(order).terms():
-            num.setdefault(i, {})[j] = int(v * scale) * d ** (i + j)
-        den = [(i, j, int(v * scale) * d ** (i + j - 1))
-               for (i, j), v in self.den.terms() if i or j]
-        same_row = [(j, v) for i, j, v in den if not i]
+            num.setdefault(i, {})[j] = v
+        den = [(i, j, v) for (i, j), v in self.den.terms() if i]
         xs = {i: v for i, j, v in den if not j}
         # With an x term in den, the stages fill no row further than den.
-        ls, r = _peel(xs) if xs.get(1) and not same_row else ([], xs)
-        shifts = [(i, j, v, 0) for i, j, v in den if i and j]  # series rows
+        ls, r = _peel(xs) if xs.get(1) else ([], xs)
+        shifts = [(i, j, v, 0) for i, j, v in den if j]  # series rows
         shifts += [(i, 0, v, 1) for i, v in r.items()]  # rows of V
         back = deque(maxlen=max((i for i, *_ in shifts), default=0))
         stages = [deque([[]] * l, maxlen=l) for l in ls]
@@ -253,7 +239,7 @@ class RationalGF:
             live = [(back[-i][of], j, v) for i, j, v, of in shifts if i <= n]
             own = num.get(n, {})
             top = max([*own, *(len(p) - 1 + j for p, j, _ in live)], default=-1)
-            top = order if same_row else min(top, order)
+            top = min(top, order)
             row = [own.get(m, 0) for m in range(top + 1)]
             for p, j, v in live:
                 cells = enumerate(p[:max(0, top + 1 - j)], j)
@@ -266,17 +252,13 @@ class RationalGF:
                 else:
                     for m, c in cells:
                         row[m] -= v * c
-            if same_row:  # i == 0 terms read lower m of this row
-                for m in range(top + 1):
-                    row[m] -= sum(v * row[m - j] for j, v in same_row if j <= m)
             v_row = row
             for stage in stages:  # stage[0] is its row n - l
                 p = stage[0]
                 row = [*map(add, row, p), *(row[len(p):] or p[len(row):])]
                 stage.append(row)
             back.append((row, v_row))
-            yield row if d == 1 else [Fraction(e, d ** (n + m + 1))
-                                      for m, e in enumerate(row)]
+            yield row
 
     def diff_y_at_1(self) -> "RationalGF":
         """d/dy of the series, evaluated at y = 1 (quotient rule)."""

@@ -69,8 +69,8 @@ class Run:
         return self.results[key]
 
     def integer_rows(self, name: str, gf: RationalGF, order: int):
-        """gf's shared expansion to order as int rows; a coefficient that is
-        not a nonnegative integer fails the check with a detail naming gf."""
+        """gf's shared expansion to order as {m: count} rows; a negative
+        coefficient fails the check with a detail naming gf."""
         try:
             return self.once(RationalGF.expand, gf, order).integer_rows()
         except ValueError as exc:
@@ -213,7 +213,8 @@ def check_round_trip(run):
 
 @_check("series", "integrality")
 def check_integrality(run):
-    """Catalog coefficients are nonnegative integers with y-degree <= weight."""
+    """Catalog coefficients (ints by construction) are nonnegative, with
+    y-degree <= weight."""
     order = run(40)
     for name, gf in _catalog_gfs():
         rows = run.integer_rows(name, gf, order)
@@ -227,16 +228,14 @@ def check_expand_linearity(run):
     rng = random.Random(20230517)
     order = run(12)
 
-    def random_poly(max_deg, force_constant=False):
-        coeffs = {(i, j): rng.randint(-3, 3) for i in range(max_deg + 1)
-                  for j in range(max_deg + 1) if rng.random() < 0.4}
-        if force_constant:
-            coeffs[(0, 0)] = rng.randint(1, 3)
-        return BivariatePolynomial(coeffs)
+    def random_terms(least_i):
+        return {(i, j): rng.randint(-3, 3) for i in range(least_i, 3)
+                for j in range(3) if rng.random() < 0.4}
 
-    for trial in range(8):
-        f = RationalGF(random_poly(2), random_poly(2, force_constant=True))
-        g = RationalGF(random_poly(2), random_poly(2, force_constant=True))
+    for trial in range(8):  # each denominator's x^0 part is 1
+        f, g = (RationalGF(BivariatePolynomial(random_terms(0)),
+                           BivariatePolynomial({**random_terms(1), (0, 0): 1}))
+                for _ in range(2))
         both, fs, gs = (h.expand(order).as_polynomial() for h in (f + g, f, g))
         for n in range(order + 1):
             for m in range(order + 1):

@@ -6,7 +6,6 @@ rows, or integer_row the same error, word for word."""
 
 import io
 from contextlib import redirect_stdout
-from fractions import Fraction
 
 import pytest
 
@@ -84,18 +83,17 @@ def outcome(make):
         return str(exc)
 
 
-# Cells of a stored or streamed expansion: ints of any sign, integral
-# Fractions, other Fractions, and zeros of both types.
-CELLS = (st.just(0) | st.just(Fraction(0)) | st.integers(-10 ** 40, 10 ** 40)
-         | st.integers(-3, 3).map(lambda v: Fraction(2 * v, 2))
-         | st.fractions(-5, 5, max_denominator=6))
+# Cells of a stored or streamed expansion: ints of any sign, small ones
+# and zeros often.
+CELLS = (st.just(0) | st.integers(-10 ** 40, 10 ** 40)
+         | st.integers(-3, 3))
 
 
 @given(st.integers(0, 60),
        st.lists(COUNTS, max_size=12) | st.lists(CELLS, max_size=12))
 @example(0, [])
 @example(3, [0, 0, 0])
-@example(2, [Fraction(4, 2), 0, Fraction(0)])
+@example(2, [2, 0, -1, 0])
 def test_integer_row_equals_the_dict_rule(n, cells):
     got = outcome(lambda: integer_row(n, cells))
     assert got == outcome(lambda: dict_rows.dense(

@@ -6,6 +6,9 @@ the (1 - x^l) factors that each catalog denominator is divided by; the
 stored cell that TruncatedSeries.coefficient reads, against rows[n]; and the
 ints that catalog expansions hold."""
 
+from itertools import product
+from math import comb
+
 import pytest
 
 from arndt import catalog, series, verify
@@ -66,19 +69,53 @@ def test_streamed_rows_equal_the_stored_rows(name, k):
         assert_streamed_as_stored(gf, order, catalog.SERIES[name][1])
 
 
-# Shift terms (i >= 1) with coefficients 1, -1, 2 and -3: the unit ones add
-# or subtract with no product, the others multiply.
-BRANCH_DEN = {(0, 0): 1, (1, 0): 1, (1, 1): -1, (2, 0): 2, (3, 2): -3}
+# Denominators with y-terms in the rows after the constant, which read lower
+# y-degrees of earlier rows, beside pure x-terms or none; each term but the
+# constant 1 is scaled by 1, -1 or 3, so unit and other coefficients meet.
+ROW_DENS = [{(1, 1): -1}, {(1, 2): 1, (1, 0): -1},
+            {(1, 1): 1, (2, 1): -1, (2, 0): 1},
+            {(1, 1): -2, (2, 3): 1, (3, 2): 5}]
+NUMS = [{(0, 0): 1}, {(1, 0): 1, (0, 1): 1},
+        {(0, 0): 1, (1, 2): -1, (3, 0): 2}]
 
 
-def test_unit_and_other_shift_terms_equal_the_sparse_reference():
+@pytest.mark.parametrize("den, scale, num",
+                         product(ROW_DENS, (1, -1, 3), NUMS))
+def test_y_terms_of_later_rows_equal_the_sparse_reference(den, scale, num):
+    gf = RationalGF(BivariatePolynomial(num), BivariatePolynomial(
+        {(0, 0): 1, **{key: scale * v for key, v in den.items()}}))
+    full = sparse_expand(gf, 8)
+    for order in range(9):
+        series = gf.expand(order)
+        assert series.as_polynomial() == BivariatePolynomial(cut(full, order))
+        assert_streamed_as_stored(gf, order, univariate=False)
+
+
+# Shift terms (i >= 1) with coefficients 1, -1, 2 and -3, and negated: the
+# unit ones add or subtract with no product, the others multiply.
+BRANCH_DEN = {(1, 0): 1, (1, 1): -1, (2, 0): 2, (3, 2): -3}
+
+
+@pytest.mark.parametrize("sign", [pytest.param(1, id="as-pinned"),
+                                  pytest.param(-1, id="negated")])
+def test_unit_and_other_shift_terms_equal_the_sparse_reference(sign):
     gf = RationalGF(BivariatePolynomial({(0, 0): 1, (1, 1): 1, (2, 0): -1}),
-                    BivariatePolynomial(BRANCH_DEN))
+                    BivariatePolynomial({(0, 0): 1, **{
+                        key: sign * v for key, v in BRANCH_DEN.items()}}))
     full = sparse_expand(gf, 12)
     for order in range(13):
         series = gf.expand(order)
         assert series.as_polynomial() == BivariatePolynomial(cut(full, order))
         assert_streamed_as_stored(gf, order, univariate=False)
+
+
+# 1 / (1 - x - x y): row n holds the binomials C(n, m), as ints.
+def test_binomial_gf_expands_to_int_rows():
+    gf = RationalGF(BivariatePolynomial({(0, 0): 1}),
+                    BivariatePolynomial({(0, 0): 1, (1, 0): -1, (1, 1): -1}))
+    series = gf.expand(12)
+    assert all(type(c) is int for row in series.rows for c in row)
+    assert series.integer_rows()[12] == {m: comb(12, m) for m in range(13)}
 
 
 def test_rows_stop_where_they_can_reach():
@@ -157,7 +194,10 @@ def test_catalog_denominators_peel_their_factors(peel):
     # (1 - x^2)(1 - x^3): the factors read no row the terms do not, but
     # without an x term that is not certain, so nothing is split off.
     pytest.param({(0, 0): 1, (2, 0): -1, (3, 0): -1, (5, 0): 1, (3, 2): -1},
-                 id="no-x-term")])
+                 id="no-x-term"),
+    # A term x y in row 1 is no x term: these split nothing off either.
+    pytest.param({(0, 0): 1, (1, 1): -1, (2, 0): -1}, id="x-y-term-only"),
+    pytest.param({(0, 0): 1, (1, 1): -1, (2, 2): 3}, id="y-terms-only")])
 def test_dens_that_peel_nothing(peel, den):
     gf = RationalGF(BivariatePolynomial({(0, 0): 1, (1, 1): 1}),
                     BivariatePolynomial(den))
@@ -183,6 +223,8 @@ def test_coefficient_reads_the_cell_of_its_row(gf):
     pytest.param({(0, 0): 1, (1, 0): -1, (2, 0): -2, (3, 0): 2, (4, 0): 1,
                   (5, 0): -1, (4, 1): -1}, ([2, 2, 1], {}),
                  id="(1-x^2)^2(1-x)"),
+    pytest.param({(0, 0): 1, (1, 0): -1, (3, 0): -1, (4, 0): 1, (2, 1): -2},
+                 ([3, 1], {}), id="(1-x^3)(1-x)"),
     pytest.param({(0, 0): 1, (1, 0): 1, (2, 0): -1, (3, 0): -1, (3, 2): -1},
                  ([2], {1: 1}), id="(1-x^2)(1+x)")])
 def test_other_dens_peel_as_pinned(peel, den, split):
